@@ -38,10 +38,6 @@ from fvx.forms_core import (
 )
 from fvx.polyfield import Poly
 
-# When enabled, bd and bdstar verify the componentwise result against the
-# d5 +/- j^t route on every call.
-CROSSCHECK = False
-
 
 class NotClosedError(ValueError):
     """Raised when a potential is requested for a non-closed form."""
@@ -118,10 +114,7 @@ def bd(t: FiveForm) -> FiveForm:
         raise TypeError("bd expects a FiveForm")
     if t.rank == 5:
         return FiveForm.zero(5)
-    result = FiveForm(t.rank + 1, _push_derivative(t, bullet_partial))
-    if CROSSCHECK and result != bd_via_d5(t):
-        raise AssertionError("bd route disagreement")
-    return result
+    return FiveForm(t.rank + 1, _push_derivative(t, bullet_partial))
 
 
 def bdstar(t: FiveForm) -> FiveForm:
@@ -130,10 +123,7 @@ def bdstar(t: FiveForm) -> FiveForm:
         raise TypeError("bdstar expects a FiveForm")
     if t.rank == 5:
         return FiveForm.zero(5)
-    result = FiveForm(t.rank + 1, _push_derivative(t, bullet_partial_reflected))
-    if CROSSCHECK and result != bdstar_via_d5(t):
-        raise AssertionError("bdstar route disagreement")
-    return result
+    return FiveForm(t.rank + 1, _push_derivative(t, bullet_partial_reflected))
 
 
 def bd_via_d5(t: FiveForm) -> FiveForm:

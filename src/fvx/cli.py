@@ -132,15 +132,7 @@ def cmd_stokes(args) -> int:
     variant = args.variant
     if variant == "auto":
         variant = "rank_eq_dim" if form.rank == V.dim else "rank_eq_dim_plus"
-    if variant == "rank_eq_dim_plus":
-        if form.rank + 1 != V.dim:
-            raise ValueError("variant needs rank + 1 = dim")
-        interior = ig.integrate_m(ca.d5(form), V)
-    else:
-        if form.rank != V.dim:
-            raise ValueError("variant needs rank = dim")
-        interior = ig.integrate_deg(ca.d5(form), V)
-    boundary = ig.boundary_flux(form, V)
+    boundary, interior = ig.stokes_sides(form, V, variant)
     print(f"boundary: {boundary}")
     print(f"interior: {interior}")
     print("EQUAL" if boundary == interior else "DIFFER")
@@ -150,8 +142,7 @@ def cmd_stokes(args) -> int:
 def cmd_flux(args) -> int:
     form = fio.load_form(args.form)
     V = fio.load_surface(args.surface)
-    direct = ig.five_flux(form, V)
-    derivative = ig.integrate_deg(ca.bd(form), V)
+    direct, derivative = ig.flux_sides(form, V)
     print(f"boundary+interior: {direct}")
     print(f"derivative route: {derivative}")
     print("EQUAL" if direct == derivative else "DIFFER")
@@ -162,15 +153,17 @@ def _probe_box(arg: str | None) -> ig.ParamSurface:
     if arg is None:
         return lg.unit_probe_box()
     text = arg.strip()
-    data = json.loads(text) if text.startswith("[") else fio.load_json(arg)
+    if text.startswith("["):
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise fio.FormatError(f"box: {exc}") from None
+    else:
+        data = fio.load_json(arg)
     if not isinstance(data, list) or len(data) != 4:
         raise fio.FormatError("box: expected four [a, b] pairs")
-    box = tuple(
-        (fio.parse_rational(pair[0], f"box[{k}][0]"), fio.parse_rational(pair[1], f"box[{k}][1]"))
-        for k, pair in enumerate(data)
-    )
     maps = tuple(Poly.variable(k, 4) for k in range(4))
-    return ig.ParamSurface(4, maps, box)
+    return ig.ParamSurface(4, maps, fio.bound_pairs(data, "box"))
 
 
 def cmd_el(args) -> int:

@@ -180,10 +180,6 @@ class MultiVector(_Alternating):
     AXES = FIVE_AXES
     SYMBOL = "e"
 
-    @property
-    def comps(self) -> Mapping[IndexKey, Poly]:
-        return self.coeffs
-
 
 # -- basis elements ----------------------------------------------------------
 

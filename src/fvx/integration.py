@@ -31,6 +31,7 @@ from fvx.forms_core import (
     COORD_AXES,
     FiveForm,
     MultiVector,
+    permutation_sign,
     wedge,
     z_part,
 )
@@ -89,7 +90,7 @@ class TangentFrame:
 
     @property
     def is_degenerate(self) -> bool:
-        return _matrix_rank(self.z_matrix) < len(self.vectors)
+        return _row_reduce(self.z_matrix, len(COORD_AXES))[0] < len(self.vectors)
 
 
 @dataclass(frozen=True)
@@ -141,59 +142,33 @@ def faces(V: ParamSurface) -> list[OrientedFace]:
 # -- exact linear algebra over the rationals -----------------------------------
 
 
-def _matrix_rank(rows: list[list[Fraction]]) -> int:
+def _row_reduce(rows: list[list[Fraction]], cols: int):
+    """Gauss-Jordan elimination over the first ``cols`` columns.
+
+    Returns the rank, the determinant of the leading square block (zero when
+    some column has no pivot), and the reduced rows with every pivot scaled
+    to 1, so the columns past ``cols`` of an augmented system hold its
+    solution.
+    """
     work = [list(map(Fraction, row)) for row in rows]
-    rank = 0
-    cols = len(work[0]) if work else 0
+    rank, det = 0, Fraction(1)
     for col in range(cols):
         pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
         if pivot is None:
+            det = Fraction(0)
             continue
-        work[rank], work[pivot] = work[pivot], work[rank]
+        if pivot != rank:
+            work[rank], work[pivot] = work[pivot], work[rank]
+            det = -det
         lead = work[rank][col]
+        det *= lead
+        work[rank] = [x / lead for x in work[rank]]
         for r in range(len(work)):
             if r != rank and work[r][col]:
-                factor = work[r][col] / lead
+                factor = work[r][col]
                 work[r] = [x - factor * y for x, y in zip(work[r], work[rank])]
         rank += 1
-    return rank
-
-
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    work = [list(map(Fraction, row)) for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det *= work[col][col]
-        for r in range(col + 1, n):
-            factor = work[r][col] / work[col][col]
-            work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    return det
-
-
-def _solve_matrix(A: list[list[Fraction]], B: list[list[Fraction]]):
-    """Solve A X = B exactly for square A; None when A is singular."""
-    n = len(A)
-    width = len(B[0]) if B else 0
-    work = [list(map(Fraction, A[r])) + list(map(Fraction, B[r])) for r in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot is None:
-            return None
-        work[col], work[pivot] = work[pivot], work[col]
-        lead = work[col][col]
-        work[col] = [x / lead for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    return [row[n : n + width] for row in work]
+    return rank, det, work
 
 
 def _mat_mul(A, B):
@@ -204,19 +179,11 @@ def _mat_mul(A, B):
 
 
 def _poly_det(rows: list[list[Poly]], nvars: int) -> Poly:
-    n = len(rows)
-    if n == 0:
-        return Poly.const(1, nvars)
     total = Poly.zero(nvars)
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        term = Poly.const(sign, nvars)
-        for i in range(n):
-            term = term * rows[i][perm[i]]
+    for perm in itertools.permutations(range(len(rows))):
+        term = Poly.const(permutation_sign(perm), nvars)
+        for row, col in zip(rows, perm):
+            term = term * row[col]
         total = total + term
     return total
 
@@ -313,10 +280,11 @@ def equivalence_check(
     Bt = [[B[r][c] for r in range(4)] for c in range(m)]
     gram = _mat_mul(Bt, B)
     rhs = _mat_mul(Bt, A)
-    M = _solve_matrix(gram, rhs)
-    if M is None or _mat_mul(B, M) != A:
+    rank, _, reduced = _row_reduce([g + r for g, r in zip(gram, rhs)], m)
+    M = [row[m:] for row in reduced]
+    if rank < m or _mat_mul(B, M) != A:
         return False
-    det = _det(M)
+    det = _row_reduce(M, m)[1]
     if relation == "1":
         return det > 0
     return det == 1
@@ -325,23 +293,32 @@ def equivalence_check(
 # -- the two integral types ------------------------------------------------------
 
 
+def _pullback_integral(form: FiveForm, V: ParamSurface, frame_rows) -> Fraction:
+    """Integral over the box of each pulled-back coefficient times its frame
+    minor.  ``frame_rows(key, J)`` picks the minor's rows for one component
+    key from the Jacobian rows J, or returns None to drop the component."""
+    J = _jacobian(V)
+    total = Poly.zero(V.dim)
+    for key, coeff in form.coeffs.items():
+        rows = frame_rows(key, J)
+        if rows is None:
+            continue
+        minor = _poly_det(rows, V.dim)
+        if minor.is_zero:
+            continue
+        total = total + coeff.compose(list(V.map)) * minor
+    return integrate_box(total, V.box)
+
+
 def integrate_m(form: FiveForm, V: ParamSurface) -> Fraction:
     """Integral of a rank-m form over an m-surface; label-5 components drop."""
     if not isinstance(form, FiveForm):
         raise TypeError("integrate_m expects a FiveForm")
     if form.rank != V.dim:
         raise ValueError("rank must equal surface dimension")
-    J = _jacobian(V)
-    total = Poly.zero(V.dim)
-    for key, coeff in form.coeffs.items():
-        if 5 in key:
-            continue
-        rows = [J[axis] for axis in key]
-        minor = _poly_det(rows, V.dim)
-        if minor.is_zero:
-            continue
-        total = total + coeff.compose(list(V.map)) * minor
-    return integrate_box(total, V.box)
+    return _pullback_integral(
+        form, V, lambda key, J: None if 5 in key else [J[axis] for axis in key]
+    )
 
 
 def integrate_deg(form: FiveForm, V: ParamSurface) -> Fraction:
@@ -351,17 +328,9 @@ def integrate_deg(form: FiveForm, V: ParamSurface) -> Fraction:
         raise TypeError("integrate_deg expects a FiveForm")
     if form.rank != V.dim + 1:
         raise ValueError("rank must exceed surface dimension by one")
-    J = _jacobian(V)
-    total = Poly.zero(V.dim)
-    for key, coeff in form.coeffs.items():
-        if key[-1] != 5:
-            continue
-        rows = [J[axis] for axis in key[:-1]]
-        minor = _poly_det(rows, V.dim)
-        if minor.is_zero:
-            continue
-        total = total + coeff.compose(list(V.map)) * minor
-    return integrate_box(total, V.box)
+    return _pullback_integral(
+        form, V, lambda key, J: [J[axis] for axis in key[:-1]] if key[-1] == 5 else None
+    )
 
 
 def integrate_full_frame(form: FiveForm, V: ParamSurface) -> Fraction:
@@ -375,16 +344,10 @@ def integrate_full_frame(form: FiveForm, V: ParamSurface) -> Fraction:
         raise TypeError("integrate_full_frame expects a FiveForm")
     if form.rank != V.dim:
         raise ValueError("rank must equal surface dimension")
-    J = _jacobian(V)
     param_row = [Poly.variable(k, V.dim) for k in range(V.dim)]
-    total = Poly.zero(V.dim)
-    for key, coeff in form.coeffs.items():
-        rows = [param_row if axis == 5 else J[axis] for axis in key]
-        minor = _poly_det(rows, V.dim)
-        if minor.is_zero:
-            continue
-        total = total + coeff.compose(list(V.map)) * minor
-    return integrate_box(total, V.box)
+    return _pullback_integral(
+        form, V, lambda key, J: [param_row if axis == 5 else J[axis] for axis in key]
+    )
 
 
 # -- boundary fluxes and the integral identities ----------------------------------
@@ -409,8 +372,8 @@ def boundary_flux(form: FiveForm, V: ParamSurface) -> Fraction:
 STOKES_VARIANTS = ("rank_eq_dim_plus", "rank_eq_dim")
 
 
-def stokes_check(form: FiveForm, V: ParamSurface, variant: str) -> bool:
-    """Boundary integral versus volume integral of the derivative, exactly.
+def stokes_sides(form: FiveForm, V: ParamSurface, variant: str) -> tuple[Fraction, Fraction]:
+    """The boundary integral and the volume integral of the derivative.
 
     ``rank_eq_dim_plus``: the surface dimension exceeds the rank by one and
     both sides are plain integrals.  ``rank_eq_dim``: rank equals dimension
@@ -419,12 +382,18 @@ def stokes_check(form: FiveForm, V: ParamSurface, variant: str) -> bool:
     if variant == "rank_eq_dim_plus":
         if form.rank + 1 != V.dim:
             raise ValueError("variant needs rank + 1 = dim")
-        return boundary_flux(form, V) == integrate_m(d5(form), V)
+        return boundary_flux(form, V), integrate_m(d5(form), V)
     if variant == "rank_eq_dim":
         if form.rank != V.dim:
             raise ValueError("variant needs rank = dim")
-        return boundary_flux(form, V) == integrate_deg(d5(form), V)
+        return boundary_flux(form, V), integrate_deg(d5(form), V)
     raise ValueError(f"unknown variant {variant!r}")
+
+
+def stokes_check(form: FiveForm, V: ParamSurface, variant: str) -> bool:
+    """Boundary integral versus volume integral of the derivative, exactly."""
+    boundary, interior = stokes_sides(form, V, variant)
+    return boundary == interior
 
 
 def five_flux(form: FiveForm, V: ParamSurface) -> Fraction:
@@ -432,6 +401,12 @@ def five_flux(form: FiveForm, V: ParamSurface) -> Fraction:
     if form.rank != V.dim:
         raise ValueError("rank must equal surface dimension")
     return boundary_flux(form, V) + (-1) ** form.rank * integrate_m(form, V)
+
+
+def flux_sides(form: FiveForm, V: ParamSurface) -> tuple[Fraction, Fraction]:
+    """The five-vector flux by both routes: boundary plus interior, and the
+    frame-completed integral of bd(form)."""
+    return five_flux(form, V), integrate_deg(bd(form), V)
 
 
 BY_PARTS_FLAVORS = ("d5", "bd_left", "bdstar_left")

@@ -94,6 +94,18 @@ def form_to_dict(form: FiveForm) -> dict:
     return {"rank": form.rank, "coeffs": coeffs}
 
 
+def bound_pairs(data: Sequence, where: str) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Rational [a, b] bound pairs, one per box parameter."""
+    box = []
+    for k, pair in enumerate(data):
+        if not isinstance(pair, Sequence) or isinstance(pair, str) or len(pair) != 2:
+            raise FormatError(f"{where}: box[{k}] must be a pair [a, b]")
+        box.append(
+            (parse_rational(pair[0], f"box[{k}][0]"), parse_rational(pair[1], f"box[{k}][1]"))
+        )
+    return tuple(box)
+
+
 def surface_from_dict(data: Any) -> ParamSurface:
     data = _expect_mapping(data, "surface")
     unknown = set(data) - {"dim", "map", "box"}
@@ -110,15 +122,9 @@ def surface_from_dict(data: Any) -> ParamSurface:
     box_data = data.get("box", [])
     if not isinstance(box_data, Sequence) or isinstance(box_data, str) or len(box_data) != dim:
         raise FormatError(f"surface: box must list {dim} bound pairs")
-    box = []
-    for k, pair in enumerate(box_data):
-        if not isinstance(pair, Sequence) or isinstance(pair, str) or len(pair) != 2:
-            raise FormatError(f"surface: box[{k}] must be a pair [a, b]")
-        box.append(
-            (parse_rational(pair[0], f"box[{k}][0]"), parse_rational(pair[1], f"box[{k}][1]"))
-        )
+    box = bound_pairs(box_data, "surface")
     try:
-        return ParamSurface(dim, polys, tuple(box))
+        return ParamSurface(dim, polys, box)
     except ValueError as exc:
         raise FormatError(f"surface: {exc}") from None
 

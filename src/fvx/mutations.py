@@ -11,6 +11,7 @@ which is why the registry records a specific sensitive witness.
 from __future__ import annotations
 
 import contextlib
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from types import ModuleType
@@ -51,13 +52,30 @@ def _sign_flipped(fn):
 
 @contextlib.contextmanager
 def apply_mutation(name: str):
-    """Patch the named operator for the duration of the block."""
+    """Patch the named operator for the duration of the block.
+
+    fvx modules import operators by name (``from fvx.calculus import d5``),
+    so the patch rebinds every module-level name of the operator in every
+    loaded fvx module; patching only the defining module would leave the
+    calls made through the other names unmutated.
+    """
     if name not in REGISTRY:
         raise ValueError(f"unknown mutation {name!r}")
     mutation = REGISTRY[name]
     original = getattr(mutation.module, mutation.attribute)
-    setattr(mutation.module, mutation.attribute, _sign_flipped(original))
+    bindings = [
+        (namespace, attr)
+        for module_name, module in list(sys.modules.items())
+        if module_name == "fvx" or module_name.startswith("fvx.")
+        for namespace in (vars(module),)
+        for attr, value in namespace.items()
+        if value is original
+    ]
+    mutated = _sign_flipped(original)
+    for namespace, attr in bindings:
+        namespace[attr] = mutated
     try:
         yield mutation
     finally:
-        setattr(mutation.module, mutation.attribute, original)
+        for namespace, attr in bindings:
+            namespace[attr] = original

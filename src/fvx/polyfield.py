@@ -142,10 +142,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        """Largest total degree among the stored monomials (0 for the zero poly)."""
-        return max((sum(e) for e in self.terms), default=0)
-
     def as_fraction(self) -> Fraction:
         """Value of a constant polynomial; error if any variable appears."""
         for expo, coeff in self.terms.items():
@@ -221,33 +217,6 @@ class Poly:
     def __repr__(self) -> str:
         names = default_names(self.nvars)
         return f"Poly({format_poly(self, names)!r})"
-
-
-# -- spec-facing functional aliases ---------------------------------------
-
-
-def add(a: Poly, b: Poly) -> Poly:
-    return a + b
-
-
-def mul(a: Poly, b: Poly) -> Poly:
-    return a * b
-
-
-def partial(p: Poly, axis: int) -> Poly:
-    return p.partial(axis)
-
-
-def evaluate(p: Poly, point: Sequence[RationalLike]) -> Fraction:
-    return p.evaluate(point)
-
-
-def compose(p: Poly, maps: Sequence[Poly]) -> Poly:
-    return p.compose(maps)
-
-
-def scale_integrate(p: Poly, power: int) -> Poly:
-    return p.scale_integrate(power)
 
 
 def integrate_box(p: Poly, box: Sequence[tuple[RationalLike, RationalLike]]) -> Fraction:
@@ -346,6 +315,8 @@ def _tokenize(text: str) -> list[str]:
                     k += 1
                 if k == j + 1:
                     raise ValueError(f"malformed rational at position {i}: {text[i:k]!r}")
+                if not int(text[j + 1 : k]):
+                    raise ValueError(f"zero denominator in {text[i:k]!r}")
                 tokens.append(text[i:k])
                 i = k
             else:

@@ -4,8 +4,9 @@ Every identity draws exact random instances (rational coefficients with
 numerator and denominator bounded by 9) from a per-suite deterministic
 stream, evaluates an exact equality, and on failure greedily drops
 monomials from the instance while the failure persists before serializing
-it.  All operator references go through their defining modules so that a
-patched (mutated) operator is exercised everywhere.
+it.  A patched (mutated) operator is exercised everywhere: the patch rebinds
+every name of it in the fvx modules, including the by-name imports of
+``integration`` and ``lagrange``.
 """
 
 from __future__ import annotations
@@ -273,7 +274,6 @@ def run_single(ident: Identity, rng: random.Random, cfg: SuiteConfig) -> tuple[b
 
 
 _ONE = FiveForm.from_scalar(1)
-_ONE4 = FourForm.from_scalar(1)
 
 
 def _det_negative(cfg: MetricConfig) -> bool:
@@ -286,35 +286,58 @@ def _metric_for_dual(cfg: SuiteConfig) -> MetricConfig:
     return cfg.metric if _det_negative(cfg.metric) else DEFAULT_CFG
 
 
+def _redraw(make, nonzero, tries: int = 40):
+    """Draw from ``make`` until ``nonzero(instance, cfg)`` holds, at most
+    ``tries`` times; the last draw stands when none does."""
+
+    def redrawn(rng, cfg):
+        for _ in range(tries):
+            i = make(rng, cfg)
+            if nonzero(i, cfg):
+                break
+        return i
+
+    return redrawn
+
+
+def _make_form(top: int, **kind):
+    """One form ``t`` of rank at most ``top``."""
+
+    def make(rng, cfg):
+        return {"t": rand_form(rng, rng.randint(0, top), cfg.max_degree, **kind)}
+
+    return make
+
+
+def _make_pair(top: int, **kind):
+    """Forms ``s`` and ``t`` whose ranks add up to at most ``top``."""
+
+    def make(rng, cfg):
+        ra = rng.randint(0, top)
+        rb = rng.randint(0, top - ra)
+        return {
+            "s": rand_form(rng, ra, cfg.max_degree, **kind),
+            "t": rand_form(rng, rb, cfg.max_degree, **kind),
+        }
+
+    return make
+
+
+_FOUR_LABELS = {"cls": FourForm, "axes": fc.COORD_AXES}
+
+
 # algebra ------------------------------------------------------------------------
 
 
-def _make_one_form(rng, cfg):
-    return {"t": rand_form(rng, rng.randint(0, 5), cfg.max_degree)}
+_make_one_form = _make_form(5)
 
+# The unit law on the zero form cannot see a sign error in the product;
+# redraw until something survives.
+_make_nonzero_form = _redraw(_make_one_form, lambda i, cfg: not i["t"].is_zero)
 
-def _make_nonzero_form(rng, cfg):
-    # The unit law on the zero form cannot see a sign error in the product;
-    # redraw until something survives.
-    for _ in range(40):
-        i = _make_one_form(rng, cfg)
-        if not i["t"].is_zero:
-            break
-    return i
-
-
-def _make_subtop_form(rng, cfg):
-    # Identities that wedge the input with another label need rank room.
-    return {"t": rand_form(rng, rng.randint(0, 4), cfg.max_degree)}
-
-
-def _make_wedge_pair(rng, cfg):
-    ra = rng.randint(0, 5)
-    rb = rng.randint(0, 5 - ra)
-    return {
-        "s": rand_form(rng, ra, cfg.max_degree),
-        "t": rand_form(rng, rb, cfg.max_degree),
-    }
+# Identities that wedge the input with another label, or differentiate it,
+# need rank room.
+_make_subtop_form = _make_form(4)
 
 
 def _make_wedge_triple(rng, cfg):
@@ -364,7 +387,7 @@ def _holds_transfer(i, cfg):
 
 ALGEBRA = (
     Identity("wedge-unit", _make_nonzero_form, _holds_wedge_unit),
-    Identity("wedge-graded-commutativity", _make_wedge_pair, _holds_graded_commutativity),
+    Identity("wedge-graded-commutativity", _make_pair(5), _holds_graded_commutativity),
     Identity("wedge-associativity", _make_wedge_triple, _holds_associativity),
     Identity("block-split", _make_one_form, _holds_block_split),
     Identity("label-five-transfer", _make_transfer, _holds_transfer),
@@ -374,59 +397,23 @@ ALGEBRA = (
 # calculus -----------------------------------------------------------------------
 
 
-def _make_four_form(rng, cfg):
-    return {"t": rand_form(rng, rng.randint(0, 4), cfg.max_degree, cls=FourForm, axes=fc.COORD_AXES)}
-
-
 def _make_axis(rng, cfg):
     return {"axis": rng.choice(FIVE_AXES)}
 
 
-def _make_leibniz_pair4(rng, cfg):
-    # Room for one more label: the derivative of an (m + n)-form must fit.
-    ra = rng.randint(0, 3)
-    rb = rng.randint(0, 3 - ra)
-    return {
-        "s": rand_form(rng, ra, cfg.max_degree, cls=FourForm, axes=fc.COORD_AXES),
-        "t": rand_form(rng, rb, cfg.max_degree, cls=FourForm, axes=fc.COORD_AXES),
-    }
+# Room for one more label: the derivative of an (m + n)-form must fit.
+_make_leibniz_pair4 = _make_pair(3, **_FOUR_LABELS)
+_make_leibniz_pair5 = _make_pair(4)
 
+# A closed input gives the roundtrip nothing to recover; redraw until the
+# derivative is visible.
+_make_inexact_source_4 = _redraw(
+    _make_form(3, **_FOUR_LABELS), lambda i, cfg: not ca.d4(i["t"]).is_zero
+)
 
-def _make_leibniz_pair5(rng, cfg):
-    ra = rng.randint(0, 4)
-    rb = rng.randint(0, 4 - ra)
-    return {
-        "s": rand_form(rng, ra, cfg.max_degree),
-        "t": rand_form(rng, rb, cfg.max_degree),
-    }
-
-
-def _make_potential_source_4(rng, cfg):
-    return {"t": rand_form(rng, rng.randint(0, 3), cfg.max_degree, cls=FourForm, axes=fc.COORD_AXES)}
-
-
-def _make_inexact_source_4(rng, cfg):
-    # A closed input gives the roundtrip nothing to recover; redraw until
-    # the derivative is visible.
-    for _ in range(40):
-        i = _make_potential_source_4(rng, cfg)
-        if not ca.d4(i["t"]).is_zero:
-            break
-    return i
-
-
-def _make_coord_active_form(rng, cfg):
-    # Route comparisons through the coordinate derivative need an input the
-    # coordinate derivative does not annihilate.
-    for _ in range(40):
-        i = _make_subtop_form(rng, cfg)
-        if not ca.d5(i["t"]).is_zero:
-            break
-    return i
-
-
-def _make_potential_source_5(rng, cfg):
-    return {"t": rand_form(rng, rng.randint(0, 4), cfg.max_degree)}
+# Route comparisons through the coordinate derivative need an input the
+# coordinate derivative does not annihilate.
+_make_coord_active_form = _redraw(_make_subtop_form, lambda i, cfg: not ca.d5(i["t"]).is_zero)
 
 
 def _make_bracket(rng, cfg):
@@ -535,7 +522,7 @@ def _holds_bracket(i, cfg):
 
 
 CALCULUS = (
-    Identity("d4-nilpotent", _make_four_form, _holds_d4_nilpotent),
+    Identity("d4-nilpotent", _make_form(4, **_FOUR_LABELS), _holds_d4_nilpotent),
     Identity("d5-nilpotent", _make_one_form, _holds_d5_nilpotent),
     Identity("bd-nilpotent", _make_one_form, _holds_bd_nilpotent),
     Identity("bdstar-nilpotent", _make_one_form, _holds_bdstar_nilpotent),
@@ -549,8 +536,8 @@ CALCULUS = (
     Identity("leibniz-bd", _make_leibniz_pair5, _holds_leibniz_bd),
     Identity("leibniz-mixed", _make_leibniz_pair5, _holds_leibniz_mixed),
     Identity("potential-d4", _make_inexact_source_4, _holds_potential_d4),
-    Identity("potential-d5", _make_potential_source_5, _holds_potential_d5),
-    Identity("potential-bd", _make_potential_source_5, _holds_potential_bd),
+    Identity("potential-d5", _make_subtop_form, _holds_potential_d5),
+    Identity("potential-bd", _make_subtop_form, _holds_potential_bd),
     Identity("bracket-pairing", _make_bracket, _holds_bracket),
 )
 
@@ -558,20 +545,15 @@ CALCULUS = (
 # stokes -------------------------------------------------------------------------
 
 
-def _make_stokes_plain(rng, cfg):
-    dim = rng.randint(1, 4)
-    return {
-        "t": rand_form(rng, dim - 1, cfg.max_degree),
-        "V": rand_surface(rng, dim, cfg.max_degree),
-    }
+def _make_stokes(shift: int):
+    def make(rng, cfg):
+        dim = rng.randint(1, 4)
+        return {
+            "t": rand_form(rng, dim - shift, cfg.max_degree),
+            "V": rand_surface(rng, dim, cfg.max_degree),
+        }
 
-
-def _make_stokes_five(rng, cfg):
-    dim = rng.randint(1, 4)
-    return {
-        "t": rand_form(rng, dim, cfg.max_degree),
-        "V": rand_surface(rng, dim, cfg.max_degree),
-    }
+    return make
 
 
 def _make_four_vector_stokes(rng, cfg):
@@ -591,21 +573,16 @@ def _make_reparam(rng, cfg):
     }
 
 
-def _holds_stokes_plain(i, cfg):
-    return ig.stokes_check(i["t"], i["V"], "rank_eq_dim_plus")
+def _holds_stokes(variant: str):
+    def holds(i, cfg):
+        return ig.stokes_check(i["t"], i["V"], variant)
 
-
-def _holds_stokes_five(i, cfg):
-    return ig.stokes_check(i["t"], i["V"], "rank_eq_dim")
+    return holds
 
 
 def _holds_four_vector_stokes(i, cfg):
     S, V = i["S"], i["V"]
-    boundary = Fraction(0)
-    if V.dim >= 1:
-        for face in ig.faces(V):
-            boundary += face.sign * ig.integrate_m(fc.lift(S), face.surface())
-    return boundary == ig.integrate_m(fc.lift(ca.d4(S)), V)
+    return ig.boundary_flux(fc.lift(S), V) == ig.integrate_m(fc.lift(ca.d4(S)), V)
 
 
 def _holds_reparam(i, cfg):
@@ -615,8 +592,8 @@ def _holds_reparam(i, cfg):
 
 
 STOKES = (
-    Identity("boundary-interior-plain", _make_stokes_plain, _holds_stokes_plain),
-    Identity("boundary-interior-five", _make_stokes_five, _holds_stokes_five),
+    Identity("boundary-interior-plain", _make_stokes(1), _holds_stokes("rank_eq_dim_plus")),
+    Identity("boundary-interior-five", _make_stokes(0), _holds_stokes("rank_eq_dim")),
     Identity("four-vector-stokes", _make_four_vector_stokes, _holds_four_vector_stokes),
     Identity("reparametrization-invariance", _make_reparam, _holds_reparam),
 )
@@ -625,16 +602,12 @@ STOKES = (
 # flux ---------------------------------------------------------------------------
 
 
-def _make_flux(rng, cfg):
-    # A zero interior term or zero total satisfies the route comparison for
-    # the wrong reasons; redraw so both routes meet on nonzero numbers.
-    for _ in range(40):
-        dim = rng.randint(1, 4)
-        t = rand_form(rng, dim, cfg.max_degree)
-        V = rand_surface(rng, dim, cfg.max_degree)
-        if ig.integrate_m(t, V) != 0 and ig.five_flux(t, V) != 0:
-            break
-    return {"t": t, "V": V}
+# A zero interior term or zero total satisfies the route comparison for the
+# wrong reasons; redraw so both routes meet on nonzero numbers.
+_make_flux = _redraw(
+    _make_stokes(0),
+    lambda i, cfg: ig.integrate_m(i["t"], i["V"]) != 0 and ig.five_flux(i["t"], i["V"]) != 0,
+)
 
 
 def _make_by_parts(shift: int):
@@ -652,8 +625,8 @@ def _make_by_parts(shift: int):
 
 
 def _holds_flux_routes(i, cfg):
-    t, V = i["t"], i["V"]
-    return ig.five_flux(t, V) == ig.integrate_deg(ca.bd(t), V)
+    direct, derivative = ig.flux_sides(i["t"], i["V"])
+    return direct == derivative
 
 
 def _holds_by_parts(flavor: str):
@@ -740,14 +713,11 @@ def _make_same_rank_pair(rng, cfg):
     }
 
 
-def _make_pairing_pair(rng, cfg):
-    # Forms with disjoint components pair to zero and the comparison
-    # degenerates to 0 == 0; redraw until the inner product survives.
-    for _ in range(40):
-        i = _make_same_rank_pair(rng, cfg)
-        if not md.h_inner(i["s"], i["t"], cfg.metric).is_zero:
-            break
-    return i
+# Forms with disjoint components pair to zero and the comparison degenerates
+# to 0 == 0; redraw until the inner product survives.
+_make_pairing_pair = _redraw(
+    _make_same_rank_pair, lambda i, cfg: not md.h_inner(i["s"], i["t"], cfg.metric).is_zero
+)
 
 
 def _holds_wedge_dual_pairing(i, cfg):
@@ -801,14 +771,11 @@ def _make_el(rng, cfg):
     }
 
 
-def _make_el_off_shell(rng, cfg):
-    # Fields that happen to solve the drawn equations make the residual
-    # comparison vacuous; redraw until the instance sits off shell.
-    for _ in range(200):
-        i = _make_el(rng, cfg)
-        if not lg.el_residual(i["L"], i["phi"], 0).is_zero:
-            break
-    return i
+# Fields that happen to solve the drawn equations make the residual
+# comparison vacuous; redraw until the instance sits off shell.
+_make_el_off_shell = _redraw(
+    _make_el, lambda i, cfg: not lg.el_residual(i["L"], i["phi"], 0).is_zero, tries=200
+)
 
 
 def _make_el_flux(rng, cfg):
@@ -834,8 +801,8 @@ def _holds_three_way(i, cfg):
 
 
 def _holds_el_flux_route(i, cfg):
-    lam = lg.Lambda_form(i["L"], i["phi"], 0)
-    return ig.five_flux(lam, i["V"]) == ig.integrate_deg(ca.bd(lam), i["V"])
+    direct, derivative = ig.flux_sides(lg.Lambda_form(i["L"], i["phi"], 0), i["V"])
+    return direct == derivative
 
 
 LAGRANGE = (
@@ -868,114 +835,76 @@ def _holds_transposition(i, cfg):
     return fc.transposition_identity_check(conforming_array(i["weights"]), i["m"])
 
 
-def divergence_contraction_4(weights: Sequence[Poly], probes: Sequence[tuple[int, ...]]) -> bool:
+def divergence_contraction(
+    weights: Sequence[Poly], probes: Sequence[tuple[int, ...]], labels: Sequence[int]
+) -> bool:
     """Contracted-divergence reading of the transposition identity for a
-    vector-valued volume form on the four coordinate labels."""
-
-    def S(mu: int, key: tuple[int, ...]) -> Poly:
-        return weights[mu] * fc.permutation_sign(key)
-
-    cache: dict[tuple[int, ...], Poly] = {}
-
-    def T(key: tuple[int, ...]) -> Poly:
-        if key not in cache:
-            total = Poly.zero(4)
-            for mu in range(4):
-                total = total + S(mu, (mu,) + key)
-            cache[key] = total
-        return cache[key]
-
-    quarter = Fraction(1, math.factorial(4))
-    sixth = Fraction(1, math.factorial(3))
-    for idx in probes:
-        lhs = Poly.zero(4)
-        for mu in range(4):
-            lhs = lhs + S(mu, idx).partial(mu)
-        lhs = lhs * quarter
-        rhs = Poly.zero(4)
-        for perm in itertools.permutations(range(4)):
-            sign = fc.permutation_sign(perm)
-            reordered = tuple(idx[p] for p in perm)
-            rhs = rhs + T(reordered[1:]).partial(reordered[0]) * sign
-        rhs = rhs * (sixth * quarter)
-        if lhs != rhs:
-            return False
-    return True
-
-
-def divergence_contraction_5(weights: Sequence[Poly], probes: Sequence[tuple[int, ...]]) -> bool:
-    """Same reading one level up: five labels, with the label-5 directional
-    derivative acting as the identity."""
+    vector-valued volume form over ``labels``: the four coordinate labels,
+    or all five, where the label-5 directional derivative acts as the
+    identity.  ``weights`` holds one polynomial per label."""
+    n = len(labels)
 
     def S(h: int, key: tuple[int, ...]) -> Poly:
-        return weights[FIVE_AXES.index(h)] * fc.permutation_sign(key)
+        return weights[labels.index(h)] * fc.permutation_sign(key)
 
     cache: dict[tuple[int, ...], Poly] = {}
 
     def T(key: tuple[int, ...]) -> Poly:
         if key not in cache:
             total = Poly.zero(4)
-            for h in FIVE_AXES:
+            for h in labels:
                 total = total + S(h, (h,) + key)
             cache[key] = total
         return cache[key]
 
-    fifth = Fraction(1, math.factorial(5))
-    quarter = Fraction(1, math.factorial(4))
+    lead = Fraction(1, math.factorial(n))
+    tail = Fraction(1, math.factorial(n - 1))
     for idx in probes:
         lhs = Poly.zero(4)
-        for h in FIVE_AXES:
+        for h in labels:
             lhs = lhs + ca.bullet_partial(S(h, idx), h)
-        lhs = lhs * fifth
+        lhs = lhs * lead
         rhs = Poly.zero(4)
-        for perm in itertools.permutations(range(5)):
+        for perm in itertools.permutations(range(n)):
             sign = fc.permutation_sign(perm)
             reordered = tuple(idx[p] for p in perm)
             rhs = rhs + ca.bullet_partial(T(reordered[1:]), reordered[0]) * sign
-        rhs = rhs * (quarter * fifth)
+        rhs = rhs * (tail * lead)
         if lhs != rhs:
             return False
     return True
 
 
-def _make_divergence_4(rng, cfg):
-    probes = [tuple(rng.sample(range(4), 4)) for _ in range(2)]
-    probes += [tuple(rng.choice(range(4)) for _ in range(4)) for _ in range(2)]
-    return {
-        "w0": rand_poly(rng, 4, cfg.max_degree),
-        "w1": rand_poly(rng, 4, cfg.max_degree),
-        "w2": rand_poly(rng, 4, cfg.max_degree),
-        "w3": rand_poly(rng, 4, cfg.max_degree),
-        "probes": tuple(probes),
-    }
+def _make_divergence(labels: tuple[int, ...]):
+    # The weight keys w0..w3 (and w5) name the labels in counterexamples.
+    def make(rng, cfg):
+        n = len(labels)
+        probes = [tuple(rng.sample(labels, n)) for _ in range(2)]
+        probes += [tuple(rng.choice(labels) for _ in range(n)) for _ in range(2)]
+        inst = {f"w{h}": rand_poly(rng, 4, cfg.max_degree) for h in labels}
+        inst["probes"] = tuple(probes)
+        return inst
+
+    return make
 
 
-def _holds_divergence_4(i, cfg):
-    return divergence_contraction_4([i["w0"], i["w1"], i["w2"], i["w3"]], i["probes"])
+def _holds_divergence(labels: tuple[int, ...]):
+    def holds(i, cfg):
+        return divergence_contraction([i[f"w{h}"] for h in labels], i["probes"], labels)
 
-
-def _make_divergence_5(rng, cfg):
-    probes = [tuple(rng.sample(FIVE_AXES, 5)) for _ in range(2)]
-    probes += [tuple(rng.choice(FIVE_AXES) for _ in range(5)) for _ in range(2)]
-    return {
-        "w0": rand_poly(rng, 4, cfg.max_degree),
-        "w1": rand_poly(rng, 4, cfg.max_degree),
-        "w2": rand_poly(rng, 4, cfg.max_degree),
-        "w3": rand_poly(rng, 4, cfg.max_degree),
-        "w5": rand_poly(rng, 4, cfg.max_degree),
-        "probes": tuple(probes),
-    }
-
-
-def _holds_divergence_5(i, cfg):
-    weights = [i["w0"], i["w1"], i["w2"], i["w3"], i["w5"]]
-    return divergence_contraction_5(weights, i["probes"])
+    return holds
 
 
 APPENDIX = (
     Identity("transposition-identity", _make_transposition, _holds_transposition),
-    Identity("divergence-contraction-4", _make_divergence_4, _holds_divergence_4),
-    Identity("divergence-contraction-5", _make_divergence_5, _holds_divergence_5),
+    Identity(
+        "divergence-contraction-4",
+        _make_divergence(fc.COORD_AXES),
+        _holds_divergence(fc.COORD_AXES),
+    ),
+    Identity(
+        "divergence-contraction-5", _make_divergence(FIVE_AXES), _holds_divergence(FIVE_AXES)
+    ),
 )
 
 

@@ -26,8 +26,7 @@ from fvx.metric_dual import MetricConfig
 from fvx.polyfield import COORD_NAMES, Poly, parse_poly
 from fvx.suites import (
     conforming_array,
-    divergence_contraction_4,
-    divergence_contraction_5,
+    divergence_contraction,
     rand_fields,
     rand_form,
     rand_fraction,
@@ -369,7 +368,7 @@ def test_criterion_09_transposition_identity(capsys):
         for _ in range(20):
             weights = [rand_poly(rng, 4, 2) for _ in range(4)]
             probes = [tuple(rng.sample(range(4), 4)), tuple(rng.choice(range(4)) for _ in range(4))]
-            if not divergence_contraction_4(weights, probes):
+            if not divergence_contraction(weights, probes, fc.COORD_AXES):
                 return False
         for _ in range(20):
             weights = [rand_poly(rng, 4, 2) for _ in range(5)]
@@ -377,7 +376,7 @@ def test_criterion_09_transposition_identity(capsys):
                 tuple(rng.sample(fc.FIVE_AXES, 5)),
                 tuple(rng.choice(fc.FIVE_AXES) for _ in range(5)),
             ]
-            if not divergence_contraction_5(weights, probes):
+            if not divergence_contraction(weights, probes, fc.FIVE_AXES):
                 return False
         return True
 

@@ -1,0 +1,264 @@
+"""Golden digests: the drawn instances, computed values and output stay fixed.
+
+A passing jsonl record carries no computed values, so a change that shifts
+the random stream or a computed number can leave every report byte-identical.
+These digests pin what the reports do not: every instance the suites draw,
+the shrunk counterexamples of the mutation runs, the exact integral values,
+the frame-equivalence verdicts, and the demo command output.
+
+To print the current digests (after a change that is meant to alter them):
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import random
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+from unittest import mock
+
+from fvx import integration as ig
+from fvx import mutations as mu
+from fvx import suites as su
+from fvx.cli import main
+from fvx.integration import ParamSurface
+from fvx.polyfield import Poly
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# -- instance stream -------------------------------------------------------------------
+
+
+def instance_digest(seed: int, trials: int = 25) -> str:
+    """Hash of every instance that ``run_suite`` draws, in draw order."""
+    lines = []
+
+    def draw_only(ident, rng, cfg):
+        lines.append(su.describe_instance(ident.make(rng, cfg)))
+        return True, None
+
+    with mock.patch.object(su, "run_single", draw_only):
+        su.run_suite(su.SuiteConfig(seed=seed, trials=trials))
+    return _sha("\n".join(lines))
+
+
+INSTANCE_DIGESTS = {
+    0: 'daba5c900a3075c0721cbe9f9a5ae6d0bc27540dd3eeebb9634623f3e15a8133',
+    1: 'fcc6425f3dea1786106bfee41baf6d6b22f0ccbb2994547440778c53fab0ea34',
+    2: '96d42048ffc2280fb3e854ada3e142b1919ddfabe4d46975d41928adb71723ae',
+    3: 'b916037034ac02e153b6a311d808303f111da01821d9ad920acd79296dc8297d',
+    4: '79d5ea644e7cdaf25159c670f8afd3283d7090299ac8f66882e752a383bb13a7',
+}
+
+
+def test_instance_stream_is_unchanged():
+    for seed, expected in INSTANCE_DIGESTS.items():
+        assert instance_digest(seed) == expected, f"seed {seed}"
+
+
+# -- mutation runs ------------------------------------------------------------------------
+
+
+def mutation_digest(name: str) -> str:
+    """Hash of the jsonl report of one mutation against its witness suite."""
+    suite = mu.REGISTRY[name].caught_by[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "report.jsonl")
+        argv = ["check", "--mutate", name, "--suite", suite, "--seed", "0", "--trials", "5"]
+        assert main(argv + ["--format", "jsonl", "--out", out]) == 1
+        return _sha(Path(out).read_text())
+
+
+MUTATION_DIGESTS = {
+    'wedge-sign': 'dec63e2ba5fdfe89d8bfc0c89e913ce02118689dcc0668520ffa01d470311e96',
+    'd4-sign': '11a02b96f6e6b1ea4a66e54325a7187b7f6f73417ae1c524454bb2899a16d22c',
+    'd5-sign': 'a003eba847dd6fc4e8ad8df36642c99fb30e86006efd840079fdb076b4ca79bd',
+    'bd-sign': '65d18f21541af5518cb902b23af783cae9be73463f63139b7d1049364462ee95',
+    'bdstar-sign': '47d7e180a44bdef7590b34fc7229f9a9f23b28c88995b6ff649abb2f1026a8f3',
+    'integrate-sign': '2a1bea0803a9197e596d2eae47392ccda444eb7f5ffef91f7b37890245992003',
+    'flux-sign': '46a15aa8eab9571e8490dd4f1910813c9ebae6009a4fdbe2a3718d16c10bb4b6',
+    'epsilon-sign': 'e2a2cffc16b4fc2e6d2ef11e6afcb6023cab2ebbbf5458722e3a86fbf19b5387',
+    'dual-sign': '7630123194a38237623b3bbb7351d6f32cf06b3fbd0bd52352d29ef761d2e386',
+    'el-sign': 'c70812a0afecd5348faf28b3afc491dc84415d7bca2119a2f6f692486133221a',
+}
+
+
+def test_mutation_reports_are_unchanged():
+    assert set(MUTATION_DIGESTS) == set(mu.REGISTRY)
+    for name, expected in MUTATION_DIGESTS.items():
+        assert mutation_digest(name) == expected, name
+
+
+# -- integration values -----------------------------------------------------------------
+
+
+def _outcome(fn, *args) -> str:
+    try:
+        return str(fn(*args))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def integral_values() -> list[str]:
+    """Both integral types, the full-frame contraction and both boundary
+    fluxes on seeded random forms and surfaces of every dimension."""
+    rng = random.Random("golden:integrals")
+    values = []
+    for dim in range(1, 5):
+        for _ in range(6):
+            V = su.rand_surface(rng, dim, 3)
+            t = su.rand_form(rng, dim, 3)
+            values.append(_outcome(ig.integrate_m, t, V))
+            values.append(_outcome(ig.integrate_full_frame, t, V))
+            values.append(_outcome(ig.boundary_flux, t, V))
+            values.append(_outcome(ig.integrate_deg, su.rand_form(rng, dim + 1, 3), V))
+            values.append(_outcome(ig.boundary_flux, su.rand_form(rng, dim - 1, 3), V))
+    return values
+
+
+# Parameter changes mu -> A mu + c, applied around the frame point; the last
+# two are singular, so the changed surface has a degenerate frame there.
+_CHANGES = {
+    1: ([[1]], [[2]], [[-1]], [[Fraction(1, 3)]], [[0]]),
+    2: (
+        [[1, 0], [0, 1]],
+        [[0, 1], [1, 0]],
+        [[1, 2], [0, 1]],
+        [[2, 1], [1, 1]],
+        [[3, 0], [1, -2]],
+        [[1, 1], [1, 1]],
+    ),
+    3: (
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+        [[1, 1, 0], [0, 1, 1], [0, 0, 1]],
+        [[2, 0, 1], [0, 1, 0], [1, 0, 1]],
+        [[1, 2, 3], [2, 4, 6], [0, 0, 1]],
+    ),
+    4: (
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]],
+        [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]],
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 1, 1, 0]],
+    ),
+}
+
+
+def _changed(V: ParamSurface, A, lam, bent: bool) -> ParamSurface:
+    """V composed with mu -> A mu + lam over [-1, 1]^m, so that mu = 0 lands
+    on lam; ``bent`` adds mu_0 to the last coordinate, which keeps the image
+    point but tilts the first tangent vector, mostly out of V's tangent
+    space."""
+    m = V.dim
+    subs = []
+    for k in range(m):
+        poly = Poly.const(lam[k], m)
+        for j in range(m):
+            poly = poly + Poly.variable(j, m) * Fraction(A[k][j])
+        subs.append(poly)
+    maps = [comp.compose(subs) for comp in V.map]
+    if bent:
+        maps[3] = maps[3] + Poly.variable(0, m)
+    box = ((Fraction(-1), Fraction(1)),) * m
+    return ParamSurface(m, tuple(maps), box)
+
+
+def frame_verdicts() -> list[str]:
+    """Degeneracy flags and all four equivalence relations on fixed frames."""
+    rng = random.Random("golden:frames")
+    verdicts = []
+    for dim, changes in _CHANGES.items():
+        for _ in range(3):
+            V = su.rand_surface(rng, dim, 3)
+            lam = tuple((a + b) / 2 for a, b in V.box)
+            verdicts.append(str(ig.tangent_frame(V, lam).is_degenerate))
+            for A in changes:
+                for bent in (False, True):
+                    W = _changed(V, A, lam, bent)
+                    origin = (0,) * dim
+                    verdicts.append(str(ig.tangent_frame(W, origin).is_degenerate))
+                    for relation in ig.RELATIONS:
+                        verdicts.append(
+                            _outcome(ig.equivalence_check, V, W, lam, origin, relation)
+                        )
+    return verdicts
+
+
+INTEGRAL_DIGEST = '39ef80807c290af956a50dc6b9b059fd5ba9a5bf1b49e0c229fdd8d3ba788630'
+FRAME_DIGEST = '448ea6b3e3ffb43aade194090023affebc5a9aa1e6609e78113e686d15b1683b'
+
+
+def test_integral_values_are_unchanged():
+    assert _sha("\n".join(integral_values())) == INTEGRAL_DIGEST
+
+
+def test_frame_verdicts_are_unchanged():
+    assert _sha("\n".join(frame_verdicts())) == FRAME_DIGEST
+
+
+# -- demo output -----------------------------------------------------------------------------
+
+DEMO_COMMANDS = (
+    "bd --form demo/const1.form",
+    "bdstar --form demo/mixed.form",
+    "d --form demo/radial.form",
+    "dual --form demo/j.form --config demo/lorentz.cfg",
+    "integrate --form demo/mixed.form --surface demo/square.surf",
+    "stokes --form demo/shear.form --surface demo/square.surf",
+    "flux --form demo/mixed.form --surface demo/square.surf",
+    "el --lagrangian demo/free_scalar.lag --fields demo/wave_solution.json",
+    "el --lagrangian demo/free_scalar.lag --fields demo/not_solution.json",
+    "integrate --form demo/shear.form --surface demo/cube4.surf",
+    "stokes --form demo/shear.form --surface demo/cube4.surf",
+)
+
+
+def demo_run(command: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one demo command, run from the root."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(command.split())
+    finally:
+        os.chdir(cwd)
+    return code, out.getvalue(), err.getvalue()
+
+
+DEMO_OUTPUT = {
+    'bd --form demo/const1.form': (0, 'rank 1\n5: 1\n', ''),
+    'bdstar --form demo/mixed.form': (0, 'rank 3\n013: -1\n015: -3/2 x0^2 x1 + x1 + x3\n025: -1\n235: 2/5\n', ''),
+    'd --form demo/radial.form': (0, 'rank 2\n(zero)\n', ''),
+    'dual --form demo/j.form --config demo/lorentz.cfg': (0, 'rank 4\n0123: -1\n', ''),
+    'integrate --form demo/mixed.form --surface demo/square.surf': (0, '1/4\n', ''),
+    'stokes --form demo/shear.form --surface demo/square.surf': (0, 'boundary: 1\ninterior: 1\nEQUAL\n', ''),
+    'flux --form demo/mixed.form --surface demo/square.surf': (0, 'boundary+interior: 1/4\nderivative route: 1/4\nEQUAL\n', ''),
+    'el --lagrangian demo/free_scalar.lag --fields demo/wave_solution.json': (0, 'field 0:\n  residual: 0\n  current/source match: yes\n  closed-form check: yes\n  probe flux: 0\nsolution\n', ''),
+    'el --lagrangian demo/free_scalar.lag --fields demo/not_solution.json': (1, 'field 0:\n  residual: 2\n  current/source match: no\n  closed-form check: no\n  probe flux: 2\nnot a solution\n', ''),
+    'integrate --form demo/shear.form --surface demo/cube4.surf': (2, '', 'fvx: rank must equal surface dimension\n'),
+    'stokes --form demo/shear.form --surface demo/cube4.surf': (2, '', 'fvx: variant needs rank + 1 = dim\n'),
+}
+
+
+def test_demo_output_is_unchanged():
+    assert set(DEMO_OUTPUT) == set(DEMO_COMMANDS)
+    for command in DEMO_COMMANDS:
+        assert demo_run(command) == DEMO_OUTPUT[command], command
+
+
+if __name__ == "__main__":
+    print("INSTANCE_DIGESTS =", {seed: instance_digest(seed) for seed in range(5)})
+    print("MUTATION_DIGESTS =", {m.name: mutation_digest(m.name) for m in mu.MUTATIONS})
+    print("INTEGRAL_DIGEST =", repr(_sha("\n".join(integral_values()))))
+    print("FRAME_DIGEST =", repr(_sha("\n".join(frame_verdicts()))))
+    print("DEMO_OUTPUT =", {command: demo_run(command) for command in DEMO_COMMANDS})

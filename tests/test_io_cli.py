@@ -1,6 +1,8 @@
 """File formats and the command-line driver."""
 
+import importlib
 import json
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import fvx
 from fvx import io as fio
 from fvx import mutations as mu
 from fvx import suites as su
@@ -226,14 +229,38 @@ def test_emit_report_rejects_unknown_format():
 # -- mutation registry ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("mutation", mu.MUTATIONS, ids=lambda m: m.name)
-def test_mutation_is_caught_by_its_witness(mutation):
-    suite, name = mutation.caught_by
-    cfg = su.SuiteConfig(seed=11, trials=3, suites=(suite,))
-    with mu.apply_mutation(mutation.name):
+# Each mutation against its registered witness, plus identities that see the
+# patch only through a by-name import of the operator in integration.
+@pytest.mark.parametrize(
+    "name, suite, identity",
+    [pytest.param(m.name, *m.caught_by, id=m.name) for m in mu.MUTATIONS]
+    + [
+        pytest.param("d5-sign", "stokes", "boundary-interior-plain", id="d5-sign-stokes-plain"),
+        pytest.param("d5-sign", "stokes", "boundary-interior-five", id="d5-sign-stokes-five"),
+        pytest.param("bd-sign", "flux", "by-parts-bd-left", id="bd-sign-by-parts"),
+        pytest.param("bdstar-sign", "flux", "by-parts-bdstar-left", id="bdstar-sign-by-parts"),
+    ],
+)
+def test_mutation_is_caught_by_its_witness(name, suite, identity):
+    cfg = su.SuiteConfig(seed=11, trials=10, suites=(suite,))
+    with mu.apply_mutation(name):
         report = su.run_suite(cfg)
     failed = {(r.suite, r.identity) for r in report.failures}
-    assert (suite, name) in failed
+    assert (suite, identity) in failed
+
+
+def test_mutation_reaches_every_binding():
+    # A module that imported the operator by name must see the patch too.
+    modules = [fvx] + [
+        importlib.import_module(f"fvx.{info.name}") for info in pkgutil.iter_modules(fvx.__path__)
+    ]
+    for mutation in mu.MUTATIONS:
+        original = getattr(mutation.module, mutation.attribute)
+        bound = [(m, a) for m in modules for a, v in vars(m).items() if v is original]
+        with mu.apply_mutation(mutation.name):
+            stale = [f"{m.__name__}.{a}" for m, a in bound if getattr(m, a) is original]
+        assert not stale, f"{mutation.name} misses {stale}"
+        assert all(getattr(m, a) is original for m, a in bound)
 
 
 def test_mutation_restores_the_operator():
@@ -350,6 +377,20 @@ def test_missing_file_exits_two(capsys):
     assert "nope.form" in capsys.readouterr().err
 
 
+def test_zero_denominator_exits_two_without_traceback(tmp_path):
+    path = tmp_path / "bad.form"
+    path.write_text(json.dumps({"rank": 0, "coeffs": {"": "1/0 x0"}}))
+    result = subprocess.run(
+        [sys.executable, "-m", "fvx.cli", "bd", "--form", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith("fvx: ")
+    assert "coeffs['']" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 # -- command line: integrals -----------------------------------------------------------
 
 
@@ -464,6 +505,30 @@ def test_el_box_validation(capsys):
     )
     assert rc == 2
     assert "four" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "box, message",
+    [
+        ("[1, 2, 3, 4]", "fvx: box: box[0] must be a pair"),
+        ("[[0], [0], [0], [0]]", "fvx: box: box[0] must be a pair"),
+        ("[[0, 1], [0, 1], [0, 1], [0, 1]", "fvx: box: Expecting ','"),
+    ],
+)
+def test_el_rejects_malformed_box_pairs(capsys, box, message):
+    rc = main(
+        [
+            "el",
+            "--lagrangian",
+            str(DEMO / "free_scalar.lag"),
+            "--fields",
+            str(DEMO / "wave_solution.json"),
+            "--box",
+            box,
+        ]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(message)
 
 
 # -- module execution ----------------------------------------------------------------

@@ -235,6 +235,12 @@ def test_parse_rejects_dangling_sign():
         parse_poly("x0 +", COORD_NAMES)
 
 
+def test_parse_rejects_zero_denominator():
+    for text in ("1/0 x0", "x1 - 3/00"):
+        with pytest.raises(ValueError, match="zero denominator in '.*/0+'"):
+            parse_poly(text, COORD_NAMES)
+
+
 def test_parse_rejects_bad_power():
     with pytest.raises(ValueError, match="integer exponent"):
         parse_poly("x0^", COORD_NAMES)
