@@ -69,14 +69,17 @@ def bullet_partial(f: Poly, axis: int) -> Poly:
 
 def bullet_partial_reflected(f: Poly, axis: int) -> Poly:
     """Reflected variant: the label-5 branch flips sign."""
-    if axis == 5:
-        return -f
-    if axis in COORD_AXES:
-        return f.partial(axis)
-    raise ValueError(f"no basis label {axis}")
+    return -f if axis == 5 else bullet_partial(f, axis)
 
 
-def _push_derivative(t: _Alternating, scalar_rule) -> dict:
+def _derivative(t: _Alternating, cls, name: str, scalar_rule) -> _Alternating:
+    """Exterior derivative of a ``cls`` form whose scalar action along each
+    label is ``scalar_rule(coefficient, axis)``; zero at top rank."""
+    if not isinstance(t, cls):
+        raise TypeError(f"{name} expects a {cls.__name__}")
+    top = len(cls.AXES)
+    if t.rank == top:
+        return cls.zero(top)
     out: dict[tuple, Poly] = {}
     for key, coeff in t.coeffs.items():
         taken = set(key)
@@ -88,42 +91,26 @@ def _push_derivative(t: _Alternating, scalar_rule) -> dict:
                 continue
             sign, merged = merge_sign((axis,), key)
             out[merged] = out.get(merged, Poly.zero(4)) + sign * value
-    return out
+    return cls(t.rank + 1, out)
 
 
 def d4(S: FourForm) -> FourForm:
-    if not isinstance(S, FourForm):
-        raise TypeError("d4 expects a FourForm")
-    if S.rank == 4:
-        return FourForm.zero(4)
-    return FourForm(S.rank + 1, _push_derivative(S, lambda c, a: c.partial(a)))
+    return _derivative(S, FourForm, "d4", lambda c, a: c.partial(a))
 
 
 def d5(t: FiveForm) -> FiveForm:
-    if not isinstance(t, FiveForm):
-        raise TypeError("d5 expects a FiveForm")
-    if t.rank == 5:
-        return FiveForm.zero(5)
     rule = lambda c, a: c.partial(a) if a != 5 else Poly.zero(4)
-    return FiveForm(t.rank + 1, _push_derivative(t, rule))
+    return _derivative(t, FiveForm, "d5", rule)
 
 
 def bd(t: FiveForm) -> FiveForm:
     """Five-vector exterior derivative, computed componentwise."""
-    if not isinstance(t, FiveForm):
-        raise TypeError("bd expects a FiveForm")
-    if t.rank == 5:
-        return FiveForm.zero(5)
-    return FiveForm(t.rank + 1, _push_derivative(t, bullet_partial))
+    return _derivative(t, FiveForm, "bd", bullet_partial)
 
 
 def bdstar(t: FiveForm) -> FiveForm:
     """Reflected five-vector exterior derivative, computed componentwise."""
-    if not isinstance(t, FiveForm):
-        raise TypeError("bdstar expects a FiveForm")
-    if t.rank == 5:
-        return FiveForm.zero(5)
-    return FiveForm(t.rank + 1, _push_derivative(t, bullet_partial_reflected))
+    return _derivative(t, FiveForm, "bdstar", bullet_partial_reflected)
 
 
 def bd_via_d5(t: FiveForm) -> FiveForm:
@@ -176,6 +163,14 @@ def poincare_potential_4(S: FourForm) -> FourForm:
     return _homotopy(S)
 
 
+def _plain_potential(s: FiveForm) -> FiveForm:
+    """Cone potential of the label-5-free block of s, lifted; a rank-5 form
+    has no such block."""
+    if s.rank <= 4:
+        return lift(_homotopy(project(z_part(s))))
+    return FiveForm.zero(4)
+
+
 def poincare_potential_5(s: FiveForm) -> FiveForm:
     """t with d5(t) = s, for closed s; the two label blocks invert separately.
 
@@ -191,17 +186,10 @@ def poincare_potential_5(s: FiveForm) -> FiveForm:
         defect = e_part(s)
         if not defect.is_zero:
             raise EDefectError(defect.coeff((5,)))
-        residual = d5(s)
-        if not residual.is_zero:
-            raise NotClosedError("input is not closed", residual)
-        return FiveForm.from_scalar(_homotopy(project(s)).coeff(()))
     residual = d5(s)
     if not residual.is_zero:
         raise NotClosedError("input is not closed", residual)
-    if s.rank <= 4:
-        t_plain = lift(_homotopy(project(z_part(s))))
-    else:
-        t_plain = FiveForm.zero(4)
+    t_plain = _plain_potential(s)
     W = s_from_t(e_part(s))
     if W.is_zero:
         return t_plain
@@ -227,14 +215,11 @@ def poincare_potential_bd(s: FiveForm) -> FiveForm:
         raise NotClosedError("input is not closed", residual)
     if m == 0:
         return FiveForm.zero(0)
+    t_plain = _plain_potential(s)
     if m == 1:
-        t_scalar = _homotopy(project(z_part(s))).coeff(())
+        t_scalar = t_plain.coeff(())
         shift = s.coeff((5,)) - t_scalar
         return FiveForm.from_scalar(t_scalar + shift)
-    if m <= 4:
-        t_plain = lift(_homotopy(project(z_part(s))))
-    else:
-        t_plain = FiveForm.zero(4)
     W = s_from_t(e_part(s)) + (-1) ** m * t_plain
     if W.is_zero:
         return t_plain

@@ -62,7 +62,6 @@ class _Alternating:
     """Shared storage and linear structure for forms and multivectors."""
 
     AXES: tuple[int, ...] = FIVE_AXES
-    SYMBOL: str = "?"
 
     __slots__ = ("rank", "coeffs")
 
@@ -149,9 +148,6 @@ class _Alternating:
 
     __rmul__ = __mul__
 
-    def __xor__(self, other):
-        return wedge(self, other)
-
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
@@ -168,17 +164,14 @@ class _Alternating:
 
 class FiveForm(_Alternating):
     AXES = FIVE_AXES
-    SYMBOL = "o"
 
 
 class FourForm(_Alternating):
     AXES = COORD_AXES
-    SYMBOL = "dx"
 
 
 class MultiVector(_Alternating):
     AXES = FIVE_AXES
-    SYMBOL = "e"
 
 
 # -- basis elements ----------------------------------------------------------
@@ -354,18 +347,6 @@ class IndexedArray:
         )
 
     __rmul__ = __mul__
-
-    def __add__(self, other: "IndexedArray") -> "IndexedArray":
-        if self.arity != other.arity or self.index_set != other.index_set:
-            raise ValueError("arrays over different shapes")
-        return IndexedArray(
-            self.arity,
-            self.index_set,
-            {k: v + other.values[k] for k, v in self.values.items()},
-        )
-
-    def __sub__(self, other: "IndexedArray") -> "IndexedArray":
-        return self + (-1 * other)
 
     def __repr__(self) -> str:
         nonzero = {k: str(v) for k, v in self.values.items() if v}

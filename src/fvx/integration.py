@@ -172,10 +172,9 @@ def _row_reduce(rows: list[list[Fraction]], cols: int):
 
 
 def _mat_mul(A, B):
-    return [
-        [sum((A[r][k] * B[k][c] for k in range(len(B))), Fraction(0)) for c in range(len(B[0]))]
-        for r in range(len(A))
-    ]
+    # Columns come from zip(*B), so a product with the 0 x 0 frame map of a
+    # point is a list of empty rows.
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*B)] for row in A]
 
 
 def _poly_det(rows: list[list[Poly]], nvars: int) -> Poly:
@@ -267,19 +266,20 @@ def equivalence_check(
     if frame_a.is_degenerate or frame_b.is_degenerate:
         raise ValueError("degenerate tangent frame")
 
+    za, zb = frame_a.z_matrix, frame_b.z_matrix
     if relation in ("2", "3"):
-        same_frames = frame_a.z_matrix == frame_b.z_matrix
+        same_frames = za == zb
         if relation == "2":
             return same_frames
         return same_frames and frame_a.point == frame_b.point
 
     m = a.dim
-    # Columns of A/B are the coordinate parts of the tangent vectors.
-    A = [[frame_a.z_matrix[k][axis] for k in range(m)] for axis in range(4)]
-    B = [[frame_b.z_matrix[k][axis] for k in range(m)] for axis in range(4)]
-    Bt = [[B[r][c] for r in range(4)] for c in range(m)]
-    gram = _mat_mul(Bt, B)
-    rhs = _mat_mul(Bt, A)
+    # Columns of A/B are the coordinate parts of the tangent vectors; the rows
+    # of zb are the columns of B.
+    A = [[za[k][axis] for k in range(m)] for axis in range(4)]
+    B = [[zb[k][axis] for k in range(m)] for axis in range(4)]
+    gram = _mat_mul(zb, B)
+    rhs = _mat_mul(zb, A)
     rank, _, reduced = _row_reduce([g + r for g, r in zip(gram, rhs)], m)
     M = [row[m:] for row in reduced]
     if rank < m or _mat_mul(B, M) != A:

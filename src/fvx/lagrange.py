@@ -200,10 +200,11 @@ def el_report(L: LagrangianSpec, phi: FieldSet, V: ParamSurface | None = None) -
     if V is None:
         V = unit_probe_box()
     indices = range(L.n_fields)
+    lambda_forms = tuple(Lambda_form(L, phi, ell) for ell in indices)
     return ELReport(
         residuals=tuple(el_residual(L, phi, ell) for ell in indices),
         j_forms=tuple(J_form(L, phi, ell) for ell in indices),
         k_forms=tuple(K_form(L, phi, ell) for ell in indices),
-        lambda_forms=tuple(Lambda_form(L, phi, ell) for ell in indices),
-        flux_values=tuple(five_flux(Lambda_form(L, phi, ell), V) for ell in indices),
+        lambda_forms=lambda_forms,
+        flux_values=tuple(five_flux(lam, V) for lam in lambda_forms),
     )

@@ -134,6 +134,24 @@ def _repeated_index_samples(m: int):
     return [(repeated, distinct), (distinct, repeated), (repeated, repeated)]
 
 
+def contraction_entry(
+    A: Sequence[int],
+    B: Sequence[int],
+    upper: IndexedArray,
+    lower: IndexedArray,
+    cfg: MetricConfig,
+) -> bool:
+    """One entry of the contraction identity: the sum of upper[A + C] *
+    lower[B + C] over every label tuple C equals -(5-m)! * sign(xi) *
+    delta(A, B), where m = len(A) and upper/lower are the raised and
+    lowered alternating tensors of cfg."""
+    A, B = tuple(A), tuple(B)
+    total = Fraction(0)
+    for C in itertools.product(FIVE_AXES, repeat=5 - len(A)):
+        total += upper.values[A + C] * lower.values[B + C]
+    return total == -math.factorial(5 - len(A)) * cfg.sign_xi * permutation_delta(A, B)
+
+
 def epsilon_contraction(m: int, cfg: MetricConfig = DEFAULT_CFG) -> bool:
     """Contract m free index pairs against 5-m summed ones and compare with
     -(5-m)! * sign(xi) * delta, exhaustively over distinct index tuples and
@@ -142,25 +160,11 @@ def epsilon_contraction(m: int, cfg: MetricConfig = DEFAULT_CFG) -> bool:
         raise ValueError("m must be between 0 and 5")
     lower = epsilon_lower(cfg)
     upper = epsilon_upper(cfg)
-    target = Fraction(-math.factorial(5 - m) * cfg.sign_xi)
-    for A in itertools.permutations(FIVE_AXES, m):
-        rest = _complement(A)
-        for B in itertools.permutations(FIVE_AXES, m):
-            setB = set(B)
-            total = Fraction(0)
-            for C in itertools.permutations(rest, 5 - m):
-                if setB & set(C):
-                    continue
-                total += upper[A + C] * lower[B + C]
-            if total != target * permutation_delta(A, B):
-                return False
-    for A, B in _repeated_index_samples(m):
-        total = Fraction(0)
-        for C in itertools.permutations(FIVE_AXES, 5 - m):
-            total += upper[A + C] * lower[B + C]
-        if total != 0 or permutation_delta(A, B) != 0:
-            return False
-    return True
+    pairs = itertools.chain(
+        itertools.product(itertools.permutations(FIVE_AXES, m), repeat=2),
+        _repeated_index_samples(m),
+    )
+    return all(contraction_entry(A, B, upper, lower, cfg) for A, B in pairs)
 
 
 # -- the two lowering maps and the dual ----------------------------------------

@@ -148,16 +148,12 @@ def rand_fields(rng: random.Random, n_fields: int, max_degree: int) -> FieldSet:
 # -- counterexample serialization and shrinking --------------------------------------
 
 
-def _poly_text(p: Poly) -> str:
-    names = COORD_NAMES if p.nvars == 4 else default_names(p.nvars)
-    return format_poly(p, names)
-
-
 def _serialize(value) -> str:
     if isinstance(value, fc._Alternating):
         return json.dumps(fio.form_to_dict(value), sort_keys=True)
     if isinstance(value, Poly):
-        return _poly_text(value)
+        names = COORD_NAMES if value.nvars == 4 else default_names(value.nvars)
+        return format_poly(value, names)
     if isinstance(value, ParamSurface):
         return json.dumps(fio.surface_to_dict(value), sort_keys=True)
     if isinstance(value, LagrangianSpec):
@@ -177,54 +173,31 @@ def _poly_without(p: Poly, key: tuple[int, ...]) -> Poly:
     return Poly(p.nvars, {k: c for k, c in p.terms.items() if k != key})
 
 
-def _value_atoms(value) -> list[tuple]:
+def _parts(value) -> tuple[list[Poly], Callable[[list[Poly]], object] | None]:
+    """The polynomials a value is built from, in shrink order, and the
+    function that rebuilds the value from a replacement list."""
     if isinstance(value, Poly):
-        return [("poly", k) for k in sorted(value.terms)]
+        return [value], lambda polys: polys[0]
     if isinstance(value, fc._Alternating):
-        return [
-            ("form", key, term)
-            for key in sorted(value.coeffs)
-            for term in sorted(value.coeffs[key].terms)
-        ]
+        keys = sorted(value.coeffs)
+        rebuild = lambda polys: type(value)(value.rank, dict(zip(keys, polys)))
+        return [value.coeffs[k] for k in keys], rebuild
     if isinstance(value, ParamSurface):
-        return [
-            ("map", i, term)
-            for i in range(4)
-            for term in sorted(value.map[i].terms)
-        ]
+        return list(value.map), lambda polys: ParamSurface(value.dim, tuple(polys), value.box)
     if isinstance(value, LagrangianSpec):
-        return [("density", k) for k in sorted(value.density.terms)]
+        return [value.density], lambda polys: LagrangianSpec(value.n_fields, polys[0])
     if isinstance(value, FieldSet):
-        return [
-            ("field", i, term)
-            for i in range(len(value.fields))
-            for term in sorted(value.fields[i].terms)
-        ]
-    return []
+        return list(value.fields), lambda polys: FieldSet(tuple(polys))
+    return [], None
 
 
-def _value_drop(value, atom):
-    kind = atom[0]
-    if kind == "poly":
-        return _poly_without(value, atom[1])
-    if kind == "form":
-        _, key, term = atom
-        coeffs = dict(value.coeffs)
-        coeffs[key] = _poly_without(coeffs[key], term)
-        return type(value)(value.rank, coeffs)
-    if kind == "map":
-        _, i, term = atom
-        maps = list(value.map)
-        maps[i] = _poly_without(maps[i], term)
-        return ParamSurface(value.dim, tuple(maps), value.box)
-    if kind == "density":
-        return LagrangianSpec(value.n_fields, _poly_without(value.density, atom[1]))
-    if kind == "field":
-        _, i, term = atom
-        fields = list(value.fields)
-        fields[i] = _poly_without(fields[i], term)
-        return FieldSet(tuple(fields))
-    raise AssertionError(f"unknown atom {atom!r}")
+def _monomials(inst: dict):
+    """(slot, poly index, exponent) of every monomial of the instance, in
+    shrink order: sorted slots, each value's polys in order, sorted terms."""
+    for slot in sorted(inst):
+        for n, poly in enumerate(_parts(inst[slot])[0]):
+            for term in sorted(poly.terms):
+                yield slot, n, term
 
 
 def shrink_instance(inst: dict, still_fails: Callable[[dict], bool]) -> dict:
@@ -232,19 +205,18 @@ def shrink_instance(inst: dict, still_fails: Callable[[dict], bool]) -> dict:
     changed = True
     while changed:
         changed = False
-        for slot in sorted(inst):
-            for atom in _value_atoms(inst[slot]):
-                candidate = dict(inst)
-                try:
-                    candidate[slot] = _value_drop(inst[slot], atom)
-                    bad = still_fails(candidate)
-                except Exception:
-                    bad = False
-                if bad:
-                    inst = candidate
-                    changed = True
-                    break
-            if changed:
+        for slot, n, term in _monomials(inst):
+            polys, rebuild = _parts(inst[slot])
+            candidate = dict(inst)
+            try:
+                polys[n] = _poly_without(polys[n], term)
+                candidate[slot] = rebuild(polys)
+                bad = still_fails(candidate)
+            except Exception:
+                bad = False
+            if bad:
+                inst = candidate
+                changed = True
                 break
     return inst
 
@@ -276,14 +248,10 @@ def run_single(ident: Identity, rng: random.Random, cfg: SuiteConfig) -> tuple[b
 _ONE = FiveForm.from_scalar(1)
 
 
-def _det_negative(cfg: MetricConfig) -> bool:
-    return cfg.g[0] * cfg.g[1] * cfg.g[2] * cfg.g[3] < 0
-
-
 def _metric_for_dual(cfg: SuiteConfig) -> MetricConfig:
     # The uniform involution constant needs an odd number of minus signs
     # in the coordinate block; fall back to the reference metric otherwise.
-    return cfg.metric if _det_negative(cfg.metric) else DEFAULT_CFG
+    return cfg.metric if math.prod(cfg.metric.g) < 0 else DEFAULT_CFG
 
 
 def _redraw(make, nonzero, tries: int = 40):
@@ -424,34 +392,29 @@ def _make_bracket(rng, cfg):
     }
 
 
-def _holds_d4_nilpotent(i, cfg):
-    return ca.d4(ca.d4(i["t"])).is_zero
+# The factories below name their operator and look it up in ``calculus`` on
+# every call: a captured function object would slip past a mutation or a
+# tracer, both of which rebind the module-level name.
 
 
-def _holds_d5_nilpotent(i, cfg):
-    return ca.d5(ca.d5(i["t"])).is_zero
+def _holds_nilpotent(op: str):
+    def holds(i, cfg):
+        d = getattr(ca, op)
+        return d(d(i["t"])).is_zero
 
-
-def _holds_bd_nilpotent(i, cfg):
-    return ca.bd(ca.bd(i["t"])).is_zero
-
-
-def _holds_bdstar_nilpotent(i, cfg):
-    return ca.bdstar(ca.bdstar(i["t"])).is_zero
+    return holds
 
 
 def _holds_bd_unit(i, cfg):
     return ca.bd(_ONE) == fc.j_form() and ca.bdstar(_ONE) == -fc.j_form()
 
 
-def _holds_bd_from_d5(i, cfg):
-    t = i["t"]
-    return ca.bd(t) == ca.d5(t) + fc.wedge(fc.j_form(), t)
+def _holds_from_d5(op: str, sign: int):
+    def holds(i, cfg):
+        t = i["t"]
+        return getattr(ca, op)(t) == ca.d5(t) + fc.wedge(fc.j_form(), t) * sign
 
-
-def _holds_bdstar_from_d5(i, cfg):
-    t = i["t"]
-    return ca.bdstar(t) == ca.d5(t) - fc.wedge(fc.j_form(), t)
+    return holds
 
 
 def _holds_reflection_gap(i, cfg):
@@ -470,16 +433,14 @@ def _holds_basis_derivative(i, cfg):
     return ca.bd(_ONE * x) - ca.bd(_ONE) * x == o_axis
 
 
-def _holds_leibniz_d4(i, cfg):
-    s, t = i["s"], i["t"]
-    sign = (-1) ** s.rank
-    return ca.d4(fc.wedge(s, t)) == fc.wedge(ca.d4(s), t) + fc.wedge(s, ca.d4(t)) * sign
+def _holds_leibniz(op: str):
+    def holds(i, cfg):
+        d = getattr(ca, op)
+        s, t = i["s"], i["t"]
+        sign = (-1) ** s.rank
+        return d(fc.wedge(s, t)) == fc.wedge(d(s), t) + fc.wedge(s, d(t)) * sign
 
-
-def _holds_leibniz_d5(i, cfg):
-    s, t = i["s"], i["t"]
-    sign = (-1) ** s.rank
-    return ca.d5(fc.wedge(s, t)) == fc.wedge(ca.d5(s), t) + fc.wedge(s, ca.d5(t)) * sign
+    return holds
 
 
 def _holds_leibniz_bd(i, cfg):
@@ -502,19 +463,13 @@ def _holds_leibniz_mixed(i, cfg):
     return lhs == first and lhs == second
 
 
-def _holds_potential_d4(i, cfg):
-    s = ca.d4(i["t"])
-    return ca.d4(ca.poincare_potential_4(s)) == s
+def _holds_potential(op: str, potential: str):
+    def holds(i, cfg):
+        d = getattr(ca, op)
+        s = d(i["t"])
+        return d(getattr(ca, potential)(s)) == s
 
-
-def _holds_potential_d5(i, cfg):
-    s = ca.d5(i["t"])
-    return ca.d5(ca.poincare_potential_5(s)) == s
-
-
-def _holds_potential_bd(i, cfg):
-    s = ca.bd(i["t"])
-    return ca.bd(ca.poincare_potential_bd(s)) == s
+    return holds
 
 
 def _holds_bracket(i, cfg):
@@ -522,22 +477,24 @@ def _holds_bracket(i, cfg):
 
 
 CALCULUS = (
-    Identity("d4-nilpotent", _make_form(4, **_FOUR_LABELS), _holds_d4_nilpotent),
-    Identity("d5-nilpotent", _make_one_form, _holds_d5_nilpotent),
-    Identity("bd-nilpotent", _make_one_form, _holds_bd_nilpotent),
-    Identity("bdstar-nilpotent", _make_one_form, _holds_bdstar_nilpotent),
+    Identity("d4-nilpotent", _make_form(4, **_FOUR_LABELS), _holds_nilpotent("d4")),
+    Identity("d5-nilpotent", _make_one_form, _holds_nilpotent("d5")),
+    Identity("bd-nilpotent", _make_one_form, _holds_nilpotent("bd")),
+    Identity("bdstar-nilpotent", _make_one_form, _holds_nilpotent("bdstar")),
     Identity("bd-unit", _make_axis, _holds_bd_unit),
-    Identity("bd-from-d5", _make_coord_active_form, _holds_bd_from_d5),
-    Identity("bdstar-from-d5", _make_coord_active_form, _holds_bdstar_from_d5),
+    Identity("bd-from-d5", _make_coord_active_form, _holds_from_d5("bd", 1)),
+    Identity("bdstar-from-d5", _make_coord_active_form, _holds_from_d5("bdstar", -1)),
     Identity("reflection-gap", _make_subtop_form, _holds_reflection_gap),
     Identity("basis-derivative", _make_axis, _holds_basis_derivative),
-    Identity("leibniz-d4", _make_leibniz_pair4, _holds_leibniz_d4),
-    Identity("leibniz-d5", _make_leibniz_pair5, _holds_leibniz_d5),
+    Identity("leibniz-d4", _make_leibniz_pair4, _holds_leibniz("d4")),
+    Identity("leibniz-d5", _make_leibniz_pair5, _holds_leibniz("d5")),
     Identity("leibniz-bd", _make_leibniz_pair5, _holds_leibniz_bd),
     Identity("leibniz-mixed", _make_leibniz_pair5, _holds_leibniz_mixed),
-    Identity("potential-d4", _make_inexact_source_4, _holds_potential_d4),
-    Identity("potential-d5", _make_subtop_form, _holds_potential_d5),
-    Identity("potential-bd", _make_subtop_form, _holds_potential_bd),
+    Identity(
+        "potential-d4", _make_inexact_source_4, _holds_potential("d4", "poincare_potential_4")
+    ),
+    Identity("potential-d5", _make_subtop_form, _holds_potential("d5", "poincare_potential_5")),
+    Identity("potential-bd", _make_subtop_form, _holds_potential("bd", "poincare_potential_bd")),
     Identity("bracket-pairing", _make_bracket, _holds_bracket),
 )
 
@@ -672,21 +629,12 @@ def _make_contraction(rng, cfg):
     return {"upper": upper, "lower": lower}
 
 
-def _contraction_entry(upper, lower, metric) -> bool:
-    m = len(upper)
-    eps_up = md.epsilon_upper(metric)
-    eps_lo = md.epsilon_lower(metric)
-    total = Fraction(0)
-    for rest in itertools.product(FIVE_AXES, repeat=5 - m):
-        total += eps_up.values[tuple(upper) + rest] * eps_lo.values[tuple(lower) + rest]
-    expected = -math.factorial(5 - m) * metric.sign_xi * md.permutation_delta(upper, lower)
-    return total == expected
-
-
 def _holds_contraction(i, cfg):
-    flipped = replace(cfg.metric, xi=-cfg.metric.xi)
-    return _contraction_entry(i["upper"], i["lower"], cfg.metric) and _contraction_entry(
-        i["upper"], i["lower"], flipped
+    return all(
+        md.contraction_entry(
+            i["upper"], i["lower"], md.epsilon_upper(metric), md.epsilon_lower(metric), metric
+        )
+        for metric in (cfg.metric, replace(cfg.metric, xi=-cfg.metric.xi))
     )
 
 

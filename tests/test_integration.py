@@ -87,8 +87,11 @@ def test_tangent_frame_rejects_outside_point():
 
 def test_equivalence_reflexive():
     lam = (Fraction(1, 2), Fraction(1, 4))
+    # A point's frame map is the empty matrix, whose determinant is 1.
+    point = surf(0, ["1", "2", "3", "4"], [])
     for relation in ("1", "1u", "2", "3"):
         assert equivalence_check(UNIT_SQUARE, UNIT_SQUARE, lam, lam, relation)
+        assert equivalence_check(point, point, (), (), relation)
 
 
 def test_equivalence_parameter_swap_reverses_orientation():

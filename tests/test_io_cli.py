@@ -3,6 +3,7 @@
 import importlib
 import json
 import pkgutil
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -53,6 +54,12 @@ def test_form_roundtrip():
     assert form.rank == 2
     assert form.coeff((0, 1)) == parse_poly("3/2 x0^2 x1 - x3", ("x0", "x1", "x2", "x3"))
     assert fio.form_to_dict(form) == data
+    # Counterexamples print drawn forms through form_to_dict; read them back.
+    rng = random.Random("roundtrip:form")
+    for rank in range(6):
+        for _ in range(50):
+            drawn = su.rand_form(rng, rank, 3)
+            assert fio.form_from_dict(json.loads(json.dumps(fio.form_to_dict(drawn)))) == drawn
 
 
 def test_scalar_form_uses_empty_key():
@@ -104,6 +111,12 @@ def test_surface_roundtrip():
     back = fio.surface_to_dict(V)
     assert back["dim"] == 2
     assert fio.surface_from_dict(back) == V
+    rng = random.Random("roundtrip:surface")
+    for dim in range(1, 5):
+        for _ in range(75):
+            drawn = su.rand_surface(rng, dim, 3)
+            data = json.loads(json.dumps(fio.surface_to_dict(drawn)))
+            assert fio.surface_from_dict(data) == drawn
 
 
 def test_surface_validation():
@@ -125,6 +138,12 @@ def test_lagrangian_roundtrip():
     L = fio.lagrangian_from_dict(data)
     assert L.n_fields == 2
     assert fio.lagrangian_from_dict(fio.lagrangian_to_dict(L)) == L
+    rng = random.Random("roundtrip:lagrangian")
+    for n_fields in (1, 2):
+        for _ in range(150):
+            drawn = su.rand_lagrangian(rng, n_fields, 3)
+            data = json.loads(json.dumps(fio.lagrangian_to_dict(drawn)))
+            assert fio.lagrangian_from_dict(data) == drawn
     with pytest.raises(fio.FormatError, match="positive integer"):
         fio.lagrangian_from_dict({"N": 0, "density": "0"})
 
@@ -132,6 +151,11 @@ def test_lagrangian_roundtrip():
 def test_fields_roundtrip():
     phi = fio.fields_from_list(["x0 x1", "x2^2"])
     assert fio.fields_to_list(phi) == ["x0 x1", "x2^2"]
+    rng = random.Random("roundtrip:fields")
+    for n_fields in (1, 2):
+        for _ in range(150):
+            drawn = su.rand_fields(rng, n_fields, 3)
+            assert fio.fields_from_list(json.loads(json.dumps(fio.fields_to_list(drawn)))) == drawn
     with pytest.raises(fio.FormatError, match="expected a list"):
         fio.fields_from_list({"0": "x0"})
 
