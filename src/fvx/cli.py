@@ -7,6 +7,7 @@ fails, 2 for unusable input (parse errors, rank/dimension mismatches).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -90,11 +91,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_form(form, path: str | None) -> None:
-    if path:
+@contextlib.contextmanager
+def _output(path: str | None, default=None):
+    """The file at ``path`` opened for writing, or ``default`` without a
+    path.  A path that cannot be written is unusable input: exit 2 with the
+    path and the reason, as for the input files."""
+    if not path:
+        yield default
+        return
+    try:
         with open(path, "w") as handle:
-            json.dump(fio.form_to_dict(form), handle, sort_keys=True, indent=2)
-            handle.write("\n")
+            yield handle
+    except OSError as exc:
+        raise fio.FormatError(f"{path}: {exc.strerror or exc}") from None
 
 
 def cmd_operator(args) -> int:
@@ -110,8 +119,11 @@ def cmd_operator(args) -> int:
     else:
         metric = fio.load_metric(args.config) if args.config else md.DEFAULT_CFG
         result = md.dual(form, metric)
+    with _output(args.out) as handle:
+        if handle is not None:
+            json.dump(fio.form_to_dict(result), handle, sort_keys=True, indent=2)
+            handle.write("\n")
     print(fio.form_to_text(result))
-    _write_form(result, args.out)
     return 0
 
 
@@ -191,17 +203,14 @@ def cmd_check(args) -> int:
         metric=metric,
         suites=tuple(args.suite) if args.suite else su.SUITE_NAMES,
     )
-    if args.mutate:
-        with mu.apply_mutation(args.mutate):
+    # Open the output first, so that a bad path does not cost a whole run.
+    with _output(args.out, sys.stdout) as handle:
+        if args.mutate:
+            with mu.apply_mutation(args.mutate):
+                report = su.run_suite(cfg)
+        else:
             report = su.run_suite(cfg)
-    else:
-        report = su.run_suite(cfg)
-    text = su.emit_report(report, args.format)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+        handle.write(su.emit_report(report, args.format))
     return 0 if report.passed else 1
 
 

@@ -298,15 +298,14 @@ class IndexedArray:
         index_set = tuple(index_set)
         if len(set(index_set)) != len(index_set):
             raise ValueError("index set has repeats")
-        table: dict[IndexKey, Fraction] = {}
-        values = values or {}
+        # Fractions are immutable, so every absent entry shares one zero.
+        table = dict.fromkeys(itertools.product(index_set, repeat=arity), Fraction(0))
         allowed = set(index_set)
-        for key in values:
+        for key, value in (values or {}).items():
             key = tuple(key)
             if len(key) != arity or not set(key) <= allowed:
                 raise ValueError(f"bad index tuple {key!r}")
-        for idx in itertools.product(index_set, repeat=arity):
-            table[idx] = Fraction(values.get(idx, 0))
+            table[key] = Fraction(value)
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "index_set", index_set)
         object.__setattr__(self, "values", table)
@@ -343,7 +342,7 @@ class IndexedArray:
     def __mul__(self, factor: RationalLike) -> "IndexedArray":
         factor = Fraction(factor)
         return IndexedArray(
-            self.arity, self.index_set, {k: v * factor for k, v in self.values.items()}
+            self.arity, self.index_set, {k: v * factor for k, v in self.values.items() if v}
         )
 
     __rmul__ = __mul__
@@ -395,15 +394,17 @@ def transposition_identity_check(array: IndexedArray, m: int) -> bool:
             if array.values[tuple(swapped)] != -value:
                 raise ValueError("array is not antisymmetric in its last m slots")
     factor = Fraction(m * (-1) ** (m + 1), math.factorial(m))
-    perms = list(itertools.permutations(range(m)))
+    signed_perms = [(permutation_sign(perm), perm) for perm in itertools.permutations(range(m))]
+    # Scale every entry to an integer by the common denominator; then
+    # S[i, tail] == factor * total reads value * den == num * total exactly.
+    scale = math.lcm(*(v.denominator for v in array.values.values()))
+    scaled = {k: v.numerator * (scale // v.denominator) for k, v in array.values.items() if v}
     # Entries with a repeated tail vanish on both sides; only distinct tails
     # can carry weight.
     for tail in itertools.permutations(array.index_set):
+        moved = [(sign, tuple(tail[p] for p in perm)) for sign, perm in signed_perms]
         for i in array.index_set:
-            total = Fraction(0)
-            for perm in perms:
-                moved = tuple(tail[p] for p in perm) + (i,)
-                total += permutation_sign(perm) * array.values[moved]
-            if array.values[(i,) + tail] != factor * total:
+            total = sum(sign * scaled.get(head + (i,), 0) for sign, head in moved)
+            if scaled.get((i,) + tail, 0) * factor.denominator != factor.numerator * total:
                 return False
     return True

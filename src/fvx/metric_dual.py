@@ -96,9 +96,9 @@ def _complement(key: Sequence[int]) -> tuple[int, ...]:
 def epsilon_lower(cfg: MetricConfig = DEFAULT_CFG) -> IndexedArray:
     """Totally antisymmetric array with eps_{01235} = eta * |det h|^(1/2)."""
     scale = cfg.eta * cfg.kappa
-    return IndexedArray.from_function(
-        5, FIVE_AXES, lambda *idx: scale * permutation_sign(idx)
-    )
+    # Only the 120 permutations of the labels are nonzero.
+    values = {idx: scale * permutation_sign(idx) for idx in itertools.permutations(FIVE_AXES)}
+    return IndexedArray(5, FIVE_AXES, values)
 
 
 def epsilon_upper(cfg: MetricConfig = DEFAULT_CFG) -> IndexedArray:

@@ -52,6 +52,20 @@ class Poly:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", canonical)
 
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict[Exponent, Fraction]) -> "Poly":
+        """Wrap a term map that Poly arithmetic computed itself.
+
+        Its exponents already have ``nvars`` nonnegative entries and its
+        coefficients are already Fractions, so only the zero coefficients
+        are dropped; input from outside goes through ``Poly(...)``, which
+        checks everything.
+        """
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "nvars", nvars)
+        object.__setattr__(poly, "terms", {e: c for e, c in terms.items() if c})
+        return poly
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Poly is immutable")
 
@@ -88,12 +102,12 @@ class Poly:
         merged = dict(self.terms)
         for expo, coeff in other.terms.items():
             merged[expo] = merged.get(expo, Fraction(0)) + coeff
-        return Poly(self.nvars, merged)
+        return Poly._trusted(self.nvars, merged)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Poly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Poly | RationalLike") -> "Poly":
         return self + (-self._coerce(other))
@@ -106,7 +120,7 @@ class Poly:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             factor = Fraction(other)
-            return Poly(self.nvars, {e: c * factor for e, c in self.terms.items()})
+            return Poly._trusted(self.nvars, {e: c * factor for e, c in self.terms.items()})
         if other.nvars != self.nvars:
             raise ValueError("polynomials over different variable counts")
         product: dict[Exponent, Fraction] = {}
@@ -114,7 +128,7 @@ class Poly:
             for eb, cb in other.terms.items():
                 key = tuple(x + y for x, y in zip(ea, eb))
                 product[key] = product.get(key, Fraction(0)) + ca * cb
-        return Poly(self.nvars, product)
+        return Poly._trusted(self.nvars, product)
 
     __rmul__ = __mul__
 
@@ -163,7 +177,7 @@ class Poly:
                 continue
             dropped = expo[:axis] + (k - 1,) + expo[axis + 1 :]
             out[dropped] = out.get(dropped, Fraction(0)) + coeff * k
-        return Poly(self.nvars, out)
+        return Poly._trusted(self.nvars, out)
 
     def evaluate(self, point: Sequence[RationalLike]) -> Fraction:
         """Exact value at a rational point."""

@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 from fvx.forms_core import (
     FIVE_AXES,
@@ -257,8 +257,37 @@ def test_transposition_identity_on_conforming_arrays(m):
 
 
 def test_transposition_identity_zero_array():
-    zero = IndexedArray(3, [0, 1], {})
-    assert transposition_identity_check(zero, 2)
+    for m in range(2, 6):
+        assert transposition_identity_check(IndexedArray(m + 1, range(m), {}), m)
+
+
+# Weights with mixed denominators and zeros; the check scales the array to
+# integers by the common denominator, so both must come out exact.
+_weight_lists = st.integers(2, 5).flatmap(
+    lambda m: st.lists(
+        st.one_of(st.just(Fraction(0)), st.fractions(-9, 9, max_denominator=12)),
+        min_size=m,
+        max_size=m,
+    )
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_weight_lists)
+def test_transposition_identity_accepts_mixed_denominators(weights):
+    m = len(weights)
+    assert transposition_identity_check(random_conforming_array(m, weights), m)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_weight_lists, st.data())
+def test_transposition_identity_rejects_any_broken_entry(weights, data):
+    m = len(weights)
+    values = dict(random_conforming_array(m, weights).values)
+    key = data.draw(st.sampled_from(sorted(values)))
+    values[key] += data.draw(st.fractions(-9, 9, max_denominator=12).filter(bool))
+    with pytest.raises(ValueError, match="not antisymmetric"):
+        transposition_identity_check(IndexedArray(m + 1, range(m), values), m)
 
 
 def test_transposition_identity_rejects_wrong_arity():

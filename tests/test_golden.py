@@ -98,6 +98,21 @@ def test_mutation_reports_are_unchanged():
         assert mutation_digest(name) == expected, name
 
 
+def test_mutations_reach_a_warm_process():
+    """No result computed before a mutation may outlive it.  Run the duality
+    and flux suites unmutated in this process first; the mutations they
+    witness must then still give their pinned reports, and afterwards the
+    unmutated suites must pass again."""
+    warm = [["check", "--suite", suite, "--seed", "0", "--trials", "5"] for suite in ("duality", "flux")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in warm:
+            assert main(argv) == 0
+        for name in ("epsilon-sign", "dual-sign", "integrate-sign"):
+            assert mutation_digest(name) == MUTATION_DIGESTS[name], name
+        for argv in warm:
+            assert main(argv) == 0
+
+
 # -- integration values -----------------------------------------------------------------
 
 

@@ -415,6 +415,33 @@ def test_zero_denominator_exits_two_without_traceback(tmp_path):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "--suite", "algebra", "--trials", "1"], ["bd", "--form", str(DEMO / "const1.form")]],
+    ids=["check", "bd"],
+)
+def test_unwritable_out_exits_two_without_traceback(tmp_path, argv):
+    path = tmp_path / "missing" / "out"
+    result = subprocess.run(
+        [sys.executable, "-m", "fvx.cli", *argv, "--out", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"fvx: {path}: ")
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
+def test_check_opens_out_before_running_any_suite(tmp_path, monkeypatch, capsys):
+    def no_run(cfg):
+        raise AssertionError("a suite ran before --out was opened")
+
+    monkeypatch.setattr(su, "run_suite", no_run)
+    assert main(["check", "--out", str(tmp_path / "missing" / "out")]) == 2
+    assert str(tmp_path / "missing" / "out") in capsys.readouterr().err
+
+
 # -- command line: integrals -----------------------------------------------------------
 
 

@@ -184,6 +184,21 @@ def test_pow_matches_repeated_product(p):
     assert p**3 == p * p * p
 
 
+scalars = st.one_of(st.integers(-3, 3), rationals)
+
+
+@given(polys, polys, scalars, axes)
+def test_arithmetic_results_are_canonical(p, q, k, a):
+    # Arithmetic builds its results without re-validating them; each must
+    # still be the canonical Poly that the checking constructor would give.
+    results = (p + q, p - q, p - p, (p + q) - q, -p, p * q, p * k, k * p, p * 0, p.partial(a), k - p)
+    for result in results:
+        for expo, coeff in result.terms.items():
+            assert type(coeff) is Fraction and coeff != 0
+            assert len(expo) == result.nvars and all(e >= 0 for e in expo)
+        assert result == Poly(result.nvars, result.terms)
+
+
 @given(polys)
 def test_format_parse_roundtrip(p):
     assert parse_poly(format_poly(p, COORD_NAMES), COORD_NAMES) == p
