@@ -14,9 +14,9 @@ FiveForm lift(S) with no label-5 components, and s_from_t / t_from_s convert
 between a rank-m form with label-5 components and the rank-(m-1) form hiding
 inside it.
 
-IndexedArray is a separate dense container for the antisymmetrization
-identities, where arrays are indexed by arbitrary tuples rather than sorted
-subsets.
+IndexedArray is a separate container for the antisymmetrization identities,
+where arrays are indexed by arbitrary tuples rather than sorted subsets; like
+the forms, it stores only nonzero entries.
 """
 
 from __future__ import annotations
@@ -279,11 +279,13 @@ def s_from_t(t: FiveForm) -> FiveForm:
     return FiveForm(t.rank - 1, out)
 
 
-# -- dense indexed arrays -----------------------------------------------------
+# -- sparse indexed arrays ----------------------------------------------------
 
 
 class IndexedArray:
-    """Dense rational array over tuples from a fixed finite index set."""
+    """Rational array over tuples from a fixed finite index set.  Only the
+    nonzero entries are stored; ``array[idx]`` is the one read path and
+    gives 0 for any tuple that is not stored."""
 
     __slots__ = ("arity", "index_set", "values")
 
@@ -298,20 +300,19 @@ class IndexedArray:
         index_set = tuple(index_set)
         if len(set(index_set)) != len(index_set):
             raise ValueError("index set has repeats")
-        # Fractions are immutable, so every absent entry shares one zero.
-        table = dict.fromkeys(itertools.product(index_set, repeat=arity), Fraction(0))
-        allowed = set(index_set)
-        for key, value in (values or {}).items():
-            key = tuple(key)
-            if len(key) != arity or not set(key) <= allowed:
-                raise ValueError(f"bad index tuple {key!r}")
-            table[key] = Fraction(value)
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "index_set", index_set)
-        object.__setattr__(self, "values", table)
+        table = {self._checked(key): Fraction(value) for key, value in (values or {}).items()}
+        object.__setattr__(self, "values", {key: value for key, value in table.items() if value})
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("IndexedArray is immutable")
+
+    def _checked(self, idx: Iterable[int]) -> IndexKey:
+        idx = tuple(idx)
+        if len(idx) != self.arity or not set(idx) <= set(self.index_set):
+            raise ValueError(f"bad index tuple {idx!r}")
+        return idx
 
     @classmethod
     def from_function(cls, arity: int, index_set: Sequence[int], fn: Callable[..., RationalLike]) -> "IndexedArray":
@@ -322,7 +323,7 @@ class IndexedArray:
         return cls(arity, index_set, values)
 
     def __getitem__(self, idx: Iterable[int]) -> Fraction:
-        return self.values[tuple(idx)]
+        return self.values.get(self._checked(idx), Fraction(0))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IndexedArray):
@@ -337,19 +338,18 @@ class IndexedArray:
 
     @property
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values.values())
+        return not self.values
 
     def __mul__(self, factor: RationalLike) -> "IndexedArray":
         factor = Fraction(factor)
-        return IndexedArray(
-            self.arity, self.index_set, {k: v * factor for k, v in self.values.items() if v}
-        )
+        scaled = {k: v * factor for k, v in self.values.items()}
+        return IndexedArray(self.arity, self.index_set, scaled)
 
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
-        nonzero = {k: str(v) for k, v in self.values.items() if v}
-        return f"IndexedArray({self.arity}, {self.index_set}, {nonzero})"
+        entries = {k: str(v) for k, v in self.values.items()}
+        return f"IndexedArray({self.arity}, {self.index_set}, {entries})"
 
 
 def antisymmetrize(array: IndexedArray, positions: Sequence[int]) -> IndexedArray:
@@ -359,17 +359,18 @@ def antisymmetrize(array: IndexedArray, positions: Sequence[int]) -> IndexedArra
         raise ValueError("positions must be nonempty")
     if positions[0] < 0 or positions[-1] >= array.arity:
         raise ValueError("slot position out of range")
-    perms = list(itertools.permutations(range(len(positions))))
+    perms = itertools.permutations(range(len(positions)))
+    signed_perms = [(permutation_sign(perm), perm) for perm in perms]
     scale = Fraction(1, math.factorial(len(positions)))
     out: dict[IndexKey, Fraction] = {}
-    for idx in array.values:
+    for idx in itertools.product(array.index_set, repeat=array.arity):
         sub = [idx[p] for p in positions]
         total = Fraction(0)
-        for perm in perms:
+        for sign, perm in signed_perms:
             permuted = list(idx)
             for slot, src in zip(positions, perm):
                 permuted[slot] = sub[src]
-            total += permutation_sign(perm) * array.values[tuple(permuted)]
+            total += sign * array[permuted]
         out[idx] = total * scale
     return IndexedArray(array.arity, array.index_set, out)
 
@@ -386,19 +387,17 @@ def transposition_identity_check(array: IndexedArray, m: int) -> bool:
     # Antisymmetry via adjacent transpositions: every nonzero entry must be
     # negated by each swap, which chains to the full permutation statement.
     for idx, value in array.values.items():
-        if not value:
-            continue
         for k in range(1, m):
             swapped = list(idx)
             swapped[k], swapped[k + 1] = swapped[k + 1], swapped[k]
-            if array.values[tuple(swapped)] != -value:
+            if array[swapped] != -value:
                 raise ValueError("array is not antisymmetric in its last m slots")
     factor = Fraction(m * (-1) ** (m + 1), math.factorial(m))
     signed_perms = [(permutation_sign(perm), perm) for perm in itertools.permutations(range(m))]
     # Scale every entry to an integer by the common denominator; then
     # S[i, tail] == factor * total reads value * den == num * total exactly.
     scale = math.lcm(*(v.denominator for v in array.values.values()))
-    scaled = {k: v.numerator * (scale // v.denominator) for k, v in array.values.items() if v}
+    scaled = {k: v.numerator * (scale // v.denominator) for k, v in array.values.items()}
     # Entries with a repeated tail vanish on both sides; only distinct tails
     # can carry weight.
     for tail in itertools.permutations(array.index_set):

@@ -58,7 +58,7 @@ def _parse_poly(text: Any, names: Sequence[str], where: str) -> Poly:
 
 def _parse_key(key: str, rank: int) -> tuple[int, ...]:
     where = f"coeffs key {key!r}"
-    if not isinstance(key, str) or not key.isdigit() and key != "":
+    if not isinstance(key, str) or not all(ch in "0123456789" for ch in key):
         raise FormatError(f"{where}: keys are digit strings")
     labels = tuple(int(ch) for ch in key)
     if any(a not in FIVE_AXES for a in labels):

@@ -53,6 +53,9 @@ class MetricConfig:
             raise ValueError("sigma must be positive")
         if self.eta not in (1, -1):
             raise ValueError("eta must be +1 or -1")
+        # kappa raises when |det h| is not a rational square: refuse such a
+        # metric here, not at its first use.
+        self.kappa
 
     def h(self, label: int) -> Fraction:
         if label == 5:
@@ -61,16 +64,17 @@ class MetricConfig:
             return Fraction(self.g[label])
         raise ValueError(f"no basis label {label}")
 
+    def weight(self, key: Sequence[int]) -> Fraction:
+        """Product of the diagonal metric entries h over the labels of key."""
+        return math.prod(map(self.h, key), start=Fraction(1))
+
     @property
     def sign_xi(self) -> int:
         return 1 if self.xi > 0 else -1
 
     @property
     def det_h(self) -> Fraction:
-        det = Fraction(1)
-        for s in self.g:
-            det *= s
-        return det * self.xi
+        return self.weight(FIVE_AXES)
 
     @property
     def kappa(self) -> Fraction:
@@ -89,8 +93,11 @@ class MetricConfig:
 DEFAULT_CFG = MetricConfig()
 
 
-def _complement(key: Sequence[int]) -> tuple[int, ...]:
-    return tuple(a for a in FIVE_AXES if a not in key)
+def _complement(key: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """The labels missing from key, in increasing order, and the sign of
+    key followed by them."""
+    rest = tuple(a for a in FIVE_AXES if a not in key)
+    return rest, permutation_sign(key + rest)
 
 
 def epsilon_lower(cfg: MetricConfig = DEFAULT_CFG) -> IndexedArray:
@@ -104,26 +111,18 @@ def epsilon_lower(cfg: MetricConfig = DEFAULT_CFG) -> IndexedArray:
 def epsilon_upper(cfg: MetricConfig = DEFAULT_CFG) -> IndexedArray:
     """All five indices raised with the inverse metric, one factor per slot."""
     lower = epsilon_lower(cfg)
-    values = {}
-    for idx, value in lower.values.items():
-        if not value:
-            continue
-        for label in idx:
-            value /= cfg.h(label)
-        values[idx] = value
+    values = {idx: value / cfg.weight(idx) for idx, value in lower.values.items()}
     return IndexedArray(5, FIVE_AXES, values)
 
 
 def permutation_delta(upper: Sequence[int], lower: Sequence[int]) -> int:
-    """Generalized Kronecker symbol: determinant of the incidence pattern."""
+    """Generalized Kronecker symbol: sign(upper) * sign(lower) when both list
+    the same distinct labels, 0 otherwise."""
     if len(upper) != len(lower):
         raise ValueError("index lists of different length")
-    n = len(upper)
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        if all(upper[i] == lower[perm[i]] for i in range(n)):
-            total += permutation_sign(perm)
-    return total
+    if sorted(upper) != sorted(lower):
+        return 0
+    return permutation_sign(upper) * permutation_sign(lower)
 
 
 def _repeated_index_samples(m: int):
@@ -144,12 +143,14 @@ def contraction_entry(
     """One entry of the contraction identity: the sum of upper[A + C] *
     lower[B + C] over every label tuple C equals -(5-m)! * sign(xi) *
     delta(A, B), where m = len(A) and upper/lower are the raised and
-    lowered alternating tensors of cfg."""
-    A, B = tuple(A), tuple(B)
+    lowered alternating tensors of cfg.  Only the stored (nonzero) entries
+    of upper that start with A contribute."""
+    A, B, m = tuple(A), tuple(B), len(A)
     total = Fraction(0)
-    for C in itertools.product(FIVE_AXES, repeat=5 - len(A)):
-        total += upper.values[A + C] * lower.values[B + C]
-    return total == -math.factorial(5 - len(A)) * cfg.sign_xi * permutation_delta(A, B)
+    for key, value in upper.values.items():
+        if key[:m] == A:
+            total += value * lower[B + key[m:]]
+    return total == -math.factorial(5 - m) * cfg.sign_xi * permutation_delta(A, B)
 
 
 def epsilon_contraction(m: int, cfg: MetricConfig = DEFAULT_CFG) -> bool:
@@ -178,9 +179,8 @@ def theta_epsilon(w: MultiVector, cfg: MetricConfig = DEFAULT_CFG) -> FiveForm:
     scale = cfg.eta * cfg.kappa
     out: dict[tuple, Poly] = {}
     for key, comp in w.coeffs.items():
-        rest = _complement(key)
-        sign = permutation_sign(key + rest)
-        out[rest] = out.get(rest, Poly.zero(4)) + comp * (scale * sign)
+        rest, sign = _complement(key)
+        out[rest] = comp * (scale * sign)
     return FiveForm(5 - w.rank, out)
 
 
@@ -192,33 +192,22 @@ def epsilon_pair(w: MultiVector, v: MultiVector, cfg: MetricConfig = DEFAULT_CFG
     scale = cfg.eta * cfg.kappa
     total = Poly.zero(4)
     for key, comp in w.coeffs.items():
-        rest = _complement(key)
+        rest, sign = _complement(key)
         other = v.coeffs.get(rest)
         if other is not None:
-            total = total + comp * other * (scale * permutation_sign(key + rest))
+            total = total + comp * other * (scale * sign)
     return total
 
 
 def theta_h(w: MultiVector, cfg: MetricConfig = DEFAULT_CFG) -> FiveForm:
     """Lower every index with the diagonal metric."""
-    out = {}
-    for key, comp in w.coeffs.items():
-        factor = Fraction(1)
-        for label in key:
-            factor *= cfg.h(label)
-        out[key] = comp * factor
-    return FiveForm(w.rank, out)
+    return FiveForm(w.rank, {key: comp * cfg.weight(key) for key, comp in w.coeffs.items()})
 
 
 def theta_h_inv(t: FiveForm, cfg: MetricConfig = DEFAULT_CFG) -> MultiVector:
     """Raise every index with the inverse diagonal metric."""
-    out = {}
-    for key, comp in t.coeffs.items():
-        factor = Fraction(1)
-        for label in key:
-            factor /= cfg.h(label)
-        out[key] = comp * factor
-    return MultiVector(t.rank, out)
+    raised = {key: comp * (1 / cfg.weight(key)) for key, comp in t.coeffs.items()}
+    return MultiVector(t.rank, raised)
 
 
 def h_inner(s: FiveForm, t: FiveForm, cfg: MetricConfig = DEFAULT_CFG) -> Poly:
@@ -228,12 +217,8 @@ def h_inner(s: FiveForm, t: FiveForm, cfg: MetricConfig = DEFAULT_CFG) -> Poly:
     total = Poly.zero(4)
     for key, comp in s.coeffs.items():
         other = t.coeffs.get(key)
-        if other is None:
-            continue
-        factor = Fraction(1)
-        for label in key:
-            factor /= cfg.h(label)
-        total = total + comp * other * factor
+        if other is not None:
+            total = total + comp * other * (1 / cfg.weight(key))
     return total
 
 
@@ -250,12 +235,8 @@ def dual(w: FiveForm, cfg: MetricConfig = DEFAULT_CFG) -> FiveForm:
     scale = cfg.eta * cfg.kappa
     out: dict[tuple, Poly] = {}
     for key, comp in w.coeffs.items():
-        factor = Fraction(1)
-        for label in key:
-            factor /= cfg.h(label)
-        rest = _complement(key)
-        sign = permutation_sign(key + rest)
-        out[rest] = out.get(rest, Poly.zero(4)) + comp * (factor * scale * sign)
+        rest, sign = _complement(key)
+        out[rest] = comp * (scale * sign / cfg.weight(key))
     return FiveForm(5 - w.rank, out)
 
 

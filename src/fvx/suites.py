@@ -612,11 +612,8 @@ def _make_epsilon_key(rng, cfg):
 
 
 def _holds_epsilon_reference(i, cfg):
-    key = i["key"]
     eps = md.epsilon_lower(DEFAULT_CFG)
-    if eps.values[(0, 1, 2, 3, 5)] != 1:
-        return False
-    return eps.values[key] == fc.permutation_sign(key)
+    return eps[(0, 1, 2, 3, 5)] == 1 and eps[i["key"]] == fc.permutation_sign(i["key"])
 
 
 def _make_contraction(rng, cfg):

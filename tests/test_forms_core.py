@@ -1,6 +1,7 @@
 """Wedge algebra, pairings, label-5 bookkeeping, and array antisymmetrization."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -218,6 +219,20 @@ def random_conforming_array(m: int, weights) -> IndexedArray:
     )
 
 
+def test_indexed_array_stores_only_nonzero_entries():
+    arr = IndexedArray(2, [0, 1], {(0, 1): Fraction(1, 2), (1, 0): 0})
+    assert arr.values == {(0, 1): Fraction(1, 2)}
+    assert arr[(0, 1)] == Fraction(1, 2)
+    assert arr[(1, 0)] == 0 and arr[[1, 1]] == 0
+    assert arr == IndexedArray(2, [0, 1], {(0, 1): Fraction(1, 2)})
+    assert (arr * 0).is_zero and not arr.is_zero
+    for bad in [(0,), (0, 1, 1), (0, 2)]:
+        with pytest.raises(ValueError, match=re.escape(f"bad index tuple {bad!r}")):
+            arr[bad]
+        with pytest.raises(ValueError, match=re.escape(f"bad index tuple {bad!r}")):
+            IndexedArray(2, [0, 1], {bad: 0})
+
+
 def test_antisymmetrize_idempotent_on_antisymmetric():
     arr = IndexedArray.from_function(2, [0, 1, 2], lambda a, b: a - b)
     assert antisymmetrize(arr, [0, 1]) == arr
@@ -282,10 +297,13 @@ def test_transposition_identity_accepts_mixed_denominators(weights):
 @settings(max_examples=20, deadline=None)
 @given(_weight_lists, st.data())
 def test_transposition_identity_rejects_any_broken_entry(weights, data):
+    # The broken tuple ranges over every tuple, stored or not: only nonzero
+    # entries are stored, so a zero entry made nonzero must be caught too.
     m = len(weights)
-    values = dict(random_conforming_array(m, weights).values)
-    key = data.draw(st.sampled_from(sorted(values)))
-    values[key] += data.draw(st.fractions(-9, 9, max_denominator=12).filter(bool))
+    arr = random_conforming_array(m, weights)
+    key = data.draw(st.sampled_from(list(itertools.product(range(m), repeat=m + 1))))
+    values = dict(arr.values)
+    values[key] = arr[key] + data.draw(st.fractions(-9, 9, max_denominator=12).filter(bool))
     with pytest.raises(ValueError, match="not antisymmetric"):
         transposition_identity_check(IndexedArray(m + 1, range(m), values), m)
 

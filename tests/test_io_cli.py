@@ -10,6 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import fvx
 from fvx import io as fio
@@ -82,6 +83,22 @@ def test_form_key_validation():
         fio.form_from_dict({"rank": 2, "coeffs": {"10": "1"}})
     with pytest.raises(fio.FormatError, match="has 2 labels but rank is 3"):
         fio.form_from_dict({"rank": 3, "coeffs": {"01": "1"}})
+
+
+# Non-ASCII digits ("٣" is Arabic-Indic three, "²" a superscript two) are
+# digits to str.isdigit() and, for the first, to int(); keys take only ASCII.
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(max_size=5), st.text("0123456789٣²", max_size=5)), st.integers(0, 5))
+@example("٣", 1)
+@example("²", 1)
+@example("0٣", 2)
+def test_any_text_key_loads_or_raises_format_error(key, rank):
+    try:
+        form = fio.form_from_dict({"rank": rank, "coeffs": {key: "1"}})
+    except fio.FormatError:
+        return
+    assert set(key) <= set("01235")
+    assert list(form.coeffs) == [tuple(int(ch) for ch in key)]
 
 
 def test_form_rank_and_field_validation():
@@ -399,6 +416,22 @@ def test_dual_of_distinguished_direction_has_plain_block_only(capsys):
 def test_missing_file_exits_two(capsys):
     assert main(["bd", "--form", str(DEMO / "nope.form")]) == 2
     assert "nope.form" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, name, payload, message",
+    [
+        (["bd", "--form"], "x.form", {"rank": 1, "coeffs": {"٣": "1"}}, "coeffs key '٣': keys are digit strings"),
+        (["bd", "--form"], "x.form", {"rank": 1, "coeffs": {"²": "1"}}, "coeffs key '²': keys are digit strings"),
+        (["check", "--suite", "algebra", "--config"], "x.cfg", {"xi": 2}, "cfg: non-rational normalization"),
+    ],
+    ids=["arabic-indic-key", "superscript-key", "irrational-metric"],
+)
+def test_bad_entry_exits_two_naming_file_and_entry(tmp_path, capsys, argv, name, payload, message):
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    assert main([*argv, str(path)]) == 2
+    assert capsys.readouterr().err == f"fvx: {path}: {message}\n"
 
 
 def test_zero_denominator_exits_two_without_traceback(tmp_path):

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,6 +40,7 @@ from fvx.metric_dual import (
     theta_h_inv,
 )
 from fvx.polyfield import Poly
+from fvx.suites import SuiteConfig, run_suite
 
 from formgen import P, five_forms, small_polys
 
@@ -283,6 +285,22 @@ def test_metric_config_validation():
         MetricConfig(sigma=Fraction(-1))
     with pytest.raises(ValueError, match="eta"):
         MetricConfig(eta=0)
+    with pytest.raises(ValueError, match="non-rational normalization"):
+        MetricConfig(xi=Fraction(3, 4))
+
+
+def test_duality_suite_guards_the_shared_weight():
+    # Every metric factor goes through MetricConfig.weight, so a weight that
+    # flips sign on keys containing label 1 must surface in the suite.
+    weight = MetricConfig.weight
+
+    def flipped(cfg, key):
+        return -weight(cfg, key) if 1 in key else weight(cfg, key)
+
+    with mock.patch.object(MetricConfig, "weight", flipped):
+        report = run_suite(SuiteConfig(seed=0, trials=5, suites=("duality",)))
+    failed = {r.identity for r in report.failures}
+    assert {"dual-involution", "zfree-hodge", "epsilon-contraction"} <= failed
 
 
 def test_reported_constants():
