@@ -168,7 +168,7 @@ def _probe_box(arg: str | None) -> ig.ParamSurface:
     if text.startswith("["):
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer over the digit limit
             raise fio.FormatError(f"box: {exc}") from None
     else:
         data = fio.load_json(arg)

@@ -115,18 +115,9 @@ class OrientedFace:
     def surface(self) -> ParamSurface:
         parent = self.parent
         value = parent.box[self.fixed][0 if self.end == "low" else 1]
-        n = parent.dim - 1
-        subs: list[Poly] = []
-        for k in range(parent.dim):
-            if k < self.fixed:
-                subs.append(Poly.variable(k, n))
-            elif k == self.fixed:
-                subs.append(Poly.const(value, n))
-            else:
-                subs.append(Poly.variable(k - 1, n))
-        new_map = tuple(comp.compose(subs) for comp in parent.map)
+        new_map = tuple(comp.restrict(self.fixed, value) for comp in parent.map)
         new_box = parent.box[: self.fixed] + parent.box[self.fixed + 1 :]
-        return ParamSurface(n, new_map, new_box)
+        return ParamSurface(parent.dim - 1, new_map, new_box)
 
 
 def faces(V: ParamSurface) -> list[OrientedFace]:

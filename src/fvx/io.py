@@ -3,13 +3,14 @@
 All payloads are JSON with polynomial values in the canonical text grammar.
 Index subsets are digit strings in increasing order ("015" for the key
 (0, 1, 5)); the digit 4 never appears.  Rational scalars may be written as
-JSON integers or as strings like "-3/2".  Errors carry enough context to
-locate the offending entry.
+JSON integers or as strings of ASCII digits like "-3/2" or "0.25".  Errors
+carry enough context to locate the offending entry.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
@@ -24,16 +25,24 @@ class FormatError(ValueError):
     """A structured-text payload that does not match its schema."""
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
+
+
 def parse_rational(value: Any, where: str) -> Fraction:
+    """A JSON integer, or a string of ASCII digits with an optional sign and
+    an optional ``/digits`` or ``.digits`` part ("-3/2", "0.25")."""
     if isinstance(value, bool):
         raise FormatError(f"{where}: expected a rational, got a boolean")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        shown = repr(value if len(value) <= 40 else value[:40] + "...")
+        if not _RATIONAL.fullmatch(value):
+            raise FormatError(f"{where}: bad rational {shown} (expected [+-]digits[/digits or .digits])")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(f"{where}: bad rational {value!r} ({exc})") from None
+            raise FormatError(f"{where}: bad rational {shown} ({exc})") from None
     raise FormatError(f"{where}: expected a rational, got {type(value).__name__}")
 
 
@@ -178,7 +187,10 @@ def metric_from_dict(data: Any) -> MetricConfig:
         g = data["g"]
         if not isinstance(g, Sequence) or isinstance(g, str) or len(g) != 4:
             raise FormatError("cfg: g must list four signs")
-        kwargs["g"] = tuple(int(parse_rational(entry, "g entry")) for entry in g)
+        signs = [parse_rational(entry, f"g[{k}]") for k, entry in enumerate(g)]
+        if any(sign not in (1, -1) for sign in signs):
+            raise FormatError("cfg: g must list four signs")
+        kwargs["g"] = tuple(int(sign) for sign in signs)
     if "xi" in data:
         kwargs["xi"] = parse_rational(data["xi"], "xi")
     if "sigma" in data:
@@ -211,6 +223,8 @@ def load_json(path: str) -> Any:
         raise FormatError(f"{path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except ValueError as exc:  # an integer literal over the digit limit
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def _wrap(path: str, fn, data: Any):

@@ -12,6 +12,13 @@ canonical term maps.
 No floats anywhere: coefficients are arbitrary-precision rationals, and all
 operations (product, formal partial, substitution, the homotopy-scaling
 integral) stay inside the ring.
+
+Two operations substitute into a polynomial.  ``compose`` replaces every
+variable by a polynomial (pullbacks along a surface map, reparametrizations,
+jets of fields).  ``restrict`` sets one variable to a rational and drops it,
+in one pass over the terms; it builds the map of each face of a parameter
+box, where ``compose`` would multiply out a substitution of all variables
+and one constant.
 """
 
 from __future__ import annotations
@@ -73,11 +80,13 @@ class Poly:
 
     @classmethod
     def zero(cls, nvars: int) -> "Poly":
-        return cls(nvars, {})
+        return cls.const(0, nvars)
 
     @classmethod
     def const(cls, value: RationalLike, nvars: int) -> "Poly":
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+        if nvars < 0:
+            raise ValueError("nvars must be nonnegative")
+        return cls._trusted(nvars, {(0,) * nvars: Fraction(value)})
 
     @classmethod
     def variable(cls, axis: int, nvars: int) -> "Poly":
@@ -192,6 +201,18 @@ class Poly:
             total += term
         return total
 
+    def restrict(self, axis: int, value: RationalLike) -> "Poly":
+        """Set variable ``axis`` to ``value`` and drop it; the result has one
+        variable fewer."""
+        if not 0 <= axis < self.nvars:
+            raise ValueError(f"axis {axis} out of range for {self.nvars} variables")
+        value = Fraction(value)
+        out: dict[Exponent, Fraction] = {}
+        for expo, coeff in self.terms.items():
+            rest = expo[:axis] + expo[axis + 1 :]
+            out[rest] = out.get(rest, Fraction(0)) + coeff * value ** expo[axis]
+        return Poly._trusted(self.nvars - 1, out)
+
     def compose(self, maps: Sequence["Poly"]) -> "Poly":
         """Substitute ``maps[i]`` for variable i; result lives over the maps' variables."""
         if len(maps) != self.nvars:
@@ -203,17 +224,22 @@ class Poly:
             if any(m.nvars != target for m in maps):
                 raise ValueError("substitution polynomials over different variable counts")
         # Cache powers of each substituted polynomial; exponents repeat a lot.
-        pows: list[list[Poly]] = [[Poly.const(1, target)] for _ in maps]
-        result = Poly.zero(target)
+        # pows[axis][k - 1] is maps[axis] ** k.
+        pows: list[list[Poly]] = [[m] for m in maps]
+        one: dict[Exponent, Fraction] = {(0,) * target: Fraction(1)}
+        out: dict[Exponent, Fraction] = {}
         for expo, coeff in self.terms.items():
-            term = Poly.const(coeff, target)
+            term = None
             for axis, power in enumerate(expo):
+                if not power:
+                    continue
                 cache = pows[axis]
-                while len(cache) <= power:
+                while len(cache) < power:
                     cache.append(cache[-1] * maps[axis])
-                term = term * cache[power]
-            result = result + term
-        return result
+                term = cache[power - 1] if term is None else term * cache[power - 1]
+            for e, c in (one if term is None else term.terms).items():
+                out[e] = out.get(e, Fraction(0)) + coeff * c
+        return Poly._trusted(target, out)
 
     def scale_integrate(self, power: int) -> "Poly":
         """Radial-scaling integral: each degree-d monomial picks up 1/(power+d+1).
@@ -252,7 +278,8 @@ def integrate_box(p: Poly, box: Sequence[tuple[RationalLike, RationalLike]]) -> 
 # Grammar (used by every file the command-line tool reads): a signed sum of
 # terms, each term a product of an optional rational coefficient and variable
 # powers, products written by juxtaposition or '*', powers with '^'.
-# Example: "3/2 x0^2 x1 - x3".
+# Coefficients are ASCII digits with an optional '/digits'; exponents are
+# ASCII digits.  Example: "3/2 x0^2 x1 - x3".
 
 COORD_NAMES: tuple[str, ...] = ("x0", "x1", "x2", "x3")
 
@@ -307,6 +334,9 @@ def format_poly(p: Poly, names: Sequence[str] | None = None) -> str:
     return " ".join(chunks)
 
 
+_DIGITS = frozenset("0123456789")  # str.isdigit also accepts "٣" and "²"
+
+
 def _tokenize(text: str) -> list[str]:
     tokens: list[str] = []
     i = 0
@@ -319,13 +349,13 @@ def _tokenize(text: str) -> list[str]:
             tokens.append(ch)
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             if j < len(text) and text[j] == "/":
                 k = j + 1
-                while k < len(text) and text[k].isdigit():
+                while k < len(text) and text[k] in _DIGITS:
                     k += 1
                 if k == j + 1:
                     raise ValueError(f"malformed rational at position {i}: {text[i:k]!r}")
@@ -377,7 +407,7 @@ def parse_poly(text: str, names: Sequence[str]) -> Poly:
                 continue
             if token == "^":
                 raise ValueError("'^' with no preceding variable")
-            if token[0].isdigit():
+            if token[0] in _DIGITS:
                 coeff *= Fraction(token)
                 pos += 1
                 saw_factor = True
@@ -389,7 +419,7 @@ def parse_poly(text: str, names: Sequence[str]) -> Poly:
             power = 1
             if pos < len(tokens) and tokens[pos] == "^":
                 pos += 1
-                if pos >= len(tokens) or not tokens[pos].isdigit():
+                if pos >= len(tokens) or not set(tokens[pos]) <= _DIGITS:
                     raise ValueError(f"'^' after {token!r} needs an integer exponent")
                 power = int(tokens[pos])
                 pos += 1

@@ -1,6 +1,7 @@
 """Surface integrals, boundary orientation, Stokes identities, equivalences."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,7 @@ from fvx.integration import (
     tangent_frame,
 )
 from fvx.polyfield import Poly, param_names, parse_poly
+from fvx.suites import SuiteConfig, run_suite
 
 from formgen import P, five_forms, four_forms, surfaces
 
@@ -207,6 +209,47 @@ def test_face_signs_one_dimension():
     low, high = faces(X_SEGMENT)
     assert (low.fixed, low.end, low.sign) == (0, "low", -1)
     assert (high.fixed, high.end, high.sign) == (0, "high", 1)
+
+
+def test_face_map_is_the_restricted_map():
+    V = surf(2, ["l1 l2^2", "l2 - l1", "1/2", "l1^2"], [(Fraction(-1, 2), 1), (1, 3)])
+    for face in faces(V):
+        value = V.box[face.fixed][0 if face.end == "low" else 1]
+        subs = [Poly.variable(0, 1), Poly.variable(0, 1)]
+        subs[face.fixed] = Poly.const(value, 1)
+        W = face.surface()
+        assert W.box == V.box[1 - face.fixed : 2 - face.fixed]
+        assert W.map == tuple(comp.compose(subs) for comp in V.map)
+
+
+def _sign_flipped(method):
+    def flipped(self, *args):
+        return -method(self, *args)
+
+    return flipped
+
+
+def test_broken_restrict_fails_the_boundary_identities():
+    # Every face map goes through Poly.restrict, so its sign must reach the
+    # boundary side of the Stokes and by-parts identities.
+    with mock.patch.object(Poly, "restrict", _sign_flipped(Poly.restrict)):
+        report = run_suite(SuiteConfig(seed=0, trials=5, suites=("stokes", "flux")))
+    assert {(r.suite, r.identity) for r in report.failures} == {
+        ("stokes", "four-vector-stokes"),
+        ("stokes", "boundary-interior-five"),
+        ("stokes", "boundary-interior-plain"),
+        ("flux", "by-parts-bd-left"),
+        ("flux", "by-parts-bdstar-left"),
+        ("flux", "by-parts-d5"),
+    }
+
+
+def test_broken_compose_fails_reparametrization_invariance():
+    # Both Stokes sides pull back through compose, so a uniform sign cancels
+    # there; the reparametrized integral compares one pullback with another.
+    with mock.patch.object(Poly, "compose", _sign_flipped(Poly.compose)):
+        report = run_suite(SuiteConfig(seed=0, trials=5, suites=("stokes",)))
+    assert ("stokes", "reparametrization-invariance") in {(r.suite, r.identity) for r in report.failures}
 
 
 def test_boundary_flux_matches_volume_derivative():

@@ -41,6 +41,29 @@ def test_parse_rational_rejects_bool_and_float():
         fio.parse_rational("3//4", "x")
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=8), st.text("0123456789+-/._e ٣²", max_size=8)))
+@example("٣/٣")
+@example("1e1000000")
+@example("1e10000000")
+@example("1_000")
+@example(" 1/2 ")
+@example("-0.25")
+@example("9" * 5000)
+def test_any_text_rational_loads_or_raises_format_error(text):
+    surface = {"dim": 1, "map": ["l1", "0", "0", "0"], "box": [["-1", text]]}
+    try:
+        value = fio.parse_rational(text, "xi")
+    except fio.FormatError as exc:
+        assert str(exc).startswith("xi: bad rational")
+        with pytest.raises(fio.FormatError, match=r"box\[0\]\[1\]"):
+            fio.surface_from_dict(surface)
+        return
+    sign, body = (text[0], text[1:]) if text[0] in "+-" else ("", text)
+    assert sign + body == text and body and set(body) <= set("0123456789/.")
+    assert value == Fraction(text)
+
+
 def test_format_rational_prefers_plain_int():
     assert fio.format_rational(Fraction(4)) == 4
     assert fio.format_rational(Fraction(1, 3)) == "1/3"
@@ -424,14 +447,49 @@ def test_missing_file_exits_two(capsys):
         (["bd", "--form"], "x.form", {"rank": 1, "coeffs": {"٣": "1"}}, "coeffs key '٣': keys are digit strings"),
         (["bd", "--form"], "x.form", {"rank": 1, "coeffs": {"²": "1"}}, "coeffs key '²': keys are digit strings"),
         (["check", "--suite", "algebra", "--config"], "x.cfg", {"xi": 2}, "cfg: non-rational normalization"),
+        (
+            ["dual", "--form", str(DEMO / "j.form"), "--config"],
+            "x.cfg",
+            {"xi": "٣/٣"},
+            "xi: bad rational '٣/٣' (expected [+-]digits[/digits or .digits])",
+        ),
+        (
+            ["integrate", "--form", str(DEMO / "radial.form"), "--surface"],
+            "x.surf",
+            {"dim": 1, "map": ["l1", "0", "0", "0"], "box": [[0, "1e1000000"]]},
+            "box[0][1]: bad rational '1e1000000' (expected [+-]digits[/digits or .digits])",
+        ),
+        (["bd", "--form"], "x.form", {"rank": 0, "coeffs": {"": "٣ x0^٢"}}, "coeffs['']: unexpected character '٣' at position 0"),
+        (["dual", "--form", str(DEMO / "j.form"), "--config"], "x.cfg", {"g": ["1.5", 1, 1, 1]}, "cfg: g must list four signs"),
     ],
-    ids=["arabic-indic-key", "superscript-key", "irrational-metric"],
+    ids=[
+        "arabic-indic-key",
+        "superscript-key",
+        "irrational-metric",
+        "arabic-indic-xi",
+        "exponent-bound",
+        "arabic-indic-coefficient",
+        "fractional-sign",
+    ],
 )
 def test_bad_entry_exits_two_naming_file_and_entry(tmp_path, capsys, argv, name, payload, message):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     assert main([*argv, str(path)]) == 2
     assert capsys.readouterr().err == f"fvx: {path}: {message}\n"
+
+
+def test_oversized_json_integer_exits_two_naming_the_input(tmp_path, capsys):
+    # json refuses integer literals over the interpreter's digit limit with
+    # a plain ValueError, not a JSONDecodeError.
+    path = tmp_path / "x.cfg"
+    path.write_text('{"xi": 1' + "0" * 5000 + "}")
+    assert main(["dual", "--form", str(DEMO / "j.form"), "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"fvx: {path}: ")
+    box = "[[0, 1" + "0" * 5000 + "], [0, 1], [0, 1], [0, 1]]"
+    el = ["el", "--lagrangian", str(DEMO / "free_scalar.lag"), "--fields", str(DEMO / "wave_solution.json")]
+    assert main([*el, "--box", box]) == 2
+    assert capsys.readouterr().err.startswith("fvx: box: ")
 
 
 def test_zero_denominator_exits_two_without_traceback(tmp_path):

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fvx.polyfield import (
     COORD_NAMES,
@@ -179,6 +179,46 @@ def test_compose_commutes_with_evaluate(p, maps, lam):
     assert p.compose(list(maps)).evaluate(lam) == p.evaluate(image)
 
 
+@st.composite
+def restrictions(draw):
+    n = draw(st.integers(1, 4))
+    expo = st.tuples(*(st.integers(0, 3) for _ in range(n)))
+    p = Poly(n, draw(st.dictionaries(expo, rationals, max_size=5)))
+    return p, draw(st.integers(0, n - 1)), draw(st.one_of(st.integers(-3, 3), rationals))
+
+
+@given(restrictions())
+def test_restrict_matches_compose(case):
+    # A face map: fix variable k at v and keep the others, renumbered.
+    p, k, v = case
+    n = p.nvars
+    subs = [Poly.const(v, n - 1) if i == k else Poly.variable(i - (i > k), n - 1) for i in range(n)]
+    restricted = p.restrict(k, v)
+    assert restricted.nvars == n - 1
+    assert restricted == p.compose(subs)
+    assert restricted == Poly(n - 1, restricted.terms)
+
+
+def test_restrict_one_variable_gives_a_constant():
+    # The faces of a curve are points: 0-variable constants.
+    p = Poly(1, {(2,): 3, (0,): 1})
+    assert p.restrict(0, Fraction(1, 2)) == Poly.const(Fraction(7, 4), 0)
+    assert Poly(1, {(1,): 1}).restrict(0, 0) == Poly.zero(0)
+
+
+def test_restrict_rejects_out_of_range_axis():
+    for p, axis in ((P("x0"), 4), (P("x0"), -1), (Poly.const(1, 0), 0)):
+        with pytest.raises(ValueError, match="out of range"):
+            p.restrict(axis, 1)
+
+
+def test_constructors_check_nvars():
+    for make in (Poly.zero, lambda n: Poly.const(1, n)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            make(-1)
+    assert Poly.const(0, 3) == Poly.zero(3) and not Poly.const(0, 3).terms
+
+
 @given(polys)
 def test_pow_matches_repeated_product(p):
     assert p**3 == p * p * p
@@ -191,7 +231,11 @@ scalars = st.one_of(st.integers(-3, 3), rationals)
 def test_arithmetic_results_are_canonical(p, q, k, a):
     # Arithmetic builds its results without re-validating them; each must
     # still be the canonical Poly that the checking constructor would give.
-    results = (p + q, p - q, p - p, (p + q) - q, -p, p * q, p * k, k * p, p * 0, p.partial(a), k - p)
+    subs = [p, q, Poly.const(k, 4), Poly.variable(a, 4)]
+    results = (
+        p + q, p - q, p - p, (p + q) - q, -p, p * q, p * k, k * p, p * 0, p.partial(a), k - p,
+        Poly.const(k, 4), Poly.zero(4), p.restrict(a, k), p.compose(subs), (p - p).compose(subs),
+    )
     for result in results:
         for expo, coeff in result.terms.items():
             assert type(coeff) is Fraction and coeff != 0
@@ -254,6 +298,19 @@ def test_parse_rejects_zero_denominator():
     for text in ("1/0 x0", "x1 - 3/00"):
         with pytest.raises(ValueError, match="zero denominator in '.*/0+'"):
             parse_poly(text, COORD_NAMES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=8), st.text("0123456789x^/+- ٣²", max_size=8)))
+@example("٣ x0^٢")
+@example("x0^²")
+def test_any_text_parses_with_ascii_digits_or_raises(text):
+    try:
+        p = parse_poly(text, COORD_NAMES)
+    except ValueError:
+        return
+    assert all(ch in "0123456789" for ch in text if ch.isdigit())
+    assert parse_poly(format_poly(p, COORD_NAMES), COORD_NAMES) == p
 
 
 def test_parse_rejects_bad_power():
