@@ -1,17 +1,25 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
-A ``Poly`` is an immutable sparse polynomial: a map from exponent tuples to
-nonzero ``Fraction`` coefficients, together with the number of variables it
-lives over.  Coordinate scalar fields use four variables (x0..x3), surface
-pullbacks use one variable per surface parameter, and Lagrangian densities
-use five formal variables per field.  Everything downstream -- forms,
-derivatives, integrals, duals -- stores these polynomials as coefficients,
-so every identity in the test suite reduces to an exact comparison of
-canonical term maps.
+A ``Poly`` is an immutable sparse polynomial in ``nvars`` variables, stored
+as integer numerators over one common denominator.  Coordinate scalar
+fields use four variables (x0..x3), surface pullbacks use one variable per
+surface parameter, and Lagrangian densities use five formal variables per
+field.  Everything downstream -- forms, derivatives, integrals, duals --
+stores these polynomials as coefficients, so every identity in the test
+suite reduces to an exact comparison of canonical polynomials.
 
-No floats anywhere: coefficients are arbitrary-precision rationals, and all
-operations (product, formal partial, substitution, the homotopy-scaling
-integral) stay inside the ring.
+No floats anywhere and no modular shortcut: numerators and denominators are
+arbitrary-precision integers, and all operations (product, formal partial,
+substitution, the homotopy-scaling integral) stay inside the ring.
+
+Each monomial is packed into one int, 16 bits per variable (variable i in
+bits 16i..16i+15).  The top bit of each field is a guard bit, so an
+exponent is at most ``MAX_EXPONENT`` = 32,767 and multiplying two monomials
+is one integer addition; ``*`` and ``compose`` test every product against
+the guard bits and raise ``ValueError`` on overflow instead of letting a
+field wrap into its neighbour.  This is the packed representation of
+Monagan & Pearce, "Sparse polynomial division using a heap" (J. Symbolic
+Comput. 2011); the common denominator follows FLINT's ``fmpq_poly``.
 
 Two operations substitute into a polynomial.  ``compose`` replaces every
 variable by a polynomial (pullbacks along a surface map, reparametrizations,
@@ -24,57 +32,96 @@ and one constant.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 Exponent = tuple[int, ...]
 RationalLike = Fraction | int
 
+MAX_EXPONENT = 0x7FFF
+_BITS = 16
+
+
+def _pack(expo: Exponent) -> int:
+    return sum(e << _BITS * i for i, e in enumerate(expo))
+
+
+def _unpack(monomial: int, nvars: int) -> Exponent:
+    return tuple((monomial >> _BITS * i) & MAX_EXPONENT for i in range(nvars))
+
+
+def _ratio(value: RationalLike) -> tuple[int, int]:
+    """Numerator and positive denominator of a rational; anything but an
+    int or a Fraction is converted (and checked) by ``Fraction``."""
+    if not isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+    return value.numerator, value.denominator
+
 
 class Poly:
-    """Polynomial with Fraction coefficients in ``nvars`` variables.
+    """Polynomial with rational coefficients in ``nvars`` variables.
 
-    ``terms`` maps exponent tuples (one entry per variable) to nonzero
-    coefficients; zero coefficients are dropped on construction, so equality
-    of polynomials is equality of the term maps.  Instances are treated as
-    immutable: no method mutates ``terms``.
+    ``num`` maps packed monomials to nonzero int numerators over the
+    positive int ``den``.  The form is canonical: ``gcd(den, *num.values())``
+    is 1 and the zero polynomial has ``den == 1``, so equality of polynomials
+    is equality of ``nvars``, ``den`` and ``num``.  ``terms`` is the read
+    view ``{exponent tuple: Fraction}``.  Instances are immutable.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "den", "num")
 
     def __init__(self, nvars: int, terms: Mapping[Exponent, RationalLike] | None = None):
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
-        canonical: dict[Exponent, Fraction] = {}
+        coeffs: dict[int, Fraction] = {}
         for expo, coeff in (terms or {}).items():
             expo = tuple(expo)
             if len(expo) != nvars:
                 raise ValueError(f"exponent {expo!r} does not have {nvars} entries")
             if any(e < 0 for e in expo):
                 raise ValueError(f"negative exponent in {expo!r}")
+            if any(e > MAX_EXPONENT for e in expo):
+                raise ValueError(f"exponent {max(expo)} above {MAX_EXPONENT}")
             value = Fraction(coeff)
             if value:
-                canonical[expo] = canonical.get(expo, Fraction(0)) + value
-                if not canonical[expo]:
-                    del canonical[expo]
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", canonical)
+                key = _pack(expo)
+                coeffs[key] = coeffs.get(key, 0) + value
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        canonical = Poly._new(nvars, den, {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()})
+        _set_nvars(self, nvars)
+        _set_den(self, canonical.den)
+        _set_num(self, canonical.num)
 
     @classmethod
-    def _trusted(cls, nvars: int, terms: dict[Exponent, Fraction]) -> "Poly":
-        """Wrap a term map that Poly arithmetic computed itself.
+    def _new(cls, nvars: int, den: int, num: dict[int, int]) -> "Poly":
+        """The canonical Poly of int numerators over a positive ``den``.
 
-        Its exponents already have ``nvars`` nonnegative entries and its
-        coefficients are already Fractions, so only the zero coefficients
-        are dropped; input from outside goes through ``Poly(...)``, which
-        checks everything.
+        Zero numerators are dropped and the content is divided out.  The
+        monomials must already be packed and in range: Poly arithmetic
+        calls this on what it computed itself, and input from outside goes
+        through ``Poly(...)``, which checks everything.
         """
+        if 0 in num.values():
+            num = {m: c for m, c in num.items() if c}
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                num = {m: c // g for m, c in num.items()}
         poly = object.__new__(cls)
-        object.__setattr__(poly, "nvars", nvars)
-        object.__setattr__(poly, "terms", {e: c for e, c in terms.items() if c})
+        _set_nvars(poly, nvars)
+        _set_den(poly, den)
+        _set_num(poly, num)
         return poly
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Poly is immutable")
+
+    @property
+    def terms(self) -> dict[Exponent, Fraction]:
+        """Read view: ``{exponent tuple: nonzero Fraction}``."""
+        n, den = self.nvars, self.den
+        return {_unpack(m, n): Fraction(c, den) for m, c in self.num.items()}
 
     # -- constructors ------------------------------------------------------
 
@@ -86,14 +133,14 @@ class Poly:
     def const(cls, value: RationalLike, nvars: int) -> "Poly":
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
-        return cls._trusted(nvars, {(0,) * nvars: Fraction(value)})
+        top, bottom = _ratio(value)
+        return cls._new(nvars, bottom, {0: top})
 
     @classmethod
     def variable(cls, axis: int, nvars: int) -> "Poly":
         if not 0 <= axis < nvars:
             raise ValueError(f"axis {axis} out of range for {nvars} variables")
-        expo = tuple(1 if i == axis else 0 for i in range(nvars))
-        return cls(nvars, {expo: Fraction(1)})
+        return cls._new(nvars, 1, {1 << _BITS * axis: 1})
 
     # -- ring structure ----------------------------------------------------
 
@@ -108,15 +155,21 @@ class Poly:
 
     def __add__(self, other: "Poly | RationalLike") -> "Poly":
         other = self._coerce(other)
-        merged = dict(self.terms)
-        for expo, coeff in other.terms.items():
-            merged[expo] = merged.get(expo, Fraction(0)) + coeff
-        return Poly._trusted(self.nvars, merged)
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        g = gcd(self.den, other.den)
+        scale_self, scale_other = other.den // g, self.den // g
+        merged = {m: c * scale_self for m, c in self.num.items()}
+        for m, c in other.num.items():
+            merged[m] = merged.get(m, 0) + c * scale_other
+        return Poly._new(self.nvars, self.den * scale_self, merged)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Poly._new(self.nvars, self.den, {m: -c for m, c in self.num.items()})
 
     def __sub__(self, other: "Poly | RationalLike") -> "Poly":
         return self + (-self._coerce(other))
@@ -128,16 +181,22 @@ class Poly:
         if not isinstance(other, Poly):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
-            factor = Fraction(other)
-            return Poly._trusted(self.nvars, {e: c * factor for e, c in self.terms.items()})
+            top = other.numerator
+            return Poly._new(self.nvars, self.den * other.denominator, {m: c * top for m, c in self.num.items()})
         if other.nvars != self.nvars:
             raise ValueError("polynomials over different variable counts")
-        product: dict[Exponent, Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                product[key] = product.get(key, Fraction(0)) + ca * cb
-        return Poly._trusted(self.nvars, product)
+        product: dict[int, int] = {}
+        get = product.get
+        right = other.num.items()
+        for ma, ca in self.num.items():
+            for mb, cb in right:
+                m = ma + mb
+                product[m] = get(m, 0) + ca * cb
+        # A field that overflowed has carried into its guard bit.
+        guard = ((1 << _BITS * self.nvars) - 1) // 0xFFFF * 0x8000
+        if any(m & guard for m in product):
+            raise ValueError(f"exponent overflow: a product has an exponent above {MAX_EXPONENT}")
+        return Poly._new(self.nvars, self.den * other.den, product)
 
     __rmul__ = __mul__
 
@@ -154,24 +213,22 @@ class Poly:
             other = Poly.const(other, self.nvars)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return self.nvars == other.nvars and self.den == other.den and self.num == other.num
 
     __hash__ = None  # type: ignore[assignment]
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.num)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def as_fraction(self) -> Fraction:
         """Value of a constant polynomial; error if any variable appears."""
-        for expo, coeff in self.terms.items():
-            if any(expo):
-                raise ValueError("polynomial is not constant")
-            return coeff
-        return Fraction(0)
+        if self.num.keys() - {0}:
+            raise ValueError("polynomial is not constant")
+        return Fraction(self.num.get(0, 0), self.den)
 
     # -- calculus-facing operations ----------------------------------------
 
@@ -179,14 +236,14 @@ class Poly:
         """Formal partial derivative along one variable."""
         if not 0 <= axis < self.nvars:
             raise ValueError(f"axis {axis} out of range for {self.nvars} variables")
-        out: dict[Exponent, Fraction] = {}
-        for expo, coeff in self.terms.items():
-            k = expo[axis]
-            if k == 0:
-                continue
-            dropped = expo[:axis] + (k - 1,) + expo[axis + 1 :]
-            out[dropped] = out.get(dropped, Fraction(0)) + coeff * k
-        return Poly._trusted(self.nvars, out)
+        shift = _BITS * axis
+        unit = 1 << shift
+        out: dict[int, int] = {}
+        for m, c in self.num.items():
+            k = (m >> shift) & MAX_EXPONENT
+            if k:
+                out[m - unit] = c * k
+        return Poly._new(self.nvars, self.den, out)
 
     def evaluate(self, point: Sequence[RationalLike]) -> Fraction:
         """Exact value at a rational point."""
@@ -206,12 +263,17 @@ class Poly:
         variable fewer."""
         if not 0 <= axis < self.nvars:
             raise ValueError(f"axis {axis} out of range for {self.nvars} variables")
-        value = Fraction(value)
-        out: dict[Exponent, Fraction] = {}
-        for expo, coeff in self.terms.items():
-            rest = expo[:axis] + expo[axis + 1 :]
-            out[rest] = out.get(rest, Fraction(0)) + coeff * value ** expo[axis]
-        return Poly._trusted(self.nvars - 1, out)
+        p, q = _ratio(value)
+        shift = _BITS * axis
+        low = (1 << shift) - 1
+        # value^k = p^k q^(top-k) / q^top: every term over the one denominator q^top.
+        top = max(((m >> shift) & MAX_EXPONENT for m in self.num), default=0)
+        out: dict[int, int] = {}
+        for m, c in self.num.items():
+            k = (m >> shift) & MAX_EXPONENT
+            rest = (m & low) | ((m >> shift + _BITS) << shift)
+            out[rest] = out.get(rest, 0) + c * p**k * q ** (top - k)
+        return Poly._new(self.nvars - 1, self.den * q**top, out)
 
     def compose(self, maps: Sequence["Poly"]) -> "Poly":
         """Substitute ``maps[i]`` for variable i; result lives over the maps' variables."""
@@ -226,20 +288,27 @@ class Poly:
         # Cache powers of each substituted polynomial; exponents repeat a lot.
         # pows[axis][k - 1] is maps[axis] ** k.
         pows: list[list[Poly]] = [[m] for m in maps]
-        one: dict[Exponent, Fraction] = {(0,) * target: Fraction(1)}
-        out: dict[Exponent, Fraction] = {}
-        for expo, coeff in self.terms.items():
-            term = None
-            for axis, power in enumerate(expo):
+        one = Poly._new(target, 1, {0: 1})
+        products: list[tuple[int, Poly]] = []
+        for m, c in self.num.items():
+            term = one
+            for axis in range(self.nvars):
+                power = (m >> _BITS * axis) & MAX_EXPONENT
                 if not power:
                     continue
                 cache = pows[axis]
                 while len(cache) < power:
                     cache.append(cache[-1] * maps[axis])
-                term = cache[power - 1] if term is None else term * cache[power - 1]
-            for e, c in (one if term is None else term.terms).items():
-                out[e] = out.get(e, Fraction(0)) + coeff * c
-        return Poly._trusted(target, out)
+                term = cache[power - 1] if term is one else term * cache[power - 1]
+            products.append((c, term))
+        # Every product over one common denominator, the lcm of theirs.
+        den = lcm(*(term.den for _, term in products))
+        out: dict[int, int] = {}
+        for c, term in products:
+            scale = c * (den // term.den)
+            for e, t in term.num.items():
+                out[e] = out.get(e, 0) + scale * t
+        return Poly._new(target, self.den * den, out)
 
     def scale_integrate(self, power: int) -> "Poly":
         """Radial-scaling integral: each degree-d monomial picks up 1/(power+d+1).
@@ -249,28 +318,49 @@ class Poly:
         """
         if power < 0:
             raise ValueError("power must be nonnegative")
-        return Poly(
-            self.nvars,
-            {e: c / (power + sum(e) + 1) for e, c in self.terms.items()},
-        )
+        divisors = {m: power + sum(_unpack(m, self.nvars)) + 1 for m in self.num}
+        den = lcm(*divisors.values())
+        return Poly._new(self.nvars, self.den * den, {m: c * (den // divisors[m]) for m, c in self.num.items()})
 
     def __repr__(self) -> str:
         names = default_names(self.nvars)
         return f"Poly({format_poly(self, names)!r})"
 
 
+# The slots' own setters: the constructors fill a new instance through them,
+# past the ``__setattr__`` that keeps every Poly immutable.
+_set_nvars, _set_den, _set_num = (getattr(Poly, name).__set__ for name in Poly.__slots__)
+
+
 def integrate_box(p: Poly, box: Sequence[tuple[RationalLike, RationalLike]]) -> Fraction:
-    """Exact integral over a rational box, one monomial at a time."""
+    """Exact integral over a rational box.
+
+    Integrates out one variable at a time, the highest first, so each step
+    keeps the low bits of the packed monomials.  Each step puts the
+    integrals of the powers that occur over one common denominator and
+    stays in integers; one Fraction is built at the end.
+    """
     if len(box) != p.nvars:
         raise ValueError("box must have one interval per variable")
-    bounds = [(Fraction(a), Fraction(b)) for a, b in box]
-    total = Fraction(0)
-    for expo, coeff in p.terms.items():
-        term = coeff
-        for (low, high), power in zip(bounds, expo):
-            term *= (high ** (power + 1) - low ** (power + 1)) / (power + 1)
-        total += term
-    return total
+    bounds = [(_ratio(low), _ratio(high)) for low, high in box]
+    num, den = p.num, p.den
+    for axis in reversed(range(p.nvars)):
+        (low, low_den), (high, high_den) = bounds[axis]
+        # The interval is [a, b] / base; the integral of x^k over it is
+        # (b^(k+1) - a^(k+1)) / (base^(k+1) (k+1)).
+        a, b, base = low * high_den, high * low_den, low_den * high_den
+        shift = _BITS * axis
+        powers = {(m >> shift) & MAX_EXPONENT for m in num}
+        parts = {k: (b ** (k + 1) - a ** (k + 1), base ** (k + 1) * (k + 1)) for k in powers}
+        step = lcm(*(bottom for _, bottom in parts.values()))
+        weight = {k: top * (step // bottom) for k, (top, bottom) in parts.items()}
+        mask = (1 << shift) - 1
+        out: dict[int, int] = {}
+        for m, c in num.items():
+            rest = m & mask
+            out[rest] = out.get(rest, 0) + c * weight[(m >> shift) & MAX_EXPONENT]
+        num, den = out, den * step
+    return Fraction(num.get(0, 0), den)
 
 
 # -- text format -----------------------------------------------------------
@@ -316,9 +406,10 @@ def format_poly(p: Poly, names: Sequence[str] | None = None) -> str:
         raise ValueError("not enough variable names")
     if p.is_zero:
         return "0"
+    terms = p.terms
     chunks: list[str] = []
-    for expo in sorted(p.terms, key=_term_key):
-        coeff = p.terms[expo]
+    for expo in sorted(terms, key=_term_key):
+        coeff = terms[expo]
         monomial = _monomial_text(expo, names)
         magnitude = abs(coeff)
         if monomial and magnitude == 1:

@@ -29,7 +29,7 @@ from fvx.forms_core import FIVE_AXES, FiveForm, FourForm, IndexedArray, MultiVec
 from fvx.integration import ParamSurface
 from fvx.lagrange import FieldSet, LagrangianSpec
 from fvx.metric_dual import DEFAULT_CFG, MetricConfig
-from fvx.polyfield import COORD_NAMES, Poly, default_names, format_poly
+from fvx.polyfield import COORD_NAMES, MAX_EXPONENT, Poly, default_names, format_poly
 
 SUITE_NAMES = ("algebra", "calculus", "stokes", "flux", "duality", "lagrange", "appendix")
 
@@ -48,6 +48,8 @@ class SuiteConfig:
             raise ValueError("trials must be at least 1")
         if self.max_degree < 1:
             raise ValueError("max degree must be at least 1")
+        if self.max_degree > MAX_EXPONENT:
+            raise ValueError(f"--max-degree {self.max_degree} above {MAX_EXPONENT}, the largest exponent")
         if not self.suites:
             raise ValueError("no suites selected")
         for name in self.suites:

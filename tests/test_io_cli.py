@@ -243,10 +243,18 @@ def test_suite_config_validation():
         su.SuiteConfig(trials=0)
     with pytest.raises(ValueError, match="max degree"):
         su.SuiteConfig(max_degree=0)
+    with pytest.raises(ValueError, match="--max-degree 32768 above 32767"):
+        su.SuiteConfig(max_degree=32768)
+    assert su.SuiteConfig(max_degree=32767).max_degree == 32767
     with pytest.raises(ValueError, match="no suites selected"):
         su.SuiteConfig(suites=())
     with pytest.raises(ValueError, match="unknown suite"):
         su.SuiteConfig(suites=("algebra", "nope"))
+
+
+def test_check_refuses_max_degree_above_the_exponent_bound(capsys):
+    assert main(["check", "--max-degree", "40000"]) == 2
+    assert capsys.readouterr().err == "fvx: --max-degree 40000 above 32767, the largest exponent\n"
 
 
 def test_identity_lookup():
@@ -461,6 +469,18 @@ def test_missing_file_exits_two(capsys):
         ),
         (["bd", "--form"], "x.form", {"rank": 0, "coeffs": {"": "٣ x0^٢"}}, "coeffs['']: unexpected character '٣' at position 0"),
         (["dual", "--form", str(DEMO / "j.form"), "--config"], "x.cfg", {"g": ["1.5", 1, 1, 1]}, "cfg: g must list four signs"),
+        (
+            ["integrate", "--surface", str(DEMO / "square.surf"), "--form"],
+            "x.form",
+            {"rank": 2, "coeffs": {"01": "x0^100000000"}},
+            "coeffs['01']: exponent 100000000 above 32767",
+        ),
+        (
+            ["integrate", "--surface", str(DEMO / "square.surf"), "--form"],
+            "x.form",
+            {"rank": 2, "coeffs": {"01": "x0^20000 x0^20000"}},
+            "coeffs['01']: exponent 40000 above 32767",
+        ),
     ],
     ids=[
         "arabic-indic-key",
@@ -470,6 +490,8 @@ def test_missing_file_exits_two(capsys):
         "exponent-bound",
         "arabic-indic-coefficient",
         "fractional-sign",
+        "huge-exponent",
+        "exponent-sum",
     ],
 )
 def test_bad_entry_exits_two_naming_file_and_entry(tmp_path, capsys, argv, name, payload, message):

@@ -1,6 +1,9 @@
 """Ring axioms, formal calculus, and text round-trips for exact polynomials."""
 
+import itertools
 from fractions import Fraction
+from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -227,20 +230,75 @@ def test_pow_matches_repeated_product(p):
 scalars = st.one_of(st.integers(-3, 3), rationals)
 
 
-@given(polys, polys, scalars, axes)
-def test_arithmetic_results_are_canonical(p, q, k, a):
+@given(polys, polys, scalars, axes, st.integers(0, 3))
+def test_arithmetic_results_are_canonical(p, q, k, a, power):
     # Arithmetic builds its results without re-validating them; each must
     # still be the canonical Poly that the checking constructor would give.
     subs = [p, q, Poly.const(k, 4), Poly.variable(a, 4)]
     results = (
         p + q, p - q, p - p, (p + q) - q, -p, p * q, p * k, k * p, p * 0, p.partial(a), k - p,
         Poly.const(k, 4), Poly.zero(4), p.restrict(a, k), p.compose(subs), (p - p).compose(subs),
+        p.scale_integrate(power), Poly.variable(a, 4), Poly.variable(0, 1),
     )
     for result in results:
+        assert result.den > 0
+        assert gcd(result.den, *result.num.values()) == 1
+        assert all(type(c) is int and c != 0 for c in result.num.values())
+        assert result.num or result.den == 1
         for expo, coeff in result.terms.items():
             assert type(coeff) is Fraction and coeff != 0
             assert len(expo) == result.nvars and all(e >= 0 for e in expo)
         assert result == Poly(result.nvars, result.terms)
+
+
+def test_exponent_bound_at_the_constructor():
+    assert Poly(1, {(32767,): 1}).terms == {(32767,): 1}
+    for expo in ((32768,), (0, 100000000)):
+        with pytest.raises(ValueError, match=f"exponent {max(expo)} above 32767"):
+            Poly(len(expo), {expo: 1})
+    with pytest.raises(ValueError, match="exponent 40000 above 32767"):
+        parse_poly("x0^20000 x0^20000", COORD_NAMES)
+
+
+def test_product_overflow_raises_instead_of_wrapping():
+    # x0^32767 * x0 would carry into x1's field if the guard bit were not
+    # checked; a field never wraps silently.
+    top = Poly(2, {(32767, 0): 1})
+    assert top * Poly(2, {(0, 5): 2}) == Poly(2, {(32767, 5): 2})
+    for factor in (Poly.variable(0, 2), top, Poly(2, {(1, 0): 1, (0, 1): 1})):
+        with pytest.raises(ValueError, match="exponent overflow"):
+            top * factor
+    half = Poly(1, {(20000,): 1})
+    with pytest.raises(ValueError, match="exponent overflow"):
+        half * half
+    with pytest.raises(ValueError, match="exponent overflow"):
+        Poly(1, {(2,): 1}).compose([half])
+    with pytest.raises(ValueError, match="exponent overflow"):
+        Poly(2, {(1, 1): 1}).compose([half, half])
+    assert Poly(1, {(1,): 1}).compose([top.restrict(1, 3)]) == top.restrict(1, 0)
+
+
+def test_hot_arithmetic_builds_no_fraction():
+    # Poly keeps int numerators over one denominator; +, *, unary - and
+    # partial work in integers and must not construct a Fraction.
+    p = P("1/2 x0^2 x1 - 3/4 x2 + 5/6")
+    q = P("2/3 x0 x1^3 + 7/9 x3 - 1/2")
+    r = P("x0 + 3 x1^2")
+    made = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    with mock.patch.object(Fraction, "__new__", counting):
+        Fraction(1, 3)
+        assert made == [(1, 3)]
+        made.clear()
+        results = [p + q, p + r, p + p, p - q, p * q, p * r, r * r, -p, p.partial(0), q.partial(1), r.partial(3)]
+    assert made == []
+    assert results[0] == P("1/2 x0^2 x1 + 2/3 x0 x1^3 - 3/4 x2 + 7/9 x3 + 1/3")
+    assert results[-4] == P("-1/2 x0^2 x1 + 3/4 x2 - 5/6")
 
 
 @given(polys)
@@ -272,6 +330,56 @@ def test_integrate_box_rational_bounds():
 
 def test_integrate_box_zero_parameters():
     assert integrate_box(Poly.const(Fraction(5, 7), 0), []) == Fraction(5, 7)
+
+
+def newton_cotes_weights(n: int) -> list[Fraction]:
+    """Weights of the closed rule with nodes 0, 1, ..., n on [0, n]: the
+    solution of sum_j w_j j^k = n^(k+1) / (k+1) for k = 0..n."""
+    rows = [[Fraction(j**k) for j in range(n + 1)] + [Fraction(n ** (k + 1), k + 1)] for k in range(n + 1)]
+    for col in range(n + 1):
+        pivot = next(r for r in range(col, n + 1) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(n + 1):
+            if r != col and rows[r][col]:
+                rows[r] = [v - rows[r][col] * w for v, w in zip(rows[r], rows[col])]
+    return [row[-1] for row in rows]
+
+
+def test_newton_cotes_weights_are_the_classical_ones():
+    assert newton_cotes_weights(1) == [Fraction(1, 2)] * 2
+    assert newton_cotes_weights(2) == [Fraction(1, 3), Fraction(4, 3), Fraction(1, 3)]
+    assert newton_cotes_weights(3) == [Fraction(3, 8), Fraction(9, 8), Fraction(9, 8), Fraction(3, 8)]
+
+
+@st.composite
+def boxed_polys(draw):
+    nvars = draw(st.integers(1, 4))
+    degrees = draw(st.tuples(*(st.integers(1, 3) for _ in range(nvars))))
+    expo = st.tuples(*(st.integers(0, n) for n in degrees))
+    p = Poly(nvars, draw(st.dictionaries(expo, rationals, max_size=5)))
+    box = [draw(st.tuples(rationals, rationals)) for _ in range(nvars)]
+    return p, degrees, box
+
+
+@given(boxed_polys())
+def test_integrate_box_matches_newton_cotes(case):
+    # The closed rule with n + 1 equispaced nodes per variable is exact for
+    # degree <= n in that variable, so the tensor rule must give exactly the
+    # integral: a second route that evaluates the polynomial and never forms
+    # an antiderivative.
+    p, degrees, box = case
+    axes = []
+    for n, (a, b) in zip(degrees, box):
+        h = (b - a) / n
+        axes.append([(a + j * h, w * h) for j, w in enumerate(newton_cotes_weights(n))])
+    total = Fraction(0)
+    for nodes in itertools.product(*axes):
+        weight = Fraction(1)
+        for _, w in nodes:
+            weight *= w
+        total += weight * p.evaluate([x for x, _ in nodes])
+    assert integrate_box(p, box) == total
 
 
 # -- parser and representation edges ----------------------------------------
