@@ -261,8 +261,8 @@ def commutator(u: MultiVector, v: MultiVector) -> MultiVector:
     return MultiVector(1, comps)
 
 
-def bracket_check(t: FiveForm, u: MultiVector, v: MultiVector) -> bool:
-    """Exact pairing identity for bd of a 1-form against a field pair."""
+def bracket_sides(t: FiveForm, u: MultiVector, v: MultiVector) -> tuple[Poly, Poly]:
+    """Both sides of the exact pairing identity for bd of a 1-form against a field pair."""
     if t.rank != 1:
         raise ValueError("form must have rank 1")
     left = contract(bd(t), wedge(u, v))
@@ -271,4 +271,4 @@ def bracket_check(t: FiveForm, u: MultiVector, v: MultiVector) -> bool:
         - bullet_partial_field(contract(t, u), v)
         - contract(t, commutator(u, v))
     )
-    return left == right
+    return left, right

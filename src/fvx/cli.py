@@ -144,21 +144,21 @@ def cmd_stokes(args) -> int:
     variant = args.variant
     if variant == "auto":
         variant = "rank_eq_dim" if form.rank == V.dim else "rank_eq_dim_plus"
-    boundary, interior = ig.stokes_sides(form, V, variant)
-    print(f"boundary: {boundary}")
-    print(f"interior: {interior}")
-    print("EQUAL" if boundary == interior else "DIFFER")
-    return 0 if boundary == interior else 1
+    return _print_sides(("boundary", "interior"), *ig.stokes_sides(form, V, variant))
 
 
 def cmd_flux(args) -> int:
     form = fio.load_form(args.form)
     V = fio.load_surface(args.surface)
-    direct, derivative = ig.flux_sides(form, V)
-    print(f"boundary+interior: {direct}")
-    print(f"derivative route: {derivative}")
-    print("EQUAL" if direct == derivative else "DIFFER")
-    return 0 if direct == derivative else 1
+    return _print_sides(("boundary+interior", "derivative route"), *ig.flux_sides(form, V))
+
+
+def _print_sides(labels: tuple[str, str], lhs, rhs) -> int:
+    """Print both sides under their labels, then EQUAL or DIFFER; exit 0 when they agree."""
+    print(f"{labels[0]}: {lhs}")
+    print(f"{labels[1]}: {rhs}")
+    print("EQUAL" if lhs == rhs else "DIFFER")
+    return 0 if lhs == rhs else 1
 
 
 def _probe_box(arg: str | None) -> ig.ParamSurface:

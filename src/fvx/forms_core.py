@@ -281,6 +281,9 @@ def s_from_t(t: FiveForm) -> FiveForm:
 
 # -- sparse indexed arrays ----------------------------------------------------
 
+# Every entry an array does not store reads as this one (immutable) zero.
+_ZERO = Fraction(0)
+
 
 class IndexedArray:
     """Rational array over tuples from a fixed finite index set.  Only the
@@ -323,7 +326,7 @@ class IndexedArray:
         return cls(arity, index_set, values)
 
     def __getitem__(self, idx: Iterable[int]) -> Fraction:
-        return self.values.get(self._checked(idx), Fraction(0))
+        return self.values.get(self._checked(idx), _ZERO)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IndexedArray):

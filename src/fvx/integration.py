@@ -403,30 +403,32 @@ def flux_sides(form: FiveForm, V: ParamSurface) -> tuple[Fraction, Fraction]:
 BY_PARTS_FLAVORS = ("d5", "bd_left", "bdstar_left")
 
 
-def by_parts_check(s: FiveForm, t: FiveForm, V: ParamSurface, flavor: str) -> bool:
-    """Integration by parts, each integral computed independently.
+def by_parts_sides(
+    s: FiveForm, t: FiveForm, V: ParamSurface, flavor: str
+) -> tuple[Fraction, Fraction]:
+    """Both sides of integration by parts, each integral computed independently.
 
     ``d5``: plain derivative, surface dimension rank(s)+rank(t)+1.
     ``bd_left`` / ``bdstar_left``: five-vector derivative on the left factor
     and its reflection on the right (or swapped), dimension rank(s)+rank(t).
     """
-    m = s.rank
     if flavor == "d5":
-        if s.rank + t.rank + 1 != V.dim:
-            raise ValueError("flavor needs rank(s) + rank(t) + 1 = dim")
-        lhs = integrate_m(wedge(d5(s), t), V)
-        rhs = boundary_flux(wedge(s, t), V) - (-1) ** m * integrate_m(wedge(s, d5(t)), V)
-        return lhs == rhs
-    if flavor == "bd_left":
-        first, second = bd, bdstar
+        integral, first, second, extra = integrate_m, d5, d5, 1
+    elif flavor == "bd_left":
+        integral, first, second, extra = integrate_deg, bd, bdstar, 0
     elif flavor == "bdstar_left":
-        first, second = bdstar, bd
+        integral, first, second, extra = integrate_deg, bdstar, bd, 0
     else:
         raise ValueError(f"unknown flavor {flavor!r}")
-    if s.rank + t.rank != V.dim:
-        raise ValueError("flavor needs rank(s) + rank(t) = dim")
-    lhs = integrate_deg(wedge(first(s), t), V)
-    rhs = boundary_flux(wedge(s, t), V) - (-1) ** m * integrate_deg(wedge(s, second(t)), V)
+    if s.rank + t.rank + extra != V.dim:
+        raise ValueError(f"flavor needs rank(s) + rank(t){' + 1' * extra} = dim")
+    lhs = integral(wedge(first(s), t), V)
+    return lhs, boundary_flux(wedge(s, t), V) - (-1) ** s.rank * integral(wedge(s, second(t)), V)
+
+
+def by_parts_check(s: FiveForm, t: FiveForm, V: ParamSurface, flavor: str) -> bool:
+    """Integration by parts, exactly: both sides of ``by_parts_sides`` agree."""
+    lhs, rhs = by_parts_sides(s, t, V, flavor)
     return lhs == rhs
 
 

@@ -57,11 +57,11 @@ class MetricConfig:
         # metric here, not at its first use.
         self.kappa
 
-    def h(self, label: int) -> Fraction:
+    def h(self, label: int) -> Fraction | int:
         if label == 5:
             return self.xi
         if label in (0, 1, 2, 3):
-            return Fraction(self.g[label])
+            return self.g[label]
         raise ValueError(f"no basis label {label}")
 
     def weight(self, key: Sequence[int]) -> Fraction:
@@ -133,24 +133,24 @@ def _repeated_index_samples(m: int):
     return [(repeated, distinct), (distinct, repeated), (repeated, repeated)]
 
 
-def contraction_entry(
+def contraction_sides(
     A: Sequence[int],
     B: Sequence[int],
     upper: IndexedArray,
     lower: IndexedArray,
     cfg: MetricConfig,
-) -> bool:
-    """One entry of the contraction identity: the sum of upper[A + C] *
-    lower[B + C] over every label tuple C equals -(5-m)! * sign(xi) *
-    delta(A, B), where m = len(A) and upper/lower are the raised and
-    lowered alternating tensors of cfg.  Only the stored (nonzero) entries
-    of upper that start with A contribute."""
+) -> tuple[Fraction, int]:
+    """Both sides of one entry of the contraction identity: the sum of
+    upper[A + C] * lower[B + C] over every label tuple C, and -(5-m)! *
+    sign(xi) * delta(A, B), where m = len(A) and upper/lower are the raised
+    and lowered alternating tensors of cfg.  Only the stored (nonzero)
+    entries of upper that start with A contribute to the sum."""
     A, B, m = tuple(A), tuple(B), len(A)
     total = Fraction(0)
     for key, value in upper.values.items():
         if key[:m] == A:
             total += value * lower[B + key[m:]]
-    return total == -math.factorial(5 - m) * cfg.sign_xi * permutation_delta(A, B)
+    return total, -math.factorial(5 - m) * cfg.sign_xi * permutation_delta(A, B)
 
 
 def epsilon_contraction(m: int, cfg: MetricConfig = DEFAULT_CFG) -> bool:
@@ -165,7 +165,8 @@ def epsilon_contraction(m: int, cfg: MetricConfig = DEFAULT_CFG) -> bool:
         itertools.product(itertools.permutations(FIVE_AXES, m), repeat=2),
         _repeated_index_samples(m),
     )
-    return all(contraction_entry(A, B, upper, lower, cfg) for A, B in pairs)
+    sides = (contraction_sides(A, B, upper, lower, cfg) for A, B in pairs)
+    return all(total == expected for total, expected in sides)
 
 
 # -- the two lowering maps and the dual ----------------------------------------

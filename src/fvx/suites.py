@@ -2,9 +2,11 @@
 
 Every identity draws exact random instances (rational coefficients with
 numerator and denominator bounded by 9) from a per-suite deterministic
-stream, evaluates an exact equality, and on failure greedily drops
-monomials from the instance while the failure persists before serializing
-it.  A patched (mutated) operator is exercised everywhere: the patch rebinds
+stream and yields the pairs of exact values it equates, one route on each
+side.  One rule decides every verdict, ``Identity.holds``: an instance
+passes when every pair is equal.  On failure the instance is shrunk by
+greedily dropping monomials while the failure persists, then serialized.
+A patched (mutated) operator is exercised everywhere: the patch rebinds
 every name of it in the fvx modules, including the by-name imports of
 ``integration`` and ``lagrange``.
 """
@@ -16,8 +18,9 @@ import json
 import math
 import random
 from dataclasses import dataclass, replace
+from functools import partial
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from fvx import calculus as ca
 from fvx import forms_core as fc
@@ -228,9 +231,16 @@ def shrink_instance(inst: dict, still_fails: Callable[[dict], bool]) -> dict:
 
 @dataclass(frozen=True)
 class Identity:
+    """A named identity: ``make`` draws an instance, ``sides`` yields the
+    ``(lhs, rhs)`` pairs it equates, lazily, so a failing pair stops the
+    comparison before the next one is computed."""
+
     name: str
     make: Callable[[random.Random, SuiteConfig], dict]
-    holds: Callable[[dict, SuiteConfig], bool]
+    sides: Callable[[dict, SuiteConfig], Iterator[tuple[object, object]]]
+
+    def holds(self, inst: dict, cfg: SuiteConfig) -> bool:
+        return all(lhs == rhs for lhs, rhs in self.sides(inst, cfg))
 
 
 def run_single(ident: Identity, rng: random.Random, cfg: SuiteConfig) -> tuple[bool, str | None]:
@@ -321,25 +331,26 @@ def _make_wedge_triple(rng, cfg):
     }
 
 
-def _holds_wedge_unit(i, cfg):
+def _wedge_unit(i, cfg):
     t = i["t"]
-    return fc.wedge(_ONE, t) == t and fc.wedge(t, _ONE) == t
+    yield fc.wedge(_ONE, t), t
+    yield fc.wedge(t, _ONE), t
 
 
-def _holds_graded_commutativity(i, cfg):
+def _graded_commutativity(i, cfg):
     s, t = i["s"], i["t"]
-    sign = (-1) ** (s.rank * t.rank)
-    return fc.wedge(s, t) == fc.wedge(t, s) * sign
+    yield fc.wedge(s, t), fc.wedge(t, s) * (-1) ** (s.rank * t.rank)
 
 
-def _holds_associativity(i, cfg):
+def _associativity(i, cfg):
     s, t, u = i["s"], i["t"], i["u"]
-    return fc.wedge(fc.wedge(s, t), u) == fc.wedge(s, fc.wedge(t, u))
+    yield fc.wedge(fc.wedge(s, t), u), fc.wedge(s, fc.wedge(t, u))
 
 
-def _holds_block_split(i, cfg):
+def _block_split(i, cfg):
     t = i["t"]
-    return fc.z_part(t) + fc.e_part(t) == t and fc.e_part(fc.z_part(t)).is_zero
+    yield fc.z_part(t) + fc.e_part(t), t
+    yield fc.e_part(fc.z_part(t)), t.zero(t.rank)
 
 
 def _make_transfer(rng, cfg):
@@ -349,18 +360,18 @@ def _make_transfer(rng, cfg):
     }
 
 
-def _holds_transfer(i, cfg):
-    s, t = i["s"], i["t"]
-    e = fc.e_part(t)
-    return fc.s_from_t(fc.t_from_s(s)) == s and fc.t_from_s(fc.s_from_t(e)) == e
+def _transfer(i, cfg):
+    s, e = i["s"], fc.e_part(i["t"])
+    yield fc.s_from_t(fc.t_from_s(s)), s
+    yield fc.t_from_s(fc.s_from_t(e)), e
 
 
 ALGEBRA = (
-    Identity("wedge-unit", _make_nonzero_form, _holds_wedge_unit),
-    Identity("wedge-graded-commutativity", _make_pair(5), _holds_graded_commutativity),
-    Identity("wedge-associativity", _make_wedge_triple, _holds_associativity),
-    Identity("block-split", _make_one_form, _holds_block_split),
-    Identity("label-five-transfer", _make_transfer, _holds_transfer),
+    Identity("wedge-unit", _make_nonzero_form, _wedge_unit),
+    Identity("wedge-graded-commutativity", _make_pair(5), _graded_commutativity),
+    Identity("wedge-associativity", _make_wedge_triple, _associativity),
+    Identity("block-split", _make_one_form, _block_split),
+    Identity("label-five-transfer", _make_transfer, _transfer),
 )
 
 
@@ -394,58 +405,50 @@ def _make_bracket(rng, cfg):
     }
 
 
-# The factories below name their operator and look it up in ``calculus`` on
-# every call: a captured function object would slip past a mutation or a
-# tracer, both of which rebind the module-level name.
+# A family of identities that differ only in their operators is one function
+# bound to the operators' names with ``partial``; it looks them up in
+# ``calculus`` on every call: a captured function object would slip past a
+# mutation or a tracer, both of which rebind the module-level name.
 
 
-def _holds_nilpotent(op: str):
-    def holds(i, cfg):
-        d = getattr(ca, op)
-        return d(d(i["t"])).is_zero
-
-    return holds
+def _nilpotent(op: str, i, cfg):
+    d = getattr(ca, op)
+    twice = d(d(i["t"]))
+    yield twice, twice.zero(twice.rank)
 
 
-def _holds_bd_unit(i, cfg):
-    return ca.bd(_ONE) == fc.j_form() and ca.bdstar(_ONE) == -fc.j_form()
+def _routes(op: str, route: str, i, cfg):
+    yield getattr(ca, op)(i["t"]), getattr(ca, route)(i["t"])
 
 
-def _holds_from_d5(op: str, sign: int):
-    def holds(i, cfg):
-        t = i["t"]
-        return getattr(ca, op)(t) == ca.d5(t) + fc.wedge(fc.j_form(), t) * sign
-
-    return holds
+def _bd_unit(i, cfg):
+    yield ca.bd(_ONE), fc.j_form()
+    yield ca.bdstar(_ONE), -fc.j_form()
 
 
-def _holds_reflection_gap(i, cfg):
+def _reflection_gap(i, cfg):
     t = i["t"]
-    return ca.bd(t) - ca.bdstar(t) == fc.wedge(fc.j_form(), t) * 2
+    yield ca.bd(t) - ca.bdstar(t), fc.wedge(fc.j_form(), t) * 2
 
 
-def _holds_basis_derivative(i, cfg):
+def _basis_derivative(i, cfg):
     axis = i["axis"]
     o_axis = fc.basis_one_form(axis)
-    if ca.bd(o_axis) != fc.wedge(fc.j_form(), o_axis):
-        return False
+    yield ca.bd(o_axis), fc.wedge(fc.j_form(), o_axis)
     if axis == 5:
-        return ca.bd(_ONE) == o_axis
-    x = Poly.variable(axis, 4)
-    return ca.bd(_ONE * x) - ca.bd(_ONE) * x == o_axis
+        yield ca.bd(_ONE), o_axis
+    else:
+        x = Poly.variable(axis, 4)
+        yield ca.bd(_ONE * x) - ca.bd(_ONE) * x, o_axis
 
 
-def _holds_leibniz(op: str):
-    def holds(i, cfg):
-        d = getattr(ca, op)
-        s, t = i["s"], i["t"]
-        sign = (-1) ** s.rank
-        return d(fc.wedge(s, t)) == fc.wedge(d(s), t) + fc.wedge(s, d(t)) * sign
-
-    return holds
+def _leibniz(op: str, i, cfg):
+    d = getattr(ca, op)
+    s, t = i["s"], i["t"]
+    yield d(fc.wedge(s, t)), fc.wedge(d(s), t) + fc.wedge(s, d(t)) * (-1) ** s.rank
 
 
-def _holds_leibniz_bd(i, cfg):
+def _leibniz_bd(i, cfg):
     s, t = i["s"], i["t"]
     sign = (-1) ** s.rank
     expected = (
@@ -453,51 +456,51 @@ def _holds_leibniz_bd(i, cfg):
         + fc.wedge(s, ca.bd(t)) * sign
         - fc.wedge(fc.j_form(), fc.wedge(s, t))
     )
-    return ca.bd(fc.wedge(s, t)) == expected
+    yield ca.bd(fc.wedge(s, t)), expected
 
 
-def _holds_leibniz_mixed(i, cfg):
+def _leibniz_mixed(i, cfg):
     s, t = i["s"], i["t"]
     sign = (-1) ** s.rank
     lhs = ca.d5(fc.wedge(s, t))
-    first = fc.wedge(ca.bd(s), t) + fc.wedge(s, ca.bdstar(t)) * sign
-    second = fc.wedge(ca.bdstar(s), t) + fc.wedge(s, ca.bd(t)) * sign
-    return lhs == first and lhs == second
+    yield lhs, fc.wedge(ca.bd(s), t) + fc.wedge(s, ca.bdstar(t)) * sign
+    yield lhs, fc.wedge(ca.bdstar(s), t) + fc.wedge(s, ca.bd(t)) * sign
 
 
-def _holds_potential(op: str, potential: str):
-    def holds(i, cfg):
-        d = getattr(ca, op)
-        s = d(i["t"])
-        return d(getattr(ca, potential)(s)) == s
-
-    return holds
+def _potential(op: str, potential: str, i, cfg):
+    d = getattr(ca, op)
+    s = d(i["t"])
+    yield d(getattr(ca, potential)(s)), s
 
 
-def _holds_bracket(i, cfg):
-    return ca.bracket_check(i["t"], i["u"], i["v"])
+def _bracket(i, cfg):
+    yield ca.bracket_sides(i["t"], i["u"], i["v"])
 
 
 CALCULUS = (
-    Identity("d4-nilpotent", _make_form(4, **_FOUR_LABELS), _holds_nilpotent("d4")),
-    Identity("d5-nilpotent", _make_one_form, _holds_nilpotent("d5")),
-    Identity("bd-nilpotent", _make_one_form, _holds_nilpotent("bd")),
-    Identity("bdstar-nilpotent", _make_one_form, _holds_nilpotent("bdstar")),
-    Identity("bd-unit", _make_axis, _holds_bd_unit),
-    Identity("bd-from-d5", _make_coord_active_form, _holds_from_d5("bd", 1)),
-    Identity("bdstar-from-d5", _make_coord_active_form, _holds_from_d5("bdstar", -1)),
-    Identity("reflection-gap", _make_subtop_form, _holds_reflection_gap),
-    Identity("basis-derivative", _make_axis, _holds_basis_derivative),
-    Identity("leibniz-d4", _make_leibniz_pair4, _holds_leibniz("d4")),
-    Identity("leibniz-d5", _make_leibniz_pair5, _holds_leibniz("d5")),
-    Identity("leibniz-bd", _make_leibniz_pair5, _holds_leibniz_bd),
-    Identity("leibniz-mixed", _make_leibniz_pair5, _holds_leibniz_mixed),
+    Identity("d4-nilpotent", _make_form(4, **_FOUR_LABELS), partial(_nilpotent, "d4")),
+    Identity("d5-nilpotent", _make_one_form, partial(_nilpotent, "d5")),
+    Identity("bd-nilpotent", _make_one_form, partial(_nilpotent, "bd")),
+    Identity("bdstar-nilpotent", _make_one_form, partial(_nilpotent, "bdstar")),
+    Identity("bd-unit", _make_axis, _bd_unit),
+    Identity("bd-from-d5", _make_coord_active_form, partial(_routes, "bd", "bd_via_d5")),
     Identity(
-        "potential-d4", _make_inexact_source_4, _holds_potential("d4", "poincare_potential_4")
+        "bdstar-from-d5", _make_coord_active_form, partial(_routes, "bdstar", "bdstar_via_d5")
     ),
-    Identity("potential-d5", _make_subtop_form, _holds_potential("d5", "poincare_potential_5")),
-    Identity("potential-bd", _make_subtop_form, _holds_potential("bd", "poincare_potential_bd")),
-    Identity("bracket-pairing", _make_bracket, _holds_bracket),
+    Identity("reflection-gap", _make_subtop_form, _reflection_gap),
+    Identity("basis-derivative", _make_axis, _basis_derivative),
+    Identity("leibniz-d4", _make_leibniz_pair4, partial(_leibniz, "d4")),
+    Identity("leibniz-d5", _make_leibniz_pair5, partial(_leibniz, "d5")),
+    Identity("leibniz-bd", _make_leibniz_pair5, _leibniz_bd),
+    Identity("leibniz-mixed", _make_leibniz_pair5, _leibniz_mixed),
+    Identity(
+        "potential-d4", _make_inexact_source_4, partial(_potential, "d4", "poincare_potential_4")
+    ),
+    Identity("potential-d5", _make_subtop_form, partial(_potential, "d5", "poincare_potential_5")),
+    Identity(
+        "potential-bd", _make_subtop_form, partial(_potential, "bd", "poincare_potential_bd")
+    ),
+    Identity("bracket-pairing", _make_bracket, _bracket),
 )
 
 
@@ -532,29 +535,26 @@ def _make_reparam(rng, cfg):
     }
 
 
-def _holds_stokes(variant: str):
-    def holds(i, cfg):
-        return ig.stokes_check(i["t"], i["V"], variant)
-
-    return holds
+def _stokes(variant: str, i, cfg):
+    yield ig.stokes_sides(i["t"], i["V"], variant)
 
 
-def _holds_four_vector_stokes(i, cfg):
+def _four_vector_stokes(i, cfg):
     S, V = i["S"], i["V"]
-    return ig.boundary_flux(fc.lift(S), V) == ig.integrate_m(fc.lift(ca.d4(S)), V)
+    yield ig.boundary_flux(fc.lift(S), V), ig.integrate_m(fc.lift(ca.d4(S)), V)
 
 
-def _holds_reparam(i, cfg):
+def _reparam(i, cfg):
     t, V = i["t"], i["V"]
     stretched = ig.reparametrized(V, i["target"].box)
-    return ig.integrate_m(t, V) == ig.integrate_m(t, stretched)
+    yield ig.integrate_m(t, V), ig.integrate_m(t, stretched)
 
 
 STOKES = (
-    Identity("boundary-interior-plain", _make_stokes(1), _holds_stokes("rank_eq_dim_plus")),
-    Identity("boundary-interior-five", _make_stokes(0), _holds_stokes("rank_eq_dim")),
-    Identity("four-vector-stokes", _make_four_vector_stokes, _holds_four_vector_stokes),
-    Identity("reparametrization-invariance", _make_reparam, _holds_reparam),
+    Identity("boundary-interior-plain", _make_stokes(1), partial(_stokes, "rank_eq_dim_plus")),
+    Identity("boundary-interior-five", _make_stokes(0), partial(_stokes, "rank_eq_dim")),
+    Identity("four-vector-stokes", _make_four_vector_stokes, _four_vector_stokes),
+    Identity("reparametrization-invariance", _make_reparam, _reparam),
 )
 
 
@@ -583,23 +583,19 @@ def _make_by_parts(shift: int):
     return make
 
 
-def _holds_flux_routes(i, cfg):
-    direct, derivative = ig.flux_sides(i["t"], i["V"])
-    return direct == derivative
+def _flux(i, cfg):
+    yield ig.flux_sides(i["t"], i["V"])
 
 
-def _holds_by_parts(flavor: str):
-    def holds(i, cfg):
-        return ig.by_parts_check(i["s"], i["t"], i["V"], flavor)
-
-    return holds
+def _by_parts(flavor: str, i, cfg):
+    yield ig.by_parts_sides(i["s"], i["t"], i["V"], flavor)
 
 
 FLUX = (
-    Identity("five-flux-routes", _make_flux, _holds_flux_routes),
-    Identity("by-parts-d5", _make_by_parts(1), _holds_by_parts("d5")),
-    Identity("by-parts-bd-left", _make_by_parts(0), _holds_by_parts("bd_left")),
-    Identity("by-parts-bdstar-left", _make_by_parts(0), _holds_by_parts("bdstar_left")),
+    Identity("five-flux-routes", _make_flux, _flux),
+    Identity("by-parts-d5", _make_by_parts(1), partial(_by_parts, "d5")),
+    Identity("by-parts-bd-left", _make_by_parts(0), partial(_by_parts, "bd_left")),
+    Identity("by-parts-bdstar-left", _make_by_parts(0), partial(_by_parts, "bdstar_left")),
 )
 
 
@@ -613,9 +609,10 @@ def _make_epsilon_key(rng, cfg):
     return {"key": tuple(labels)}
 
 
-def _holds_epsilon_reference(i, cfg):
+def _epsilon_reference(i, cfg):
     eps = md.epsilon_lower(DEFAULT_CFG)
-    return eps[(0, 1, 2, 3, 5)] == 1 and eps[i["key"]] == fc.permutation_sign(i["key"])
+    yield eps[(0, 1, 2, 3, 5)], 1
+    yield eps[i["key"]], fc.permutation_sign(i["key"])
 
 
 def _make_contraction(rng, cfg):
@@ -628,28 +625,25 @@ def _make_contraction(rng, cfg):
     return {"upper": upper, "lower": lower}
 
 
-def _holds_contraction(i, cfg):
-    return all(
-        md.contraction_entry(
-            i["upper"], i["lower"], md.epsilon_upper(metric), md.epsilon_lower(metric), metric
-        )
-        for metric in (cfg.metric, replace(cfg.metric, xi=-cfg.metric.xi))
-    )
+def _contraction(i, cfg):
+    for metric in (cfg.metric, replace(cfg.metric, xi=-cfg.metric.xi)):
+        raised, lowered = md.epsilon_upper(metric), md.epsilon_lower(metric)
+        yield md.contraction_sides(i["upper"], i["lower"], raised, lowered, metric)
 
 
 def _make_multivector(rng, cfg):
     return {"w": rand_form(rng, rng.randint(0, 5), cfg.max_degree, cls=MultiVector)}
 
 
-def _holds_theta_roundtrip(i, cfg):
+def _theta_roundtrip(i, cfg):
     w = i["w"]
-    return md.theta_h_inv(md.theta_h(w, cfg.metric), cfg.metric) == w
+    yield md.theta_h_inv(md.theta_h(w, cfg.metric), cfg.metric), w
 
 
-def _holds_dual_involution(i, cfg):
+def _dual_involution(i, cfg):
     metric = _metric_for_dual(cfg)
     w = i["t"]
-    return md.dual(md.dual(w, metric), metric) == w * (-metric.sign_xi)
+    yield md.dual(md.dual(w, metric), metric), w * (-metric.sign_xi)
 
 
 def _make_same_rank_pair(rng, cfg):
@@ -667,11 +661,12 @@ _make_pairing_pair = _redraw(
 )
 
 
-def _holds_wedge_dual_pairing(i, cfg):
+def _wedge_dual_pairing(i, cfg):
     s, t = i["s"], i["t"]
     metric = cfg.metric
     paired = md.epsilon_five_form(metric) * md.h_inner(s, t, metric)
-    return fc.wedge(s, md.dual(t, metric)) == paired and fc.wedge(md.dual(s, metric), t) == paired
+    yield fc.wedge(s, md.dual(t, metric)), paired
+    yield fc.wedge(md.dual(s, metric), t), paired
 
 
 def _hodge4(W: FourForm, metric: MetricConfig) -> FourForm:
@@ -692,19 +687,19 @@ def _make_zfree(rng, cfg):
     return {"w": rand_form(rng, 2, cfg.max_degree, axes=fc.COORD_AXES)}
 
 
-def _holds_zfree_hodge(i, cfg):
+def _zfree_hodge(i, cfg):
     metric = _metric_for_dual(cfg)
     w = i["w"]
-    return md.dual2_zfree(w, metric) == fc.lift(_hodge4(fc.project(w), metric))
+    yield md.dual2_zfree(w, metric), fc.lift(_hodge4(fc.project(w), metric))
 
 
 DUALITY = (
-    Identity("epsilon-reference", _make_epsilon_key, _holds_epsilon_reference),
-    Identity("epsilon-contraction", _make_contraction, _holds_contraction),
-    Identity("theta-roundtrip", _make_multivector, _holds_theta_roundtrip),
-    Identity("dual-involution", _make_one_form, _holds_dual_involution),
-    Identity("wedge-dual-pairing", _make_pairing_pair, _holds_wedge_dual_pairing),
-    Identity("zfree-hodge", _make_zfree, _holds_zfree_hodge),
+    Identity("epsilon-reference", _make_epsilon_key, _epsilon_reference),
+    Identity("epsilon-contraction", _make_contraction, _contraction),
+    Identity("theta-roundtrip", _make_multivector, _theta_roundtrip),
+    Identity("dual-involution", _make_one_form, _dual_involution),
+    Identity("wedge-dual-pairing", _make_pairing_pair, _wedge_dual_pairing),
+    Identity("zfree-hodge", _make_zfree, _zfree_hodge),
 )
 
 
@@ -735,27 +730,27 @@ def _make_el_flux(rng, cfg):
     }
 
 
-def _holds_bd_lambda_residual(i, cfg):
+def _bd_lambda_residual(i, cfg):
     L, phi = i["L"], i["phi"]
     lam = lg.Lambda_form(L, phi, 0)
-    return ca.bd(lam).coeff((0, 1, 2, 3, 5)) == lg.el_residual(L, phi, 0)
+    yield ca.bd(lam).coeff((0, 1, 2, 3, 5)), lg.el_residual(L, phi, 0)
 
 
-def _holds_three_way(i, cfg):
+def _three_way(i, cfg):
     L, phi = i["L"], i["phi"]
     solved = lg.el_residual(L, phi, 0).is_zero
-    return lg.check_51(L, phi, 0) is solved and lg.check_55(L, phi, 0) is solved
+    yield lg.check_51(L, phi, 0), solved
+    yield lg.check_55(L, phi, 0), solved
 
 
-def _holds_el_flux_route(i, cfg):
-    direct, derivative = ig.flux_sides(lg.Lambda_form(i["L"], i["phi"], 0), i["V"])
-    return direct == derivative
+def _el_flux_route(i, cfg):
+    yield ig.flux_sides(lg.Lambda_form(i["L"], i["phi"], 0), i["V"])
 
 
 LAGRANGE = (
-    Identity("bd-lambda-residual", _make_el_off_shell, _holds_bd_lambda_residual),
-    Identity("three-way-equivalence", _make_el, _holds_three_way),
-    Identity("el-flux-route", _make_el_flux, _holds_el_flux_route),
+    Identity("bd-lambda-residual", _make_el_off_shell, _bd_lambda_residual),
+    Identity("three-way-equivalence", _make_el, _three_way),
+    Identity("el-flux-route", _make_el_flux, _el_flux_route),
 )
 
 
@@ -778,8 +773,8 @@ def _make_transposition(rng, cfg):
     return {"m": m, "weights": tuple(rand_fraction(rng) for _ in range(m))}
 
 
-def _holds_transposition(i, cfg):
-    return fc.transposition_identity_check(conforming_array(i["weights"]), i["m"])
+def _transposition(i, cfg):
+    yield fc.transposition_identity_check(conforming_array(i["weights"]), i["m"]), True
 
 
 def divergence_contraction(
@@ -835,22 +830,19 @@ def _make_divergence(labels: tuple[int, ...]):
     return make
 
 
-def _holds_divergence(labels: tuple[int, ...]):
-    def holds(i, cfg):
-        return divergence_contraction([i[f"w{h}"] for h in labels], i["probes"], labels)
-
-    return holds
+def _divergence(labels: tuple[int, ...], i, cfg):
+    yield divergence_contraction([i[f"w{h}"] for h in labels], i["probes"], labels), True
 
 
 APPENDIX = (
-    Identity("transposition-identity", _make_transposition, _holds_transposition),
+    Identity("transposition-identity", _make_transposition, _transposition),
     Identity(
         "divergence-contraction-4",
         _make_divergence(fc.COORD_AXES),
-        _holds_divergence(fc.COORD_AXES),
+        partial(_divergence, fc.COORD_AXES),
     ),
     Identity(
-        "divergence-contraction-5", _make_divergence(FIVE_AXES), _holds_divergence(FIVE_AXES)
+        "divergence-contraction-5", _make_divergence(FIVE_AXES), partial(_divergence, FIVE_AXES)
     ),
 )
 

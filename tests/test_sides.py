@@ -1,0 +1,154 @@
+"""The comparison protocol: identities yield their sides, one rule decides.
+
+Every identity yields the ``(lhs, rhs)`` pairs it equates, and
+``Identity.holds`` is the one pass/fail rule.  With the sides visible, a
+comparison of zero against zero shows: such an instance passes whatever
+the routes compute.  The census below counts, per identity, the instances
+where every pair is zero on both sides, and pins the counts as ceilings so
+that they can only fall.
+
+To print the census table (seed 0, 25 trials, as ``fvx check`` runs it):
+
+    PYTHONPATH=src python tests/test_sides.py
+"""
+
+import random
+from unittest import mock
+
+from fvx import suites as su
+from fvx.polyfield import Poly, parse_poly
+from fvx.suites import Identity, SuiteConfig
+
+# The nilpotency identities state a zero right side; their count says how
+# often the left side is zero too, which is no defect.
+NILPOTENT = {"d4-nilpotent", "d5-nilpotent", "bd-nilpotent", "bdstar-nilpotent"}
+
+# Identities whose pairs are verdicts of a library check against the
+# expected verdict, not two computed values; a bool is never zero.
+BOOL_PAIRS = {
+    "three-way-equivalence",
+    "transposition-identity",
+    "divergence-contraction-4",
+    "divergence-contraction-5",
+}
+
+# Vacuous instances per identity at seed 0 and 25 trials, as measured when
+# the sides protocol was introduced.  A generator fix lowers a ceiling; no
+# ceiling may be raised.
+VACUOUS_CEILINGS = {
+    "wedge-unit": 0,
+    "wedge-graded-commutativity": 12,
+    "wedge-associativity": 12,
+    "block-split": 5,
+    "label-five-transfer": 1,
+    "bd-unit": 0,
+    "bd-from-d5": 0,
+    "bdstar-from-d5": 0,
+    "reflection-gap": 11,
+    "basis-derivative": 0,
+    "leibniz-d4": 13,
+    "leibniz-d5": 12,
+    "leibniz-bd": 7,
+    "leibniz-mixed": 12,
+    "potential-d4": 0,
+    "potential-d5": 8,
+    "potential-bd": 9,
+    "bracket-pairing": 18,
+    "boundary-interior-plain": 15,
+    "boundary-interior-five": 13,
+    "four-vector-stokes": 9,
+    "reparametrization-invariance": 16,
+    "five-flux-routes": 0,
+    "by-parts-d5": 18,
+    "by-parts-bd-left": 17,
+    "by-parts-bdstar-left": 15,
+    "epsilon-reference": 0,
+    "epsilon-contraction": 18,
+    "theta-roundtrip": 7,
+    "dual-involution": 5,
+    "wedge-dual-pairing": 0,
+    "zfree-hodge": 4,
+    "bd-lambda-residual": 0,
+    "el-flux-route": 25,
+}
+
+
+def is_zero(value) -> bool:
+    """Zero for the exact values the identities compare: a Poly, a form, a
+    Fraction or an int.  A bool verdict is never zero."""
+    return not isinstance(value, bool) and not value
+
+
+def vacuity_census(seed: int = 0, trials: int = 25) -> dict[str, int]:
+    """Per identity, the number of instances ``run_suite`` draws at which
+    every pair the identity yields is zero on both sides."""
+    counts: dict[str, int] = {}
+
+    def census(ident, rng, cfg):
+        pairs = list(ident.sides(ident.make(rng, cfg), cfg))
+        vacuous = all(is_zero(lhs) and is_zero(rhs) for lhs, rhs in pairs)
+        counts[ident.name] = counts.get(ident.name, 0) + vacuous
+        return True, None
+
+    with mock.patch.object(su, "run_single", census):
+        su.run_suite(SuiteConfig(seed=seed, trials=trials))
+    return counts
+
+
+def test_every_identity_yields_a_pair():
+    cfg = SuiteConfig(trials=1)
+    for suite, idents in su.IDENTITIES.items():
+        rng = random.Random(f"0:{suite}")
+        for ident in idents:
+            pairs = list(ident.sides(ident.make(rng, cfg), cfg))
+            assert pairs, f"{suite}/{ident.name} yields no pair"
+            assert all(len(pair) == 2 for pair in pairs), f"{suite}/{ident.name}"
+
+
+def test_a_differing_pair_ends_the_comparison():
+    """The first pair differs and the second raises: the verdict is a
+    failure with a shrunk counterexample, because the second pair is never
+    computed.  An eager comparison would report ``raised RuntimeError``."""
+    p = parse_poly("x0 + x1", ("x0", "x1", "x2", "x3"))
+
+    def sides(i, cfg):
+        yield i["p"], Poly.zero(4)
+        raise RuntimeError("the pair after a differing one was computed")
+
+    stub = Identity("stub", lambda rng, cfg: {"p": p}, sides)
+    cfg = SuiteConfig(trials=1)
+    assert not stub.holds({"p": p}, cfg)
+    passed, counterexample = su.run_single(stub, random.Random(0), cfg)
+    assert not passed
+    # Shrinking drops x1, then stops: without x0 the first pair is equal and
+    # the second raises, which the shrinker counts as no longer failing.
+    assert counterexample == "p=x0"
+
+
+def test_vacuous_comparisons_only_decrease():
+    counts = vacuity_census()
+    names = {ident.name for idents in su.IDENTITIES.values() for ident in idents}
+    assert set(counts) == names
+    assert set(VACUOUS_CEILINGS) == names - NILPOTENT - BOOL_PAIRS
+    over = {
+        name: (counts[name], ceiling)
+        for name, ceiling in VACUOUS_CEILINGS.items()
+        if counts[name] > ceiling
+    }
+    assert not over, f"more vacuous instances than pinned (count, ceiling): {over}"
+    for name in BOOL_PAIRS:
+        assert counts[name] == 0, name
+
+
+if __name__ == "__main__":
+    counts = vacuity_census()
+    width = max(map(len, counts))
+    print(f"{'identity':<{width}}  vacuous/25  ceiling")
+    for name, count in sorted(counts.items(), key=lambda item: (-item[1], item[0])):
+        if name in NILPOTENT:
+            note = "rhs zero by statement"
+        elif name in BOOL_PAIRS:
+            note = "bool pairs"
+        else:
+            note = str(VACUOUS_CEILINGS[name])
+        print(f"{name:<{width}}  {count:>10}  {note}")
