@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 
 from fvx import calculus as ca
@@ -127,9 +128,48 @@ def cmd_operator(args) -> int:
     return 0
 
 
-def cmd_integrate(args) -> int:
+# The most terms a coefficient's pullback may need before an integral
+# command refuses it (exit 2).  Pulling back expands powers of the maps, so
+# a short file can ask for millions of terms: x0^200 on the affine map
+# l1 + l2 + 1 needs 20,301 and took seconds, x0^400 half a minute.
+PULLBACK_TERM_BUDGET = 10_000
+
+
+def _pullback_terms(p: Poly, V: ig.ParamSurface) -> int:
+    """Upper bound on the terms of p pulled back along V.  Per monomial,
+    x_i^e of a map with t terms and degree deg has at most C(e + t - 1,
+    t - 1) terms (multisets of its terms) and at most C(e * deg + dim, dim)
+    (monomials of bounded degree in the parameters); the bound is the sum
+    over the monomials of the product over the coordinates."""
+    shape = [(len(m.terms), max(map(sum, m.terms), default=0)) for m in V.map]
+    total = 0
+    for expo in p.terms:
+        count = 1
+        for e, (t, deg) in zip(expo, shape):
+            if e:
+                count *= min(math.comb(e + t - 1, e), math.comb(e * deg + V.dim, V.dim))
+        total += count
+    return total
+
+
+def _load_pullback(args) -> tuple[fc.FiveForm, ig.ParamSurface]:
+    """The form and surface of an integral command; a coefficient whose
+    pullback needs more than PULLBACK_TERM_BUDGET terms is unusable input."""
     form = fio.load_form(args.form)
     V = fio.load_surface(args.surface)
+    for key, coeff in form.coeffs.items():
+        terms = _pullback_terms(coeff, V)
+        if terms > PULLBACK_TERM_BUDGET:
+            label = "".join(map(str, key))
+            raise fio.FormatError(
+                f"{args.form}: coeffs[{label!r}]: pullback needs about {terms} terms,"
+                f" above {PULLBACK_TERM_BUDGET}"
+            )
+    return form, V
+
+
+def cmd_integrate(args) -> int:
+    form, V = _load_pullback(args)
     if form.rank == V.dim + 1:
         value = ig.integrate_deg(form, V)
     else:
@@ -139,8 +179,7 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_stokes(args) -> int:
-    form = fio.load_form(args.form)
-    V = fio.load_surface(args.surface)
+    form, V = _load_pullback(args)
     variant = args.variant
     if variant == "auto":
         variant = "rank_eq_dim" if form.rank == V.dim else "rank_eq_dim_plus"
@@ -148,8 +187,7 @@ def cmd_stokes(args) -> int:
 
 
 def cmd_flux(args) -> int:
-    form = fio.load_form(args.form)
-    V = fio.load_surface(args.surface)
+    form, V = _load_pullback(args)
     return _print_sides(("boundary+interior", "derivative route"), *ig.flux_sides(form, V))
 
 

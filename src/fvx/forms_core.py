@@ -305,7 +305,10 @@ class IndexedArray:
             raise ValueError("index set has repeats")
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "index_set", index_set)
-        table = {self._checked(key): Fraction(value) for key, value in (values or {}).items()}
+        table = {
+            self._checked(key): value if isinstance(value, Fraction) else Fraction(value)
+            for key, value in (values or {}).items()
+        }
         object.__setattr__(self, "values", {key: value for key, value in table.items() if value})
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -380,33 +383,39 @@ def antisymmetrize(array: IndexedArray, positions: Sequence[int]) -> IndexedArra
 
 def transposition_identity_check(array: IndexedArray, m: int) -> bool:
     """Exact check that moving the lead slot past m antisymmetric slots
-    costs the factor m * (-1)^(m+1) after re-antisymmetrizing."""
+    costs the factor m * (-1)^(m+1) after re-antisymmetrizing.
+
+    The re-antisymmetrized side of tail tau is a sum over sigma of
+    sgn(sigma) * S[tau o sigma, i].  Reindexing by pi = tau o sigma, with
+    sgn(tau o sigma) = sgn(tau) * sgn(sigma), turns it into sgn(tau) * G(i),
+    where G(i) = sum over pi of sgn(pi) * S[pi, i] does not depend on tau
+    (the argument that makes the antisymmetrizer idempotent; Spivak,
+    Calculus on Manifolds, ch. 4).  So G(i) is summed once per i, and each
+    S[(i,) + tau] is compared with it: m! * m steps, not m!^2 * m."""
     if not 2 <= m <= 5:
         raise ValueError("m must be between 2 and 5")
     if array.arity != m + 1:
         raise ValueError("array arity must be m+1")
     if len(array.index_set) != m:
         raise ValueError("slots must range over exactly m values")
-    # Antisymmetry via adjacent transpositions: every nonzero entry must be
-    # negated by each swap, which chains to the full permutation statement.
-    for idx, value in array.values.items():
-        for k in range(1, m):
-            swapped = list(idx)
-            swapped[k], swapped[k + 1] = swapped[k + 1], swapped[k]
-            if array[swapped] != -value:
-                raise ValueError("array is not antisymmetric in its last m slots")
-    factor = Fraction(m * (-1) ** (m + 1), math.factorial(m))
-    signed_perms = [(permutation_sign(perm), perm) for perm in itertools.permutations(range(m))]
     # Scale every entry to an integer by the common denominator; then
     # S[i, tail] == factor * total reads value * den == num * total exactly.
     scale = math.lcm(*(v.denominator for v in array.values.values()))
     scaled = {k: v.numerator * (scale // v.denominator) for k, v in array.values.items()}
+    # Antisymmetry via adjacent transpositions: every nonzero entry must be
+    # negated by each swap, which chains to the full permutation statement.
+    for idx, value in scaled.items():
+        for k in range(1, m):
+            swapped = idx[:k] + (idx[k + 1], idx[k]) + idx[k + 2 :]
+            if scaled.get(swapped, 0) != -value:
+                raise ValueError("array is not antisymmetric in its last m slots")
+    factor = Fraction(m * (-1) ** (m + 1), math.factorial(m))
     # Entries with a repeated tail vanish on both sides; only distinct tails
     # can carry weight.
-    for tail in itertools.permutations(array.index_set):
-        moved = [(sign, tuple(tail[p] for p in perm)) for sign, perm in signed_perms]
-        for i in array.index_set:
-            total = sum(sign * scaled.get(head + (i,), 0) for sign, head in moved)
-            if scaled.get((i,) + tail, 0) * factor.denominator != factor.numerator * total:
+    signed = [(permutation_sign(perm), perm) for perm in itertools.permutations(array.index_set)]
+    for i in array.index_set:
+        total = sum(sign * scaled.get(perm + (i,), 0) for sign, perm in signed)
+        for sign, tail in signed:
+            if scaled.get((i,) + tail, 0) * factor.denominator != factor.numerator * sign * total:
                 return False
     return True

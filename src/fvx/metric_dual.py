@@ -111,7 +111,15 @@ def epsilon_lower(cfg: MetricConfig = DEFAULT_CFG) -> IndexedArray:
 def epsilon_upper(cfg: MetricConfig = DEFAULT_CFG) -> IndexedArray:
     """All five indices raised with the inverse metric, one factor per slot."""
     lower = epsilon_lower(cfg)
-    values = {idx: value / cfg.weight(idx) for idx, value in lower.values.items()}
+    # The weight is a product over the labels, so entries that list the same
+    # labels share it: one product per sorted label set, for this call only.
+    weights: dict[tuple[int, ...], Fraction] = {}
+    values = {}
+    for idx, value in lower.values.items():
+        labels = tuple(sorted(idx))
+        if labels not in weights:
+            weights[labels] = cfg.weight(labels)
+        values[idx] = value / weights[labels]
     return IndexedArray(5, FIVE_AXES, values)
 
 

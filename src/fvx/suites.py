@@ -777,44 +777,57 @@ def _transposition(i, cfg):
     yield fc.transposition_identity_check(conforming_array(i["weights"]), i["m"]), True
 
 
-def divergence_contraction(
+def divergence_sides(
     weights: Sequence[Poly], probes: Sequence[tuple[int, ...]], labels: Sequence[int]
-) -> bool:
+) -> Iterator[tuple[Poly, Poly]]:
     """Contracted-divergence reading of the transposition identity for a
     vector-valued volume form over ``labels``: the four coordinate labels,
     or all five, where the label-5 directional derivative acts as the
-    identity.  ``weights`` holds one polynomial per label."""
+    identity.  ``weights`` holds one polynomial per label.  Yields one
+    ``(lhs, rhs)`` pair per probe: the divergence read from S, and the
+    re-antisymmetrized derivative of its contraction T."""
     n = len(labels)
+    weight = dict(zip(labels, weights))
 
     def S(h: int, key: tuple[int, ...]) -> Poly:
-        return weights[labels.index(h)] * fc.permutation_sign(key)
-
-    cache: dict[tuple[int, ...], Poly] = {}
+        return weight[h] * fc.permutation_sign(key)
 
     def T(key: tuple[int, ...]) -> Poly:
-        if key not in cache:
-            total = Poly.zero(4)
-            for h in labels:
+        # S(h, (h,) + key) has a repeated label, so is w_h * 0, for h in key.
+        total = Poly.zero(4)
+        for h in labels:
+            if h not in key:
                 total = total + S(h, (h,) + key)
-            cache[key] = total
-        return cache[key]
+        return total
 
+    derivatives: dict[tuple[int, ...], Poly] = {}
+    signed = [(fc.permutation_sign(perm), perm) for perm in itertools.permutations(range(n))]
     lead = Fraction(1, math.factorial(n))
     tail = Fraction(1, math.factorial(n - 1))
     for idx in probes:
         lhs = Poly.zero(4)
         for h in labels:
             lhs = lhs + ca.bullet_partial(S(h, idx), h)
-        lhs = lhs * lead
-        rhs = Poly.zero(4)
-        for perm in itertools.permutations(range(n)):
-            sign = fc.permutation_sign(perm)
+        # Reorderings that give the same sequence add their signs first; a
+        # probe with a repeated label cancels to all-zero counts this way.
+        counts: dict[tuple[int, ...], int] = {}
+        for sign, perm in signed:
             reordered = tuple(idx[p] for p in perm)
-            rhs = rhs + ca.bullet_partial(T(reordered[1:]), reordered[0]) * sign
-        rhs = rhs * (tail * lead)
-        if lhs != rhs:
-            return False
-    return True
+            counts[reordered] = counts.get(reordered, 0) + sign
+        rhs = Poly.zero(4)
+        for reordered, count in counts.items():
+            if count:
+                if reordered not in derivatives:
+                    derivatives[reordered] = ca.bullet_partial(T(reordered[1:]), reordered[0])
+                rhs = rhs + derivatives[reordered] * count
+        yield lhs * lead, rhs * (tail * lead)
+
+
+def divergence_contraction(
+    weights: Sequence[Poly], probes: Sequence[tuple[int, ...]], labels: Sequence[int]
+) -> bool:
+    """True when both sides of ``divergence_sides`` agree on every probe."""
+    return all(lhs == rhs for lhs, rhs in divergence_sides(weights, probes, labels))
 
 
 def _make_divergence(labels: tuple[int, ...]):
@@ -831,7 +844,7 @@ def _make_divergence(labels: tuple[int, ...]):
 
 
 def _divergence(labels: tuple[int, ...], i, cfg):
-    yield divergence_contraction([i[f"w{h}"] for h in labels], i["probes"], labels), True
+    yield from divergence_sides([i[f"w{h}"] for h in labels], i["probes"], labels)
 
 
 APPENDIX = (

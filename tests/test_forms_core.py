@@ -1,11 +1,12 @@
 """Wedge algebra, pairings, label-5 bookkeeping, and array antisymmetrization."""
 
 import itertools
+import random
 import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fvx.forms_core import (
     FIVE_AXES,
@@ -306,6 +307,49 @@ def test_transposition_identity_rejects_any_broken_entry(weights, data):
     values[key] = arr[key] + data.draw(st.fractions(-9, 9, max_denominator=12).filter(bool))
     with pytest.raises(ValueError, match="not antisymmetric"):
         transposition_identity_check(IndexedArray(m + 1, range(m), values), m)
+
+
+# The check regroups its sum by reindexing: for a tail tau, sigma -> tau o sigma
+# runs over every ordering pi of the index set once, and the sign factors.
+# Both facts hold for any index set, also one with label 5.
+_index_sets = st.lists(st.sampled_from(FIVE_AXES), min_size=2, max_size=5, unique=True).map(
+    lambda labels: tuple(sorted(labels))
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    _index_sets.flatmap(
+        lambda labels: st.tuples(st.permutations(labels), st.permutations(range(len(labels))))
+    )
+)
+@example(((0, 2, 5, 3), (1, 0, 3, 2)))
+def test_permutation_sign_is_multiplicative(perms):
+    tau, sigma = map(tuple, perms)
+    composed = tuple(tau[s] for s in sigma)
+    assert permutation_sign(composed) == permutation_sign(tau) * permutation_sign(sigma)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_index_sets, st.randoms(use_true_random=False))
+@example((0, 2, 3, 5), random.Random(0))
+def test_reindexing_lemma_on_arbitrary_arrays(labels, rng):
+    # Entries are arbitrary integers: no antisymmetry is assumed.
+    orderings = list(itertools.permutations(labels))
+    S = {pi + (i,): rng.randint(-99, 99) for pi in orderings for i in labels}
+    signed = [(permutation_sign(sigma), sigma) for sigma in itertools.permutations(range(len(labels)))]
+    for i in labels:
+        G = sum(permutation_sign(pi) * S[pi + (i,)] for pi in orderings)
+        for tau in orderings:
+            regrouped = sum(sign * S[tuple(tau[s] for s in sigma) + (i,)] for sign, sigma in signed)
+            assert regrouped == permutation_sign(tau) * G
+
+
+def test_transposition_identity_over_labels_with_five():
+    labels = (0, 2, 3, 5)
+    weights = dict(zip(labels, (Fraction(3, 2), Fraction(-1), Fraction(0), Fraction(2, 7))))
+    arr = IndexedArray.from_function(5, labels, lambda i, *j: weights[i] * permutation_sign(j))
+    assert transposition_identity_check(arr, 4)
 
 
 def test_transposition_identity_rejects_wrong_arity():

@@ -2,10 +2,10 @@
 
 import importlib
 import json
+import math
 import pkgutil
 import random
-import subprocess
-import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +20,8 @@ from fvx.cli import main
 from fvx.forms_core import FiveForm
 from fvx.metric_dual import MetricConfig
 from fvx.polyfield import parse_poly
+
+from children import run_python
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 
@@ -517,11 +519,7 @@ def test_oversized_json_integer_exits_two_naming_the_input(tmp_path, capsys):
 def test_zero_denominator_exits_two_without_traceback(tmp_path):
     path = tmp_path / "bad.form"
     path.write_text(json.dumps({"rank": 0, "coeffs": {"": "1/0 x0"}}))
-    result = subprocess.run(
-        [sys.executable, "-m", "fvx.cli", "bd", "--form", str(path)],
-        capture_output=True,
-        text=True,
-    )
+    result = run_python("-m", "fvx.cli", "bd", "--form", str(path))
     assert result.returncode == 2
     assert result.stderr.startswith("fvx: ")
     assert "coeffs['']" in result.stderr
@@ -535,11 +533,7 @@ def test_zero_denominator_exits_two_without_traceback(tmp_path):
 )
 def test_unwritable_out_exits_two_without_traceback(tmp_path, argv):
     path = tmp_path / "missing" / "out"
-    result = subprocess.run(
-        [sys.executable, "-m", "fvx.cli", *argv, "--out", str(path)],
-        capture_output=True,
-        text=True,
-    )
+    result = run_python("-m", "fvx.cli", *argv, "--out", str(path))
     assert result.returncode == 2
     assert result.stderr.startswith(f"fvx: {path}: ")
     assert "Traceback" not in result.stderr
@@ -601,6 +595,43 @@ def test_flux_routes_agree(capsys):
     assert "boundary+interior: 1/4" in out
     assert "derivative route: 1/4" in out
     assert "EQUAL" in out
+
+
+# x0^e on the affine map l1 + l2 + 1 pulls back to C(e + 2, 2) terms: 5,151
+# at e = 100, under the budget of 10,000, and 20,301 at e = 200, over it.
+# x2^32000 on demo/square.surf meets the monomial map l1 l2: one term.
+AFFINE = {"dim": 2, "map": ["l1 + l2 + 1", "l2", "0", "0"], "box": [[0, 1], [0, 1]]}
+
+
+@pytest.mark.parametrize("command", ["integrate", "stokes", "flux"])
+@pytest.mark.parametrize("e", [200, 400, 32767])
+def test_dense_pullback_exits_two_before_any_work(tmp_path, capsys, command, e):
+    form, surface = tmp_path / "x.form", tmp_path / "x.surf"
+    form.write_text(json.dumps({"rank": 2, "coeffs": {"01": f"x0^{e}"}}))
+    surface.write_text(json.dumps(AFFINE))
+    start = time.monotonic()
+    assert main([command, "--form", str(form), "--surface", str(surface)]) == 2
+    assert time.monotonic() - start < 1
+    message = f"coeffs['01']: pullback needs about {math.comb(e + 2, 2)} terms, above 10000"
+    assert capsys.readouterr().err == f"fvx: {form}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "coeff, surface, value",
+    [
+        ("x0^100", AFFINE, "2319198843294050984593472683032378121172671027501/5151"),
+        ("x2^32000", DEMO / "square.surf", "1/1024064001"),
+    ],
+    ids=["dense-under-budget", "monomial-map"],
+)
+def test_pullback_within_budget_integrates(tmp_path, capsys, coeff, surface, value):
+    form = tmp_path / "x.form"
+    form.write_text(json.dumps({"rank": 2, "coeffs": {"01": coeff}}))
+    if isinstance(surface, dict):
+        (tmp_path / "x.surf").write_text(json.dumps(surface))
+        surface = tmp_path / "x.surf"
+    assert main(["integrate", "--form", str(form), "--surface", str(surface)]) == 0
+    assert capsys.readouterr().out == f"{value}\n"
 
 
 # -- command line: field equations -------------------------------------------------------
@@ -699,10 +730,6 @@ def test_el_rejects_malformed_box_pairs(capsys, box, message):
 
 
 def test_module_runs_as_script():
-    result = subprocess.run(
-        [sys.executable, "-m", "fvx.cli", "check", "--suite", "algebra", "--trials", "2"],
-        capture_output=True,
-        text=True,
-    )
+    result = run_python("-m", "fvx.cli", "check", "--suite", "algebra", "--trials", "2")
     assert result.returncode == 0
     assert "0 failures" in result.stdout

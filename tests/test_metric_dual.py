@@ -104,6 +104,30 @@ def test_epsilon_upper_closed_form():
             assert upper[idx] == expected
 
 
+# Valid metrics: |det h| = |xi| must be a rational square.
+_metrics = st.builds(
+    MetricConfig,
+    g=st.tuples(*(st.sampled_from((1, -1)) for _ in range(4))),
+    xi=st.builds(
+        lambda sign, p, q: sign * Fraction(p, q) ** 2,
+        st.sampled_from((1, -1)),
+        st.integers(1, 9),
+        st.integers(1, 9),
+    ),
+    sigma=st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9),
+    eta=st.sampled_from((1, -1)),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_metrics)
+def test_epsilon_upper_divides_each_entry_by_its_weight(cfg):
+    upper, lower = epsilon_upper(cfg), epsilon_lower(cfg)
+    assert upper.values.keys() == lower.values.keys()
+    for idx in upper.values:
+        assert upper[idx] == lower[idx] / cfg.weight(idx)
+
+
 def test_full_contraction_scalar():
     for cfg in CFGS:
         upper, lower = epsilon_upper(cfg), epsilon_lower(cfg)

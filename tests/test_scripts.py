@@ -1,27 +1,12 @@
 """The experiment scripts named in the README run and print their findings."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from children import ROOT, run_python
 
 
-def run_script(name: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
+def run_script(name: str):
+    return run_python(str(ROOT / "scripts" / name), timeout=60)
 
 
 @pytest.mark.parametrize(

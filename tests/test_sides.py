@@ -12,12 +12,21 @@ To print the census table (seed 0, 25 trials, as ``fvx check`` runs it):
     PYTHONPATH=src python tests/test_sides.py
 """
 
+import itertools
+import math
 import random
+from fractions import Fraction
 from unittest import mock
 
+from hypothesis import example, given, settings, strategies as st
+
 from fvx import suites as su
+from fvx.calculus import bullet_partial
+from fvx.forms_core import COORD_AXES, FIVE_AXES, permutation_sign
 from fvx.polyfield import Poly, parse_poly
 from fvx.suites import Identity, SuiteConfig
+
+from formgen import P, small_polys
 
 # The nilpotency identities state a zero right side; their count says how
 # often the left side is zero too, which is no defect.
@@ -28,12 +37,10 @@ NILPOTENT = {"d4-nilpotent", "d5-nilpotent", "bd-nilpotent", "bdstar-nilpotent"}
 BOOL_PAIRS = {
     "three-way-equivalence",
     "transposition-identity",
-    "divergence-contraction-4",
-    "divergence-contraction-5",
 }
 
 # Vacuous instances per identity at seed 0 and 25 trials, as measured when
-# the sides protocol was introduced.  A generator fix lowers a ceiling; no
+# the identity began to yield its sides.  A generator fix lowers a ceiling; no
 # ceiling may be raised.
 VACUOUS_CEILINGS = {
     "wedge-unit": 0,
@@ -70,6 +77,8 @@ VACUOUS_CEILINGS = {
     "zfree-hodge": 4,
     "bd-lambda-residual": 0,
     "el-flux-route": 25,
+    "divergence-contraction-4": 6,
+    "divergence-contraction-5": 2,
 }
 
 
@@ -123,6 +132,50 @@ def test_a_differing_pair_ends_the_comparison():
     # Shrinking drops x1, then stops: without x0 the first pair is equal and
     # the second raises, which the shrinker counts as no longer failing.
     assert counterexample == "p=x0"
+
+
+def old_divergence_rhs(weights, idx, labels):
+    """The right side as it was computed before the reorderings were
+    grouped: one T and one derivative per signed permutation of the probe."""
+    n = len(labels)
+
+    def T(key):
+        total = Poly.zero(4)
+        for h in labels:
+            total = total + weights[labels.index(h)] * permutation_sign((h,) + key)
+        return total
+
+    rhs = Poly.zero(4)
+    for perm in itertools.permutations(range(n)):
+        reordered = tuple(idx[p] for p in perm)
+        rhs = rhs + bullet_partial(T(reordered[1:]), reordered[0]) * permutation_sign(perm)
+    return rhs * Fraction(1, math.factorial(n - 1) * math.factorial(n))
+
+
+def _probes(labels):
+    n = len(labels)
+    distinct = st.permutations(labels).map(tuple)
+    repeated = st.lists(st.sampled_from(labels), min_size=n, max_size=n).map(tuple)
+    return st.lists(st.one_of(distinct, repeated), min_size=1, max_size=3)
+
+
+_divergence_cases = st.sampled_from((COORD_AXES, FIVE_AXES)).flatmap(
+    lambda labels: st.tuples(
+        st.just(labels),
+        st.lists(small_polys, min_size=len(labels), max_size=len(labels)),
+        _probes(labels),
+    )
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_divergence_cases)
+@example((FIVE_AXES, [P("x0 x1"), P("x2"), P("1/2"), P("x3^2"), P("x0 - 3")], [(5, 0, 5, 1, 2)]))
+def test_grouped_divergence_rhs_matches_the_permutation_loop(case):
+    labels, weights, probes = case
+    sides = list(su.divergence_sides(weights, probes, labels))
+    assert [rhs for _, rhs in sides] == [old_divergence_rhs(weights, idx, labels) for idx in probes]
+    assert all(lhs == rhs for lhs, rhs in sides)
 
 
 def test_vacuous_comparisons_only_decrease():
