@@ -71,11 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     stokes = sub.add_parser("stokes", help="boundary term against interior derivative")
     stokes.add_argument("--form", required=True)
     stokes.add_argument("--surface", required=True)
-    stokes.add_argument(
-        "--variant",
-        choices=("auto",) + ig.STOKES_VARIANTS,
-        default="auto",
-    )
     stokes.set_defaults(handler=cmd_stokes)
 
     flux = sub.add_parser("flux", help="five-vector flux, both routes")
@@ -170,20 +165,13 @@ def _load_pullback(args) -> tuple[fc.FiveForm, ig.ParamSurface]:
 
 def cmd_integrate(args) -> int:
     form, V = _load_pullback(args)
-    if form.rank == V.dim + 1:
-        value = ig.integrate_deg(form, V)
-    else:
-        value = ig.integrate_m(form, V)
-    print(value)
+    print(ig.integrate(form, V))
     return 0
 
 
 def cmd_stokes(args) -> int:
     form, V = _load_pullback(args)
-    variant = args.variant
-    if variant == "auto":
-        variant = "rank_eq_dim" if form.rank == V.dim else "rank_eq_dim_plus"
-    return _print_sides(("boundary", "interior"), *ig.stokes_sides(form, V, variant))
+    return _print_sides(("boundary", "interior"), *ig.stokes_sides(form, V))
 
 
 def cmd_flux(args) -> int:
@@ -219,6 +207,8 @@ def _probe_box(arg: str | None) -> ig.ParamSurface:
 def cmd_el(args) -> int:
     L = fio.load_lagrangian(args.lagrangian)
     phi = fio.load_fields(args.fields)
+    if len(phi) != L.n_fields:
+        raise fio.FormatError(f"{args.fields}: {len(phi)} fields, but {args.lagrangian} has N = {L.n_fields}")
     V = _probe_box(args.box)
     report = lg.el_report(L, phi, V)
     for ell in range(L.n_fields):

@@ -290,7 +290,7 @@ class IndexedArray:
     nonzero entries are stored; ``array[idx]`` is the one read path and
     gives 0 for any tuple that is not stored."""
 
-    __slots__ = ("arity", "index_set", "values")
+    __slots__ = ("arity", "index_set", "_labels", "values")
 
     def __init__(
         self,
@@ -301,10 +301,12 @@ class IndexedArray:
         if arity < 1:
             raise ValueError("arity must be positive")
         index_set = tuple(index_set)
-        if len(set(index_set)) != len(index_set):
+        labels = frozenset(index_set)
+        if len(labels) != len(index_set):
             raise ValueError("index set has repeats")
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "index_set", index_set)
+        object.__setattr__(self, "_labels", labels)
         table = {
             self._checked(key): value if isinstance(value, Fraction) else Fraction(value)
             for key, value in (values or {}).items()
@@ -316,7 +318,7 @@ class IndexedArray:
 
     def _checked(self, idx: Iterable[int]) -> IndexKey:
         idx = tuple(idx)
-        if len(idx) != self.arity or not set(idx) <= set(self.index_set):
+        if len(idx) != self.arity or not self._labels.issuperset(idx):
             raise ValueError(f"bad index tuple {idx!r}")
         return idx
 

@@ -162,12 +162,6 @@ def _row_reduce(rows: list[list[Fraction]], cols: int):
     return rank, det, work
 
 
-def _mat_mul(A, B):
-    # Columns come from zip(*B), so a product with the 0 x 0 frame map of a
-    # point is a list of empty rows.
-    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*B)] for row in A]
-
-
 def _poly_det(rows: list[list[Poly]], nvars: int) -> Poly:
     total = Poly.zero(nvars)
     for perm in itertools.permutations(range(len(rows))):
@@ -265,17 +259,14 @@ def equivalence_check(
         return same_frames and frame_a.point == frame_b.point
 
     m = a.dim
-    # Columns of A/B are the coordinate parts of the tangent vectors; the rows
-    # of zb are the columns of B.
-    A = [[za[k][axis] for k in range(m)] for axis in range(4)]
-    B = [[zb[k][axis] for k in range(m)] for axis in range(4)]
-    gram = _mat_mul(zb, B)
-    rhs = _mat_mul(zb, A)
-    rank, _, reduced = _row_reduce([g + r for g, r in zip(gram, rhs)], m)
-    M = [row[m:] for row in reduced]
-    if rank < m or _mat_mul(B, M) != A:
+    # Solve B M = A (columns: the coordinate parts of the tangent vectors) by
+    # reducing the rows [B | A].  B has rank m, so rows 0..m-1 hold M; the
+    # system is consistent when the other rows reduce to zero.
+    augmented = [[zb[k][axis] for k in range(m)] + [za[k][axis] for k in range(m)] for axis in range(4)]
+    reduced = _row_reduce(augmented, m)[2]
+    if any(any(row[m:]) for row in reduced[m:]):
         return False
-    det = _row_reduce(M, m)[1]
+    det = _row_reduce([row[m:] for row in reduced[:m]], m)[1]
     if relation == "1":
         return det > 0
     return det == 1
@@ -324,6 +315,15 @@ def integrate_deg(form: FiveForm, V: ParamSurface) -> Fraction:
     )
 
 
+def integrate(form: FiveForm, V: ParamSurface) -> Fraction:
+    """The integral the rank picks: frame-completed when rank = dim + 1,
+    plain otherwise (which refuses any rank but dim).  Both names are looked
+    up at call time, so a patched ``integrate_m`` is the one called."""
+    if isinstance(form, FiveForm) and form.rank == V.dim + 1:
+        return integrate_deg(form, V)
+    return integrate_m(form, V)
+
+
 def integrate_full_frame(form: FiveForm, V: ParamSurface) -> Fraction:
     """Contraction with the bare tangent frame, no completion by **1**.
 
@@ -348,42 +348,26 @@ def boundary_flux(form: FiveForm, V: ParamSurface) -> Fraction:
     """Oriented sum of face integrals; the integral type follows the rank."""
     if V.dim < 1:
         raise ValueError("surface has no boundary")
-    if form.rank == V.dim - 1:
-        integral = integrate_m
-    elif form.rank == V.dim:
-        integral = integrate_deg
-    else:
+    if form.rank not in (V.dim - 1, V.dim):
         raise ValueError("rank incompatible with boundary flux")
     total = Fraction(0)
     for face in faces(V):
-        total += face.sign * integral(form, face.surface())
+        total += face.sign * integrate(form, face.surface())
     return total
 
 
-STOKES_VARIANTS = ("rank_eq_dim_plus", "rank_eq_dim")
-
-
-def stokes_sides(form: FiveForm, V: ParamSurface, variant: str) -> tuple[Fraction, Fraction]:
+def stokes_sides(form: FiveForm, V: ParamSurface) -> tuple[Fraction, Fraction]:
     """The boundary integral and the volume integral of the derivative.
 
-    ``rank_eq_dim_plus``: the surface dimension exceeds the rank by one and
-    both sides are plain integrals.  ``rank_eq_dim``: rank equals dimension
-    and both sides are frame-completed integrals.
+    With rank + 1 = dim both sides are plain integrals; with rank = dim both
+    are frame-completed.
     """
-    if variant == "rank_eq_dim_plus":
-        if form.rank + 1 != V.dim:
-            raise ValueError("variant needs rank + 1 = dim")
-        return boundary_flux(form, V), integrate_m(d5(form), V)
-    if variant == "rank_eq_dim":
-        if form.rank != V.dim:
-            raise ValueError("variant needs rank = dim")
-        return boundary_flux(form, V), integrate_deg(d5(form), V)
-    raise ValueError(f"unknown variant {variant!r}")
+    return boundary_flux(form, V), integrate(d5(form), V)
 
 
-def stokes_check(form: FiveForm, V: ParamSurface, variant: str) -> bool:
+def stokes_check(form: FiveForm, V: ParamSurface) -> bool:
     """Boundary integral versus volume integral of the derivative, exactly."""
-    boundary, interior = stokes_sides(form, V, variant)
+    boundary, interior = stokes_sides(form, V)
     return boundary == interior
 
 
@@ -400,30 +384,23 @@ def flux_sides(form: FiveForm, V: ParamSurface) -> tuple[Fraction, Fraction]:
     return five_flux(form, V), integrate_deg(bd(form), V)
 
 
-BY_PARTS_FLAVORS = ("d5", "bd_left", "bdstar_left")
-
-
 def by_parts_sides(
     s: FiveForm, t: FiveForm, V: ParamSurface, flavor: str
 ) -> tuple[Fraction, Fraction]:
     """Both sides of integration by parts, each integral computed independently.
 
-    ``d5``: plain derivative, surface dimension rank(s)+rank(t)+1.
-    ``bd_left`` / ``bdstar_left``: five-vector derivative on the left factor
-    and its reflection on the right (or swapped), dimension rank(s)+rank(t).
+    The flavor names the derivative pair: ``d5`` on both factors, ``bd_left``
+    bd on the left and bdstar on the right, ``bdstar_left`` the swap.  The
+    integral type follows the rank, so each flavor holds at rank(s) + rank(t)
+    + 1 = dim (plain) and at rank(s) + rank(t) = dim (frame-completed).
     """
-    if flavor == "d5":
-        integral, first, second, extra = integrate_m, d5, d5, 1
-    elif flavor == "bd_left":
-        integral, first, second, extra = integrate_deg, bd, bdstar, 0
-    elif flavor == "bdstar_left":
-        integral, first, second, extra = integrate_deg, bdstar, bd, 0
-    else:
+    # Built per call, so a patched derivative is the one used.
+    pairs = {"d5": (d5, d5), "bd_left": (bd, bdstar), "bdstar_left": (bdstar, bd)}
+    if flavor not in pairs:
         raise ValueError(f"unknown flavor {flavor!r}")
-    if s.rank + t.rank + extra != V.dim:
-        raise ValueError(f"flavor needs rank(s) + rank(t){' + 1' * extra} = dim")
-    lhs = integral(wedge(first(s), t), V)
-    return lhs, boundary_flux(wedge(s, t), V) - (-1) ** s.rank * integral(wedge(s, second(t)), V)
+    first, second = pairs[flavor]
+    lhs = integrate(wedge(first(s), t), V)
+    return lhs, boundary_flux(wedge(s, t), V) - (-1) ** s.rank * integrate(wedge(s, second(t)), V)
 
 
 def by_parts_check(s: FiveForm, t: FiveForm, V: ParamSurface, flavor: str) -> bool:

@@ -109,9 +109,10 @@ def bound_pairs(data: Sequence, where: str) -> tuple[tuple[Fraction, Fraction], 
     for k, pair in enumerate(data):
         if not isinstance(pair, Sequence) or isinstance(pair, str) or len(pair) != 2:
             raise FormatError(f"{where}: box[{k}] must be a pair [a, b]")
-        box.append(
-            (parse_rational(pair[0], f"box[{k}][0]"), parse_rational(pair[1], f"box[{k}][1]"))
-        )
+        a, b = parse_rational(pair[0], f"box[{k}][0]"), parse_rational(pair[1], f"box[{k}][1]")
+        if not a < b:
+            raise FormatError(f"{where}: box[{k}] must satisfy a < b, got [{a}, {b}]")
+        box.append((a, b))
     return tuple(box)
 
 

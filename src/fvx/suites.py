@@ -32,9 +32,16 @@ from fvx.forms_core import FIVE_AXES, FiveForm, FourForm, IndexedArray, MultiVec
 from fvx.integration import ParamSurface
 from fvx.lagrange import FieldSet, LagrangianSpec
 from fvx.metric_dual import DEFAULT_CFG, MetricConfig
-from fvx.polyfield import COORD_NAMES, MAX_EXPONENT, Poly, default_names, format_poly
+from fvx.polyfield import COORD_NAMES, Poly, default_names, format_poly
 
 SUITE_NAMES = ("algebra", "calculus", "stokes", "flux", "duality", "lagrange", "appendix")
+
+# The largest --max-degree.  Pullbacks grow fast with the degree (2 CPUs,
+# CPython 3.11): by_parts_sides on coefficients of three degree-D monomials over
+# a 4-parameter map of degree-2 terms took 0.08 s at D = 8, 1.3 s at 12, 3.6 s
+# at 16; `--suite stokes --max-degree 120 --trials 2` ran past 20 s inside
+# Poly.compose.  At the cap the default check takes 1.1-1.6 s (seeds 0-4).
+MAX_DEGREE = 8
 
 
 @dataclass(frozen=True)
@@ -51,8 +58,8 @@ class SuiteConfig:
             raise ValueError("trials must be at least 1")
         if self.max_degree < 1:
             raise ValueError("max degree must be at least 1")
-        if self.max_degree > MAX_EXPONENT:
-            raise ValueError(f"--max-degree {self.max_degree} above {MAX_EXPONENT}, the largest exponent")
+        if self.max_degree > MAX_DEGREE:
+            raise ValueError(f"--max-degree {self.max_degree} above the cap of {MAX_DEGREE}")
         if not self.suites:
             raise ValueError("no suites selected")
         for name in self.suites:
@@ -535,8 +542,8 @@ def _make_reparam(rng, cfg):
     }
 
 
-def _stokes(variant: str, i, cfg):
-    yield ig.stokes_sides(i["t"], i["V"], variant)
+def _stokes(i, cfg):
+    yield ig.stokes_sides(i["t"], i["V"])
 
 
 def _four_vector_stokes(i, cfg):
@@ -551,8 +558,8 @@ def _reparam(i, cfg):
 
 
 STOKES = (
-    Identity("boundary-interior-plain", _make_stokes(1), partial(_stokes, "rank_eq_dim_plus")),
-    Identity("boundary-interior-five", _make_stokes(0), partial(_stokes, "rank_eq_dim")),
+    Identity("boundary-interior-plain", _make_stokes(1), _stokes),
+    Identity("boundary-interior-five", _make_stokes(0), _stokes),
     Identity("four-vector-stokes", _make_four_vector_stokes, _four_vector_stokes),
     Identity("reparametrization-invariance", _make_reparam, _reparam),
 )

@@ -261,7 +261,7 @@ DEMO_OUTPUT = {
     'el --lagrangian demo/free_scalar.lag --fields demo/wave_solution.json': (0, 'field 0:\n  residual: 0\n  current/source match: yes\n  closed-form check: yes\n  probe flux: 0\nsolution\n', ''),
     'el --lagrangian demo/free_scalar.lag --fields demo/not_solution.json': (1, 'field 0:\n  residual: 2\n  current/source match: no\n  closed-form check: no\n  probe flux: 2\nnot a solution\n', ''),
     'integrate --form demo/shear.form --surface demo/cube4.surf': (2, '', 'fvx: rank must equal surface dimension\n'),
-    'stokes --form demo/shear.form --surface demo/cube4.surf': (2, '', 'fvx: variant needs rank + 1 = dim\n'),
+    'stokes --form demo/shear.form --surface demo/cube4.surf': (2, '', 'fvx: rank incompatible with boundary flux\n'),
 }
 
 

@@ -5,7 +5,9 @@ from unittest import mock
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fvx import integration as ig
 from fvx.calculus import bd, d4, d5
 from fvx.forms_core import (
     FiveForm,
@@ -31,6 +33,7 @@ from fvx.integration import (
     surface_multivector,
     tangent_frame,
 )
+from fvx.mutations import apply_mutation
 from fvx.polyfield import Poly, param_names, parse_poly
 from fvx.suites import SuiteConfig, run_suite
 
@@ -273,19 +276,19 @@ def test_boundary_flux_rank_incompatible():
         boundary_flux(wedge(basis_one_form(0), wedge(basis_one_form(1), j_form())), UNIT_SQUARE)
 
 
-# -- Stokes, both variants --------------------------------------------------------------
+# -- Stokes, at rank dim - 1 and rank dim -----------------------------------------------
 
 
 @given(five_forms(rank=1), surfaces(dim=2))
 @settings(max_examples=40, deadline=None)
 def test_stokes_classic_square(form, V):
-    assert stokes_check(form, V, "rank_eq_dim_plus")
+    assert stokes_check(form, V)
 
 
 @given(five_forms(rank=2), surfaces(dim=2))
 @settings(max_examples=40, deadline=None)
 def test_stokes_degenerate_variant(form, V):
-    assert stokes_check(form, V, "rank_eq_dim")
+    assert stokes_check(form, V)
 
 
 @given(four_forms(rank=1), surfaces(dim=2))
@@ -294,14 +297,33 @@ def test_stokes_reduces_to_coordinate_form(S, V):
     assert boundary_flux(lift(S), V) == integrate_m(lift(d4(S)), V)
 
 
-def test_stokes_rejects_bad_variant():
-    with pytest.raises(ValueError, match="unknown variant"):
-        stokes_check(j_form(), X_SEGMENT, "sideways")
-
-
 def test_stokes_rejects_rank_mismatch():
-    with pytest.raises(ValueError, match="rank"):
-        stokes_check(j_form(), UNIT_SQUARE, "rank_eq_dim")
+    # Rank 3 on a 2-surface fits neither rank + 1 = dim nor rank = dim.
+    with pytest.raises(ValueError, match="rank incompatible"):
+        stokes_check(FiveForm(3, {(0, 1, 2): P("1")}), UNIT_SQUARE)
+
+
+# -- the rank picks the integral --------------------------------------------------------
+
+
+def test_integrate_follows_the_rank():
+    area = FiveForm(2, {(0, 1): P("1"), (0, 5): P("1")})
+    assert ig.integrate(area, UNIT_SQUARE) == integrate_m(area, UNIT_SQUARE) == 1
+    completed = FiveForm(3, {(0, 1, 5): P("x0")})
+    assert ig.integrate(completed, UNIT_SQUARE) == integrate_deg(completed, UNIT_SQUARE) == Fraction(1, 2)
+    with pytest.raises(ValueError, match="rank must equal surface dimension"):
+        ig.integrate(j_form(), UNIT_SQUARE)
+
+
+def test_integrate_sign_mutation_reaches_the_rank_rule():
+    # integrate looks integrate_m up when called, so the patched one runs;
+    # integrate_deg is not mutated.
+    area = FiveForm(2, {(0, 1): P("1")})
+    completed = FiveForm(3, {(0, 1, 5): P("x0")})
+    with apply_mutation("integrate-sign"):
+        assert ig.integrate(area, UNIT_SQUARE) == -1
+        assert ig.integrate(completed, UNIT_SQUARE) == Fraction(1, 2)
+    assert ig.integrate(area, UNIT_SQUARE) == 1
 
 
 # -- five-vector flux ---------------------------------------------------------------------
@@ -362,6 +384,20 @@ def test_by_parts_plain(s, t, V):
 def test_by_parts_five_vector_both_orders(s, t, V):
     assert by_parts_check(s, t, V, "bd_left")
     assert by_parts_check(s, t, V, "bdstar_left")
+
+
+@pytest.mark.parametrize("flavor", ["d5", "bd_left", "bdstar_left"])
+@pytest.mark.parametrize("extra", [0, 1], ids=["rank-eq-dim", "rank-plus-one-eq-dim"])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_by_parts_every_flavor_at_both_ranks(flavor, extra, data):
+    # rank(s) + rank(t) + extra = dim: frame-completed integrals at extra 0,
+    # plain ones at extra 1, for every pair of derivatives.
+    dim = data.draw(st.integers(1, 3))
+    m = data.draw(st.integers(0, dim - extra))
+    s = data.draw(five_forms(rank=m))
+    t = data.draw(five_forms(rank=dim - extra - m))
+    assert by_parts_check(s, t, data.draw(surfaces(dim=dim)), flavor)
 
 
 def test_by_parts_rejects_bad_flavor():

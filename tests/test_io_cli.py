@@ -245,9 +245,9 @@ def test_suite_config_validation():
         su.SuiteConfig(trials=0)
     with pytest.raises(ValueError, match="max degree"):
         su.SuiteConfig(max_degree=0)
-    with pytest.raises(ValueError, match="--max-degree 32768 above 32767"):
-        su.SuiteConfig(max_degree=32768)
-    assert su.SuiteConfig(max_degree=32767).max_degree == 32767
+    with pytest.raises(ValueError, match="--max-degree 9 above the cap of 8"):
+        su.SuiteConfig(max_degree=9)
+    assert su.SuiteConfig(max_degree=8).max_degree == 8
     with pytest.raises(ValueError, match="no suites selected"):
         su.SuiteConfig(suites=())
     with pytest.raises(ValueError, match="unknown suite"):
@@ -256,7 +256,15 @@ def test_suite_config_validation():
 
 def test_check_refuses_max_degree_above_the_exponent_bound(capsys):
     assert main(["check", "--max-degree", "40000"]) == 2
-    assert capsys.readouterr().err == "fvx: --max-degree 40000 above 32767, the largest exponent\n"
+    assert capsys.readouterr().err == "fvx: --max-degree 40000 above the cap of 8\n"
+
+
+def test_check_refuses_a_high_degree_before_any_work(capsys):
+    # Degree 120 used to run for over a minute inside Poly.compose.
+    start = time.monotonic()
+    assert main(["check", "--suite", "stokes", "--max-degree", "120", "--trials", "2", "--seed", "0"]) == 2
+    assert time.monotonic() - start < 1
+    assert capsys.readouterr().err == "fvx: --max-degree 120 above the cap of 8\n"
 
 
 def test_identity_lookup():
@@ -469,6 +477,12 @@ def test_missing_file_exits_two(capsys):
             {"dim": 1, "map": ["l1", "0", "0", "0"], "box": [[0, "1e1000000"]]},
             "box[0][1]: bad rational '1e1000000' (expected [+-]digits[/digits or .digits])",
         ),
+        (
+            ["integrate", "--form", str(DEMO / "radial.form"), "--surface"],
+            "x.surf",
+            {"dim": 2, "map": ["l1", "l2", "0", "0"], "box": [[0, 1], [1, "1/2"]]},
+            "surface: box[1] must satisfy a < b, got [1, 1/2]",
+        ),
         (["bd", "--form"], "x.form", {"rank": 0, "coeffs": {"": "٣ x0^٢"}}, "coeffs['']: unexpected character '٣' at position 0"),
         (["dual", "--form", str(DEMO / "j.form"), "--config"], "x.cfg", {"g": ["1.5", 1, 1, 1]}, "cfg: g must list four signs"),
         (
@@ -490,6 +504,7 @@ def test_missing_file_exits_two(capsys):
         "irrational-metric",
         "arabic-indic-xi",
         "exponent-bound",
+        "empty-box-interval",
         "arabic-indic-coefficient",
         "fractional-sign",
         "huge-exponent",
@@ -570,22 +585,6 @@ def test_stokes_reports_both_sides(capsys):
     assert "boundary: 1" in out
     assert "interior: 1" in out
     assert "EQUAL" in out
-
-
-def test_stokes_explicit_variant_checks_rank(capsys):
-    rc = main(
-        [
-            "stokes",
-            "--form",
-            str(DEMO / "shear.form"),
-            "--surface",
-            str(DEMO / "square.surf"),
-            "--variant",
-            "rank_eq_dim",
-        ]
-    )
-    assert rc == 2
-    assert "rank = dim" in capsys.readouterr().err
 
 
 def test_flux_routes_agree(capsys):
@@ -702,12 +701,22 @@ def test_el_box_validation(capsys):
     assert "four" in capsys.readouterr().err
 
 
+def test_el_names_the_fields_file_on_a_count_mismatch(tmp_path, capsys):
+    fields = tmp_path / "two.json"
+    fields.write_text(json.dumps(["x0", "x1"]))
+    assert main(["el", "--lagrangian", str(DEMO / "free_scalar.lag"), "--fields", str(fields)]) == 2
+    lag = DEMO / "free_scalar.lag"
+    assert capsys.readouterr().err == f"fvx: {fields}: 2 fields, but {lag} has N = 1\n"
+
+
 @pytest.mark.parametrize(
     "box, message",
     [
         ("[1, 2, 3, 4]", "fvx: box: box[0] must be a pair"),
         ("[[0], [0], [0], [0]]", "fvx: box: box[0] must be a pair"),
         ("[[0, 1], [0, 1], [0, 1], [0, 1]", "fvx: box: Expecting ','"),
+        ("[[0, 1], [0, 1], [0, 1], [1, 1]]", "fvx: box: box[3] must satisfy a < b, got [1, 1]"),
+        ("[[0, 1], [2, -1], [0, 1], [0, 1]]", "fvx: box: box[1] must satisfy a < b, got [2, -1]"),
     ],
 )
 def test_el_rejects_malformed_box_pairs(capsys, box, message):
