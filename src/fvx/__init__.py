@@ -32,13 +32,11 @@ from fvx.forms_core import (
 from fvx.integration import (
     ParamSurface,
     boundary_flux,
-    by_parts_check,
     five_flux,
     integrate_deg,
     integrate_full_frame,
     integrate_m,
     reparametrized,
-    stokes_check,
 )
 from fvx.lagrange import (
     ELReport,
@@ -46,7 +44,6 @@ from fvx.lagrange import (
     LagrangianSpec,
     check_51,
     check_55,
-    check_57,
     el_report,
     el_residual,
     unit_probe_box,
@@ -73,10 +70,8 @@ __all__ = [
     "bd",
     "bdstar",
     "boundary_flux",
-    "by_parts_check",
     "check_51",
     "check_55",
-    "check_57",
     "contract",
     "d4",
     "d5",
@@ -100,7 +95,6 @@ __all__ = [
     "project",
     "reparametrized",
     "run_suite",
-    "stokes_check",
     "unit_probe_box",
     "wedge",
     "z_part",

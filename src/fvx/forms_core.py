@@ -189,23 +189,6 @@ def j_form() -> FiveForm:
     return basis_one_form(5)
 
 
-def dx_form(axis: int) -> FourForm:
-    if axis not in COORD_AXES:
-        raise ValueError(f"no coordinate label {axis}")
-    return FourForm(1, {(axis,): 1})
-
-
-def basis_vector(axis: int) -> MultiVector:
-    if axis not in FIVE_AXES:
-        raise ValueError(f"no basis label {axis}")
-    return MultiVector(1, {(axis,): 1})
-
-
-def one_vector() -> MultiVector:
-    """The distinguished vector **1** spanning the E direction."""
-    return basis_vector(5)
-
-
 # -- graded products and pairings --------------------------------------------
 
 
@@ -358,29 +341,6 @@ class IndexedArray:
     def __repr__(self) -> str:
         entries = {k: str(v) for k, v in self.values.items()}
         return f"IndexedArray({self.arity}, {self.index_set}, {entries})"
-
-
-def antisymmetrize(array: IndexedArray, positions: Sequence[int]) -> IndexedArray:
-    """Average over signed permutations of the named slots."""
-    positions = sorted(set(positions))
-    if not positions:
-        raise ValueError("positions must be nonempty")
-    if positions[0] < 0 or positions[-1] >= array.arity:
-        raise ValueError("slot position out of range")
-    perms = itertools.permutations(range(len(positions)))
-    signed_perms = [(permutation_sign(perm), perm) for perm in perms]
-    scale = Fraction(1, math.factorial(len(positions)))
-    out: dict[IndexKey, Fraction] = {}
-    for idx in itertools.product(array.index_set, repeat=array.arity):
-        sub = [idx[p] for p in positions]
-        total = Fraction(0)
-        for sign, perm in signed_perms:
-            permuted = list(idx)
-            for slot, src in zip(positions, perm):
-                permuted[slot] = sub[src]
-            total += sign * array[permuted]
-        out[idx] = total * scale
-    return IndexedArray(array.arity, array.index_set, out)
 
 
 def transposition_identity_check(array: IndexedArray, m: int) -> bool:

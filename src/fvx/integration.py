@@ -365,12 +365,6 @@ def stokes_sides(form: FiveForm, V: ParamSurface) -> tuple[Fraction, Fraction]:
     return boundary_flux(form, V), integrate(d5(form), V)
 
 
-def stokes_check(form: FiveForm, V: ParamSurface) -> bool:
-    """Boundary integral versus volume integral of the derivative, exactly."""
-    boundary, interior = stokes_sides(form, V)
-    return boundary == interior
-
-
 def five_flux(form: FiveForm, V: ParamSurface) -> Fraction:
     """Boundary flux plus signed volume term; equals the integral of bd(form)."""
     if form.rank != V.dim:
@@ -401,12 +395,6 @@ def by_parts_sides(
     first, second = pairs[flavor]
     lhs = integrate(wedge(first(s), t), V)
     return lhs, boundary_flux(wedge(s, t), V) - (-1) ** s.rank * integrate(wedge(s, second(t)), V)
-
-
-def by_parts_check(s: FiveForm, t: FiveForm, V: ParamSurface, flavor: str) -> bool:
-    """Integration by parts, exactly: both sides of ``by_parts_sides`` agree."""
-    lhs, rhs = by_parts_sides(s, t, V, flavor)
-    return lhs == rhs
 
 
 def reparametrized(V: ParamSurface, new_box: Sequence[Sequence[RationalLike]]) -> ParamSurface:

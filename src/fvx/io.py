@@ -148,6 +148,13 @@ def surface_to_dict(V: ParamSurface) -> dict:
     }
 
 
+# The largest field count N of a Lagrangian file, checked before the 5N
+# variable names are built.  `fvx el` grows faster than N^2 (2 CPUs, CPython
+# 3.11): N fields x0 x1 with one p{l}_0^2 term each took 3.5-4.6 s at the cap
+# and 31 s at N = 300; N = 2,000,000 spent 14 s building names without it.
+MAX_FIELDS = 100
+
+
 def lagrangian_from_dict(data: Any) -> LagrangianSpec:
     data = _expect_mapping(data, "lagrangian")
     unknown = set(data) - {"N", "density"}
@@ -156,6 +163,8 @@ def lagrangian_from_dict(data: Any) -> LagrangianSpec:
     n_fields = data.get("N")
     if not isinstance(n_fields, int) or isinstance(n_fields, bool) or n_fields < 1:
         raise FormatError("lagrangian: N must be a positive integer")
+    if n_fields > MAX_FIELDS:
+        raise FormatError(f"lagrangian: N = {n_fields} above the cap of {MAX_FIELDS}")
     density = _parse_poly(data.get("density"), lagrangian_names(n_fields), "density")
     return LagrangianSpec(n_fields, density)
 
@@ -205,15 +214,6 @@ def metric_from_dict(data: Any) -> MetricConfig:
         return MetricConfig(**kwargs)
     except ValueError as exc:
         raise FormatError(f"cfg: {exc}") from None
-
-
-def metric_to_dict(cfg: MetricConfig) -> dict:
-    return {
-        "g": list(cfg.g),
-        "xi": format_rational(cfg.xi),
-        "sigma": format_rational(cfg.sigma),
-        "eta": cfg.eta,
-    }
 
 
 def load_json(path: str) -> Any:

@@ -168,13 +168,6 @@ def check_55(L: LagrangianSpec, phi: FieldSet, ell: int) -> bool:
     return route_bd
 
 
-def check_57(L: LagrangianSpec, phi: FieldSet, ell: int, V: ParamSurface) -> bool:
-    """Vanishing five-vector flux of Lambda through a 4-dimensional probe."""
-    if V.dim != 4:
-        raise ValueError("probe surface must be four-dimensional")
-    return five_flux(Lambda_form(L, phi, ell), V) == 0
-
-
 def unit_probe_box() -> ParamSurface:
     """Identity embedding of the unit 4-cube."""
     maps = tuple(Poly.variable(k, 4) for k in range(4))

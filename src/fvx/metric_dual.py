@@ -108,9 +108,9 @@ def epsilon_lower(cfg: MetricConfig = DEFAULT_CFG) -> IndexedArray:
     return IndexedArray(5, FIVE_AXES, values)
 
 
-def epsilon_upper(cfg: MetricConfig = DEFAULT_CFG) -> IndexedArray:
-    """All five indices raised with the inverse metric, one factor per slot."""
-    lower = epsilon_lower(cfg)
+def epsilon_upper(lower: IndexedArray, cfg: MetricConfig) -> IndexedArray:
+    """The alternating tensor ``lower`` of cfg with all five indices raised by
+    the inverse metric, one factor per slot."""
     # The weight is a product over the labels, so entries that list the same
     # labels share it: one product per sorted label set, for this call only.
     weights: dict[tuple[int, ...], Fraction] = {}
@@ -133,14 +133,6 @@ def permutation_delta(upper: Sequence[int], lower: Sequence[int]) -> int:
     return permutation_sign(upper) * permutation_sign(lower)
 
 
-def _repeated_index_samples(m: int):
-    if m < 2:
-        return []
-    distinct = FIVE_AXES[:m]
-    repeated = (0, 0) + FIVE_AXES[1 : m - 1]
-    return [(repeated, distinct), (distinct, repeated), (repeated, repeated)]
-
-
 def contraction_sides(
     A: Sequence[int],
     B: Sequence[int],
@@ -159,22 +151,6 @@ def contraction_sides(
         if key[:m] == A:
             total += value * lower[B + key[m:]]
     return total, -math.factorial(5 - m) * cfg.sign_xi * permutation_delta(A, B)
-
-
-def epsilon_contraction(m: int, cfg: MetricConfig = DEFAULT_CFG) -> bool:
-    """Contract m free index pairs against 5-m summed ones and compare with
-    -(5-m)! * sign(xi) * delta, exhaustively over distinct index tuples and
-    on a sample of repeated tuples (where both sides must vanish)."""
-    if not 0 <= m <= 5:
-        raise ValueError("m must be between 0 and 5")
-    lower = epsilon_lower(cfg)
-    upper = epsilon_upper(cfg)
-    pairs = itertools.chain(
-        itertools.product(itertools.permutations(FIVE_AXES, m), repeat=2),
-        _repeated_index_samples(m),
-    )
-    sides = (contraction_sides(A, B, upper, lower, cfg) for A, B in pairs)
-    return all(total == expected for total, expected in sides)
 
 
 # -- the two lowering maps and the dual ----------------------------------------

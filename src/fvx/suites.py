@@ -634,7 +634,9 @@ def _make_contraction(rng, cfg):
 
 def _contraction(i, cfg):
     for metric in (cfg.metric, replace(cfg.metric, xi=-cfg.metric.xi)):
-        raised, lowered = md.epsilon_upper(metric), md.epsilon_lower(metric)
+        # epsilon-sign reaches both tables: raised is built from this lowered one.
+        lowered = md.epsilon_lower(metric)
+        raised = md.epsilon_upper(lowered, metric)
         yield md.contraction_sides(i["upper"], i["lower"], raised, lowered, metric)
 
 
@@ -828,13 +830,6 @@ def divergence_sides(
                     derivatives[reordered] = ca.bullet_partial(T(reordered[1:]), reordered[0])
                 rhs = rhs + derivatives[reordered] * count
         yield lhs * lead, rhs * (tail * lead)
-
-
-def divergence_contraction(
-    weights: Sequence[Poly], probes: Sequence[tuple[int, ...]], labels: Sequence[int]
-) -> bool:
-    """True when both sides of ``divergence_sides`` agree on every probe."""
-    return all(lhs == rhs for lhs, rhs in divergence_sides(weights, probes, labels))
 
 
 def _make_divergence(labels: tuple[int, ...]):

@@ -1,4 +1,5 @@
-"""Shared hypothesis strategies for random exact polynomials, forms, surfaces."""
+"""Shared hypothesis strategies for random exact polynomials, forms, surfaces,
+and the basis elements and index pairs that several test modules build."""
 
 import itertools
 from fractions import Fraction
@@ -13,6 +14,31 @@ from fvx.polyfield import COORD_NAMES, Poly, parse_poly
 
 def P(text: str) -> Poly:
     return parse_poly(text, COORD_NAMES)
+
+
+def dx_form(axis: int) -> FourForm:
+    """The coordinate one-form along one of the four coordinate labels."""
+    return FourForm(1, {(axis,): 1})
+
+
+def basis_vector(axis: int) -> MultiVector:
+    return MultiVector(1, {(axis,): 1})
+
+
+def one_vector() -> MultiVector:
+    """The distinguished vector **1** spanning the E direction."""
+    return basis_vector(5)
+
+
+def contraction_pairs(m: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Index pairs (A, B) for the epsilon contraction identity at m free
+    pairs: every pair of distinct-label tuples, and for m >= 2 three pairs
+    with a repeated label, where both sides must vanish."""
+    pairs = list(itertools.product(itertools.permutations(FIVE_AXES, m), repeat=2))
+    if m < 2:
+        return pairs
+    distinct, repeated = FIVE_AXES[:m], (0, 0) + FIVE_AXES[1 : m - 1]
+    return pairs + [(repeated, distinct), (distinct, repeated), (repeated, repeated)]
 
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)

@@ -27,16 +27,14 @@ from fvx.forms_core import (
     FiveForm,
     FourForm,
     basis_one_form,
-    basis_vector,
     contract,
-    dx_form,
     j_form,
     wedge,
     z_part,
 )
 from fvx.polyfield import Poly
 
-from formgen import P, five_forms, form_pairs_within_rank, four_forms, small_polys, vector_fields
+from formgen import P, basis_vector, dx_form, five_forms, form_pairs_within_rank, four_forms, small_polys, vector_fields
 
 
 # -- coordinate exterior derivative -------------------------------------------

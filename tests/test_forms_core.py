@@ -1,6 +1,7 @@
 """Wedge algebra, pairings, label-5 bookkeeping, and array antisymmetrization."""
 
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -14,15 +15,11 @@ from fvx.forms_core import (
     FourForm,
     IndexedArray,
     MultiVector,
-    antisymmetrize,
     basis_one_form,
-    basis_vector,
     contract,
-    dx_form,
     e_part,
     j_form,
     lift,
-    one_vector,
     permutation_sign,
     project,
     s_from_t,
@@ -32,8 +29,9 @@ from fvx.forms_core import (
     z_part,
 )
 from fvx.polyfield import Poly
+from fvx.suites import conforming_array
 
-from formgen import P, five_forms, form_pairs_within_rank
+from formgen import P, basis_vector, dx_form, five_forms, form_pairs_within_rank, one_vector
 
 
 # -- wedge -------------------------------------------------------------------
@@ -210,16 +208,6 @@ def test_pairing_defines_s_from_t(t):
 # -- indexed arrays -------------------------------------------------------------
 
 
-def random_conforming_array(m: int, weights) -> IndexedArray:
-    # Antisymmetric over m values in the last m slots forces a single
-    # sign-pattern block per lead index.
-    return IndexedArray.from_function(
-        m + 1,
-        list(range(m)),
-        lambda i, *j: weights[i] * permutation_sign(j),
-    )
-
-
 def test_indexed_array_stores_only_nonzero_entries():
     arr = IndexedArray(2, [0, 1], {(0, 1): Fraction(1, 2), (1, 0): 0})
     assert arr.values == {(0, 1): Fraction(1, 2)}
@@ -232,6 +220,23 @@ def test_indexed_array_stores_only_nonzero_entries():
             arr[bad]
         with pytest.raises(ValueError, match=re.escape(f"bad index tuple {bad!r}")):
             IndexedArray(2, [0, 1], {bad: 0})
+
+
+def antisymmetrize(array: IndexedArray, positions) -> IndexedArray:
+    """Average over signed permutations of the named slots, listed in
+    increasing order."""
+    if not positions:
+        raise ValueError("positions must be nonempty")
+    out = {}
+    for idx in itertools.product(array.index_set, repeat=array.arity):
+        total = Fraction(0)
+        for perm in itertools.permutations(positions):
+            permuted = list(idx)
+            for slot, src in zip(positions, perm):
+                permuted[slot] = idx[src]
+            total += permutation_sign(perm) * array[permuted]
+        out[idx] = total / math.factorial(len(positions))
+    return IndexedArray(array.arity, array.index_set, out)
 
 
 def test_antisymmetrize_idempotent_on_antisymmetric():
@@ -269,7 +274,7 @@ def test_antisymmetrize_requires_positions():
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_transposition_identity_on_conforming_arrays(m):
     weights = [Fraction(k + 1, 2) for k in range(m)]
-    assert transposition_identity_check(random_conforming_array(m, weights), m)
+    assert transposition_identity_check(conforming_array(weights), m)
 
 
 def test_transposition_identity_zero_array():
@@ -292,7 +297,7 @@ _weight_lists = st.integers(2, 5).flatmap(
 @given(_weight_lists)
 def test_transposition_identity_accepts_mixed_denominators(weights):
     m = len(weights)
-    assert transposition_identity_check(random_conforming_array(m, weights), m)
+    assert transposition_identity_check(conforming_array(weights), m)
 
 
 @settings(max_examples=20, deadline=None)
@@ -301,7 +306,7 @@ def test_transposition_identity_rejects_any_broken_entry(weights, data):
     # The broken tuple ranges over every tuple, stored or not: only nonzero
     # entries are stored, so a zero entry made nonzero must be caught too.
     m = len(weights)
-    arr = random_conforming_array(m, weights)
+    arr = conforming_array(weights)
     key = data.draw(st.sampled_from(list(itertools.product(range(m), repeat=m + 1))))
     values = dict(arr.values)
     values[key] = arr[key] + data.draw(st.fractions(-9, 9, max_denominator=12).filter(bool))

@@ -21,7 +21,7 @@ from fvx.forms_core import (
 from fvx.integration import (
     ParamSurface,
     boundary_flux,
-    by_parts_check,
+    by_parts_sides,
     equivalence_check,
     faces,
     five_flux,
@@ -29,7 +29,7 @@ from fvx.integration import (
     integrate_full_frame,
     integrate_m,
     reparametrized,
-    stokes_check,
+    stokes_sides,
     surface_multivector,
     tangent_frame,
 )
@@ -282,13 +282,15 @@ def test_boundary_flux_rank_incompatible():
 @given(five_forms(rank=1), surfaces(dim=2))
 @settings(max_examples=40, deadline=None)
 def test_stokes_classic_square(form, V):
-    assert stokes_check(form, V)
+    boundary, interior = stokes_sides(form, V)
+    assert boundary == interior
 
 
 @given(five_forms(rank=2), surfaces(dim=2))
 @settings(max_examples=40, deadline=None)
 def test_stokes_degenerate_variant(form, V):
-    assert stokes_check(form, V)
+    boundary, interior = stokes_sides(form, V)
+    assert boundary == interior
 
 
 @given(four_forms(rank=1), surfaces(dim=2))
@@ -300,7 +302,7 @@ def test_stokes_reduces_to_coordinate_form(S, V):
 def test_stokes_rejects_rank_mismatch():
     # Rank 3 on a 2-surface fits neither rank + 1 = dim nor rank = dim.
     with pytest.raises(ValueError, match="rank incompatible"):
-        stokes_check(FiveForm(3, {(0, 1, 2): P("1")}), UNIT_SQUARE)
+        stokes_sides(FiveForm(3, {(0, 1, 2): P("1")}), UNIT_SQUARE)
 
 
 # -- the rank picks the integral --------------------------------------------------------
@@ -370,20 +372,23 @@ def test_five_flux_equals_bd_integral_squares(form, V):
 @settings(max_examples=30, deadline=None)
 def test_by_parts_with_unit_right_factor(s):
     V = unit_cube(2)
-    assert by_parts_check(s, FiveForm.from_scalar(1), V, "d5")
+    lhs, rhs = by_parts_sides(s, FiveForm.from_scalar(1), V, "d5")
+    assert lhs == rhs
 
 
 @given(five_forms(rank=1), five_forms(rank=0), surfaces(dim=2))
 @settings(max_examples=30, deadline=None)
 def test_by_parts_plain(s, t, V):
-    assert by_parts_check(s, t, V, "d5")
+    lhs, rhs = by_parts_sides(s, t, V, "d5")
+    assert lhs == rhs
 
 
 @given(five_forms(rank=1), five_forms(rank=1), surfaces(dim=2))
 @settings(max_examples=30, deadline=None)
 def test_by_parts_five_vector_both_orders(s, t, V):
-    assert by_parts_check(s, t, V, "bd_left")
-    assert by_parts_check(s, t, V, "bdstar_left")
+    for flavor in ("bd_left", "bdstar_left"):
+        lhs, rhs = by_parts_sides(s, t, V, flavor)
+        assert lhs == rhs, flavor
 
 
 @pytest.mark.parametrize("flavor", ["d5", "bd_left", "bdstar_left"])
@@ -397,12 +402,13 @@ def test_by_parts_every_flavor_at_both_ranks(flavor, extra, data):
     m = data.draw(st.integers(0, dim - extra))
     s = data.draw(five_forms(rank=m))
     t = data.draw(five_forms(rank=dim - extra - m))
-    assert by_parts_check(s, t, data.draw(surfaces(dim=dim)), flavor)
+    lhs, rhs = by_parts_sides(s, t, data.draw(surfaces(dim=dim)), flavor)
+    assert lhs == rhs
 
 
 def test_by_parts_rejects_bad_flavor():
     with pytest.raises(ValueError, match="unknown flavor"):
-        by_parts_check(j_form(), j_form(), UNIT_SQUARE, "sideways")
+        by_parts_sides(j_form(), j_form(), UNIT_SQUARE, "sideways")
 
 
 # -- parametrization-dependent contraction -----------------------------------------------------

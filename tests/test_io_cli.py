@@ -188,6 +188,9 @@ def test_lagrangian_roundtrip():
             assert fio.lagrangian_from_dict(data) == drawn
     with pytest.raises(fio.FormatError, match="positive integer"):
         fio.lagrangian_from_dict({"N": 0, "density": "0"})
+    assert fio.lagrangian_from_dict({"N": fio.MAX_FIELDS, "density": "0"}).n_fields == fio.MAX_FIELDS
+    with pytest.raises(fio.FormatError, match=f"N = {fio.MAX_FIELDS + 1} above the cap"):
+        fio.lagrangian_from_dict({"N": fio.MAX_FIELDS + 1, "density": "0"})
 
 
 def test_fields_roundtrip():
@@ -208,7 +211,6 @@ def test_fields_roundtrip():
 def test_metric_roundtrip_and_partial_keys():
     cfg = fio.metric_from_dict({"g": [1, 1, 1, -1], "xi": "-1/1", "sigma": "2", "eta": -1})
     assert cfg == MetricConfig(g=(1, 1, 1, -1), xi=Fraction(-1), sigma=Fraction(2), eta=-1)
-    assert fio.metric_from_dict(fio.metric_to_dict(cfg)) == cfg
     # omitted keys fall back to the defaults
     assert fio.metric_from_dict({"xi": 1}).g == (1, -1, -1, -1)
     with pytest.raises(fio.FormatError, match="four signs"):
@@ -707,6 +709,17 @@ def test_el_names_the_fields_file_on_a_count_mismatch(tmp_path, capsys):
     assert main(["el", "--lagrangian", str(DEMO / "free_scalar.lag"), "--fields", str(fields)]) == 2
     lag = DEMO / "free_scalar.lag"
     assert capsys.readouterr().err == f"fvx: {fields}: 2 fields, but {lag} has N = 1\n"
+
+
+def test_el_refuses_a_huge_field_count_before_building_names(tmp_path):
+    # 5N variable names would take about 14 s to build at this N.
+    lag = tmp_path / "huge.lag"
+    lag.write_text(json.dumps({"N": 2_000_000, "density": "p0_0"}))
+    start = time.monotonic()
+    result = run_python("-m", "fvx.cli", "el", "--lagrangian", str(lag), "--fields", str(DEMO / "wave_solution.json"))
+    assert time.monotonic() - start < 1
+    assert result.returncode == 2
+    assert result.stderr == f"fvx: {lag}: lagrangian: N = 2000000 above the cap of {fio.MAX_FIELDS}\n"
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,6 @@ from fvx.lagrange import (
     LagrangianSpec,
     check_51,
     check_55,
-    check_57,
     el_report,
     el_residual,
     lagrangian_names,
@@ -199,8 +198,8 @@ def test_three_formulations_agree(dense, phi):
 
 
 def test_check_57_unit_box():
-    assert check_57(WAVE, fields("x0*x1"), 0, unit_probe_box())
-    assert not check_57(WAVE, fields("x0^2"), 0, unit_probe_box())
+    assert five_flux(Lambda_form(WAVE, fields("x0*x1"), 0), unit_probe_box()) == 0
+    assert five_flux(Lambda_form(WAVE, fields("x0^2"), 0), unit_probe_box()) != 0
 
 
 def test_flux_equals_integrated_residual():
@@ -214,14 +213,8 @@ def test_flux_probe_can_miss_nonsolutions():
     phi = fields("x0^3")
     maps = tuple(Poly.variable(k, 4) for k in range(4))
     symmetric = ParamSurface(4, maps, ((-1, 1), (0, 1), (0, 1), (0, 1)))
-    assert check_57(WAVE, phi, 0, symmetric)
+    assert five_flux(Lambda_form(WAVE, phi, 0), symmetric) == 0
     assert not check_51(WAVE, phi, 0)
-
-
-def test_check_57_requires_dim_four():
-    cube3 = ParamSurface(3, tuple(Poly.variable(k, 3) for k in range(3)) + (Poly.zero(3),), ((0, 1),) * 3)
-    with pytest.raises(ValueError, match="probe surface must be four-dimensional"):
-        check_57(WAVE, fields("x0"), 0, cube3)
 
 
 @given(densities(), field_sets(), surfaces(dim=4, max_deg=1))

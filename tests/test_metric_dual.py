@@ -13,7 +13,6 @@ from fvx.forms_core import (
     FourForm,
     MultiVector,
     basis_one_form,
-    basis_vector,
     contract,
     e_part,
     j_form,
@@ -26,9 +25,9 @@ from fvx.forms_core import (
 from fvx.metric_dual import (
     DEFAULT_CFG,
     MetricConfig,
+    contraction_sides,
     dual,
     dual2_zfree,
-    epsilon_contraction,
     epsilon_five_form,
     epsilon_lower,
     epsilon_pair,
@@ -42,7 +41,7 @@ from fvx.metric_dual import (
 from fvx.polyfield import Poly
 from fvx.suites import SuiteConfig, run_suite
 
-from formgen import P, five_forms, small_polys
+from formgen import P, basis_vector, contraction_pairs, five_forms, small_polys
 
 LORENTZ = DEFAULT_CFG
 FLIPPED_XI = MetricConfig(xi=Fraction(1))
@@ -98,7 +97,7 @@ def test_epsilon_upper_closed_form():
     # Raising all five indices must reproduce -sign(xi) eta |det h|^(-1/2)
     # on each permutation, for metrics with det g = -1.
     for cfg in CFGS:
-        upper = epsilon_upper(cfg)
+        upper = epsilon_upper(epsilon_lower(cfg), cfg)
         for idx in itertools.permutations(FIVE_AXES):
             expected = Fraction(-cfg.sign_xi * cfg.eta) / cfg.kappa * permutation_sign(idx)
             assert upper[idx] == expected
@@ -122,7 +121,8 @@ _metrics = st.builds(
 @settings(max_examples=30, deadline=None)
 @given(_metrics)
 def test_epsilon_upper_divides_each_entry_by_its_weight(cfg):
-    upper, lower = epsilon_upper(cfg), epsilon_lower(cfg)
+    lower = epsilon_lower(cfg)
+    upper = epsilon_upper(lower, cfg)
     assert upper.values.keys() == lower.values.keys()
     for idx in upper.values:
         assert upper[idx] == lower[idx] / cfg.weight(idx)
@@ -130,7 +130,8 @@ def test_epsilon_upper_divides_each_entry_by_its_weight(cfg):
 
 def test_full_contraction_scalar():
     for cfg in CFGS:
-        upper, lower = epsilon_upper(cfg), epsilon_lower(cfg)
+        lower = epsilon_lower(cfg)
+        upper = epsilon_upper(lower, cfg)
         total = sum(
             upper[idx] * lower[idx] for idx in itertools.permutations(FIVE_AXES)
         )
@@ -140,13 +141,18 @@ def test_full_contraction_scalar():
 @pytest.mark.parametrize("m", range(6))
 @pytest.mark.parametrize("cfg", [LORENTZ, FLIPPED_XI])
 def test_epsilon_contraction_identity(m, cfg):
-    assert epsilon_contraction(m, cfg)
+    lower = epsilon_lower(cfg)
+    upper = epsilon_upper(lower, cfg)
+    for A, B in contraction_pairs(m):
+        total, expected = contraction_sides(A, B, upper, lower, cfg)
+        assert total == expected, (A, B)
 
 
 def test_epsilon_contraction_spot_check():
     # One entry at m = 2, against the explicit sum over the three free labels.
     cfg = LORENTZ
-    upper, lower = epsilon_upper(cfg), epsilon_lower(cfg)
+    lower = epsilon_lower(cfg)
+    upper = epsilon_upper(lower, cfg)
     A = B = (0, 1)
     total = sum(
         upper[A + C] * lower[B + C]

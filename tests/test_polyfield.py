@@ -17,9 +17,7 @@ from fvx.polyfield import (
     parse_poly,
 )
 
-
-def P(text: str) -> Poly:
-    return parse_poly(text, COORD_NAMES)
+from formgen import P
 
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
