@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import sys
 
 from fvx import calculus as ca
@@ -123,43 +122,13 @@ def cmd_operator(args) -> int:
     return 0
 
 
-# The most terms a coefficient's pullback may need before an integral
-# command refuses it (exit 2).  Pulling back expands powers of the maps, so
-# a short file can ask for millions of terms: x0^200 on the affine map
-# l1 + l2 + 1 needs 20,301 and took seconds, x0^400 half a minute.
-PULLBACK_TERM_BUDGET = 10_000
-
-
-def _pullback_terms(p: Poly, V: ig.ParamSurface) -> int:
-    """Upper bound on the terms of p pulled back along V.  Per monomial,
-    x_i^e of a map with t terms and degree deg has at most C(e + t - 1,
-    t - 1) terms (multisets of its terms) and at most C(e * deg + dim, dim)
-    (monomials of bounded degree in the parameters); the bound is the sum
-    over the monomials of the product over the coordinates."""
-    shape = [(len(m.terms), max(map(sum, m.terms), default=0)) for m in V.map]
-    total = 0
-    for expo in p.terms:
-        count = 1
-        for e, (t, deg) in zip(expo, shape):
-            if e:
-                count *= min(math.comb(e + t - 1, e), math.comb(e * deg + V.dim, V.dim))
-        total += count
-    return total
-
-
 def _load_pullback(args) -> tuple[fc.FiveForm, ig.ParamSurface]:
-    """The form and surface of an integral command; a coefficient whose
-    pullback needs more than PULLBACK_TERM_BUDGET terms is unusable input."""
+    """The form and surface of an integral command, each coefficient's
+    pullback within the budget."""
     form = fio.load_form(args.form)
     V = fio.load_surface(args.surface)
     for key, coeff in form.coeffs.items():
-        terms = _pullback_terms(coeff, V)
-        if terms > PULLBACK_TERM_BUDGET:
-            label = "".join(map(str, key))
-            raise fio.FormatError(
-                f"{args.form}: coeffs[{label!r}]: pullback needs about {terms} terms,"
-                f" above {PULLBACK_TERM_BUDGET}"
-            )
+        fio.check_pullback(coeff, V.map, V.dim, f"{args.form}: coeffs[{''.join(map(str, key))!r}]")
     return form, V
 
 
@@ -209,6 +178,7 @@ def cmd_el(args) -> int:
     phi = fio.load_fields(args.fields)
     if len(phi) != L.n_fields:
         raise fio.FormatError(f"{args.fields}: {len(phi)} fields, but {args.lagrangian} has N = {L.n_fields}")
+    fio.check_pullback(L.density, lg.jet_maps(L, phi), 4, f"{args.lagrangian}: density")
     V = _probe_box(args.box)
     report = lg.el_report(L, phi, V)
     for ell in range(L.n_fields):

@@ -21,7 +21,6 @@ convention rather than assuming it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -31,7 +30,6 @@ from fvx.forms_core import (
     COORD_AXES,
     FiveForm,
     MultiVector,
-    permutation_sign,
     wedge,
     z_part,
 )
@@ -163,13 +161,26 @@ def _row_reduce(rows: list[list[Fraction]], cols: int):
 
 
 def _poly_det(rows: list[list[Poly]], nvars: int) -> Poly:
-    total = Poly.zero(nvars)
-    for perm in itertools.permutations(range(len(rows))):
-        term = Poly.const(permutation_sign(perm), nvars)
-        for row, col in zip(rows, perm):
-            term = term * row[col]
-        total = total + term
-    return total
+    """Determinant by cofactor expansion down the columns.  The minor of the
+    trailing columns on a set of rows is computed once per row set (a
+    bitmask), and zero entries and zero minors are skipped; see Gentleman &
+    Johnson, ACM TOMS 2(3), 1976."""
+    n = len(rows)
+    minors = {0: Poly.const(1, nvars)}
+
+    def minor(mask: int) -> Poly:
+        if mask not in minors:
+            col, total, sign = n - bin(mask).count("1"), Poly.zero(nvars), 1
+            for r in (r for r in range(n) if mask >> r & 1):
+                rest = mask ^ (1 << r)
+                if rows[r][col] and minor(rest):
+                    term = rows[r][col] * minors[rest]
+                    total = total + term if sign > 0 else total - term
+                sign = -sign
+            minors[mask] = total
+        return minors[mask]
+
+    return minor((1 << n) - 1)
 
 
 # -- tangent frames and surface equivalence ------------------------------------
@@ -277,15 +288,24 @@ def equivalence_check(
 
 def _pullback_integral(form: FiveForm, V: ParamSurface, frame_rows) -> Fraction:
     """Integral over the box of each pulled-back coefficient times its frame
-    minor.  ``frame_rows(key, J)`` picks the minor's rows for one component
-    key from the Jacobian rows J, or returns None to drop the component."""
-    J = _jacobian(V)
+    minor.  ``frame_rows(key)`` names the minor's rows for one component key
+    (coordinate axes, and 5 for the parameter values), or returns None to
+    drop the component.  A row is built the first time a kept key names it."""
+    built: dict[int, list[Poly]] = {}
+
+    def row(axis: int) -> list[Poly]:
+        if axis not in built:
+            built[axis] = [
+                Poly.variable(k, V.dim) if axis == 5 else V.map[axis].partial(k) for k in range(V.dim)
+            ]
+        return built[axis]
+
     total = Poly.zero(V.dim)
     for key, coeff in form.coeffs.items():
-        rows = frame_rows(key, J)
-        if rows is None:
+        labels = frame_rows(key)
+        if labels is None:
             continue
-        minor = _poly_det(rows, V.dim)
+        minor = _poly_det([row(axis) for axis in labels], V.dim)
         if minor.is_zero:
             continue
         total = total + coeff.compose(list(V.map)) * minor
@@ -298,9 +318,7 @@ def integrate_m(form: FiveForm, V: ParamSurface) -> Fraction:
         raise TypeError("integrate_m expects a FiveForm")
     if form.rank != V.dim:
         raise ValueError("rank must equal surface dimension")
-    return _pullback_integral(
-        form, V, lambda key, J: None if 5 in key else [J[axis] for axis in key]
-    )
+    return _pullback_integral(form, V, lambda key: None if 5 in key else key)
 
 
 def integrate_deg(form: FiveForm, V: ParamSurface) -> Fraction:
@@ -310,9 +328,7 @@ def integrate_deg(form: FiveForm, V: ParamSurface) -> Fraction:
         raise TypeError("integrate_deg expects a FiveForm")
     if form.rank != V.dim + 1:
         raise ValueError("rank must exceed surface dimension by one")
-    return _pullback_integral(
-        form, V, lambda key, J: [J[axis] for axis in key[:-1]] if key[-1] == 5 else None
-    )
+    return _pullback_integral(form, V, lambda key: key[:-1] if key[-1] == 5 else None)
 
 
 def integrate(form: FiveForm, V: ParamSurface) -> Fraction:
@@ -335,10 +351,7 @@ def integrate_full_frame(form: FiveForm, V: ParamSurface) -> Fraction:
         raise TypeError("integrate_full_frame expects a FiveForm")
     if form.rank != V.dim:
         raise ValueError("rank must equal surface dimension")
-    param_row = [Poly.variable(k, V.dim) for k in range(V.dim)]
-    return _pullback_integral(
-        form, V, lambda key, J: [param_row if axis == 5 else J[axis] for axis in key]
-    )
+    return _pullback_integral(form, V, lambda key: key)
 
 
 # -- boundary fluxes and the integral identities ----------------------------------

@@ -10,6 +10,7 @@ carry enough context to locate the offending entry.
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
@@ -214,6 +215,32 @@ def metric_from_dict(data: Any) -> MetricConfig:
         return MetricConfig(**kwargs)
     except ValueError as exc:
         raise FormatError(f"cfg: {exc}") from None
+
+
+# The most terms a pullback may need before a command refuses it (exit 2).
+# Pulling back expands powers of the maps, so a short file can ask for
+# millions of terms: x0^200 on the affine map l1 + l2 + 1 needs 20,301 and
+# took seconds, x0^400 half a minute.
+PULLBACK_TERM_BUDGET = 10_000
+
+
+def check_pullback(p: Poly, maps: Sequence[Poly], nvars: int, where: str) -> None:
+    """Refuse p when its pullback along ``maps`` (polynomials in ``nvars``
+    variables) may need more than PULLBACK_TERM_BUDGET terms.  Per monomial,
+    a power e of a map with t terms and degree deg has at most C(e + t - 1,
+    t - 1) terms (multisets of its terms) and at most C(e * deg + nvars,
+    nvars) (monomials of bounded degree); the estimate is the sum over the
+    monomials of the product over the variables."""
+    shape = [(len(m.terms), max(map(sum, m.terms), default=0)) for m in maps]
+    terms = 0
+    for expo in p.terms:
+        count = 1
+        for e, (t, deg) in zip(expo, shape):
+            if e:
+                count *= min(math.comb(e + t - 1, e), math.comb(e * deg + nvars, nvars))
+        terms += count
+    if terms > PULLBACK_TERM_BUDGET:
+        raise FormatError(f"{where}: pullback needs about {terms} terms, above {PULLBACK_TERM_BUDGET}")
 
 
 def load_json(path: str) -> Any:

@@ -81,7 +81,9 @@ class FieldSet:
         return len(self.fields)
 
 
-def _substitution_maps(L: LagrangianSpec, phi: FieldSet) -> list[Poly]:
+def jet_maps(L: LagrangianSpec, phi: FieldSet) -> list[Poly]:
+    """What replaces each formal variable: per field, its four coordinate
+    partials and the field itself."""
     if len(phi) != L.n_fields:
         raise ValueError("field count does not match the density")
     maps: list[Poly] = []
@@ -91,10 +93,10 @@ def _substitution_maps(L: LagrangianSpec, phi: FieldSet) -> list[Poly]:
     return maps
 
 
-def substitute(L: LagrangianSpec, phi: FieldSet, expr: Poly | None = None) -> Poly:
-    """Replace the formal variables by the fields and their derivatives."""
-    expr = L.density if expr is None else expr
-    return expr.compose(_substitution_maps(L, phi))
+def substitute(expr: Poly, jet: list[Poly]) -> Poly:
+    """Replace the formal variables by the fields and their derivatives,
+    given as ``jet_maps``; every pullback of a density term goes through here."""
+    return expr.compose(jet)
 
 
 def _check_index(L: LagrangianSpec, ell: int) -> None:
@@ -105,21 +107,22 @@ def _check_index(L: LagrangianSpec, ell: int) -> None:
 def el_residual(L: LagrangianSpec, phi: FieldSet, ell: int) -> Poly:
     """Field-equation residual: div of momenta minus the p5-derivative."""
     _check_index(L, ell)
+    jet = jet_maps(L, phi)
     total = Poly.zero(4)
     for mu in range(4):
-        momentum = substitute(L, phi, L.density.partial(p_index(ell, mu)))
-        total = total + momentum.partial(mu)
-    return total - substitute(L, phi, L.density.partial(p_index(ell, 5)))
+        total = total + substitute(L.density.partial(p_index(ell, mu)), jet).partial(mu)
+    return total - substitute(L.density.partial(p_index(ell, 5)), jet)
 
 
 def J_form(L: LagrangianSpec, phi: FieldSet, ell: int) -> FourForm:
     """Current 3-form: the momentum for the missing coordinate, with the
     sign of inserting it in front."""
     _check_index(L, ell)
+    jet = jet_maps(L, phi)
     out = {}
     for missing in range(4):
         key = tuple(a for a in range(4) if a != missing)
-        momentum = substitute(L, phi, L.density.partial(p_index(ell, missing)))
+        momentum = substitute(L.density.partial(p_index(ell, missing)), jet)
         if momentum.is_zero:
             continue
         out[key] = permutation_sign((missing,) + key) * momentum
@@ -129,7 +132,7 @@ def J_form(L: LagrangianSpec, phi: FieldSet, ell: int) -> FourForm:
 def K_form(L: LagrangianSpec, phi: FieldSet, ell: int) -> FourForm:
     """Source 4-form: the p5-derivative of the density on the volume key."""
     _check_index(L, ell)
-    return FourForm(4, {(0, 1, 2, 3): substitute(L, phi, L.density.partial(p_index(ell, 5)))})
+    return FourForm(4, {(0, 1, 2, 3): substitute(L.density.partial(p_index(ell, 5)), jet_maps(L, phi))})
 
 
 def check_51(L: LagrangianSpec, phi: FieldSet, ell: int) -> bool:
@@ -144,7 +147,7 @@ def Lambda_form(L: LagrangianSpec, phi: FieldSet, ell: int) -> FiveForm:
     """
     _check_index(L, ell)
     out: dict[tuple, Poly] = {}
-    source = substitute(L, phi, L.density.partial(p_index(ell, 5)))
+    source = substitute(L.density.partial(p_index(ell, 5)), jet_maps(L, phi))
     if not source.is_zero:
         out[(0, 1, 2, 3)] = -source
     for key, comp in J_form(L, phi, ell).coeffs.items():

@@ -32,7 +32,7 @@ from fvx.forms_core import FIVE_AXES, FiveForm, FourForm, IndexedArray, MultiVec
 from fvx.integration import ParamSurface
 from fvx.lagrange import FieldSet, LagrangianSpec
 from fvx.metric_dual import DEFAULT_CFG, MetricConfig
-from fvx.polyfield import COORD_NAMES, Poly, default_names, format_poly
+from fvx.polyfield import _BITS, COORD_NAMES, Poly, default_names, format_poly
 
 SUITE_NAMES = ("algebra", "calculus", "stokes", "flux", "duality", "lagrange", "appendix")
 
@@ -97,14 +97,20 @@ def rand_fraction(rng: random.Random) -> Fraction:
 
 
 def rand_poly(rng: random.Random, nvars: int, max_degree: int, max_terms: int = 3) -> Poly:
-    terms: dict[tuple[int, ...], Fraction] = {}
+    """Up to ``max_terms`` monomials of degree up to ``max_degree``, each
+    coefficient drawn as ``rand_fraction`` draws it; a later draw of a
+    monomial replaces the earlier one.  Built in integers, past the checks
+    of ``Poly(...)``: callers pass at most MAX_DEGREE, so no exponent can
+    leave its 16-bit field."""
+    drawn: dict[int, tuple[int, int]] = {}
     for _ in range(rng.randint(0, max_terms)):
-        expo = [0] * nvars
+        monomial = 0
         for _ in range(rng.randint(0, max_degree)):
             if nvars:
-                expo[rng.randrange(nvars)] += 1
-        terms[tuple(expo)] = rand_fraction(rng)
-    return Poly(nvars, terms)
+                monomial += 1 << _BITS * rng.randrange(nvars)
+        drawn[monomial] = rng.randint(-9, 9), rng.randint(1, 9)
+    den = math.lcm(*(q for _, q in drawn.values()))
+    return Poly._new(nvars, den, {m: p * (den // q) for m, (p, q) in drawn.items()})
 
 
 def rand_form(

@@ -41,6 +41,19 @@ def contraction_pairs(m: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     return pairs + [(repeated, distinct), (distinct, repeated), (repeated, repeated)]
 
 
+def rand_poly_reference(rng, nvars: int, max_degree: int, max_terms: int = 3) -> Poly:
+    """``suites.rand_poly`` through the validating ``Poly(...)``: the same
+    draws in the same order, kept as exponent tuples and Fractions."""
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for _ in range(rng.randint(0, max_terms)):
+        expo = [0] * nvars
+        for _ in range(rng.randint(0, max_degree)):
+            if nvars:
+                expo[rng.randrange(nvars)] += 1
+        terms[tuple(expo)] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    return Poly(nvars, terms)
+
+
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 exponents = st.tuples(*(st.integers(0, 2) for _ in range(4)))
 small_polys = st.builds(

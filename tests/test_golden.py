@@ -14,6 +14,7 @@ To print the current digests (after a change that is meant to alter them):
 import contextlib
 import hashlib
 import io
+import itertools
 import os
 import random
 import tempfile
@@ -27,6 +28,8 @@ from fvx import suites as su
 from fvx.cli import main
 from fvx.integration import ParamSurface
 from fvx.polyfield import Poly
+
+from formgen import rand_poly_reference
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -63,6 +66,14 @@ INSTANCE_DIGESTS = {
 def test_instance_stream_is_unchanged():
     for seed, expected in INSTANCE_DIGESTS.items():
         assert instance_digest(seed) == expected, f"seed {seed}"
+
+
+def test_rand_poly_draws_are_unchanged():
+    for seed, nvars, max_terms, max_degree in itertools.product(range(200), (0, 1, 4, 10), (0, 2, 3), (1, 3, 8)):
+        rng, reference = random.Random(seed), random.Random(seed)
+        drawn = su.rand_poly(rng, nvars, max_degree, max_terms)
+        assert drawn == rand_poly_reference(reference, nvars, max_degree, max_terms)
+        assert rng.getstate() == reference.getstate()
 
 
 # -- mutation runs ------------------------------------------------------------------------

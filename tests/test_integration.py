@@ -1,5 +1,7 @@
 """Surface integrals, boundary orientation, Stokes identities, equivalences."""
 
+import itertools
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -15,6 +17,7 @@ from fvx.forms_core import (
     basis_one_form,
     j_form,
     lift,
+    permutation_sign,
     s_from_t,
     wedge,
 )
@@ -35,7 +38,7 @@ from fvx.integration import (
 )
 from fvx.mutations import apply_mutation
 from fvx.polyfield import Poly, param_names, parse_poly
-from fvx.suites import SuiteConfig, run_suite
+from fvx.suites import SuiteConfig, rand_poly, run_suite
 
 from formgen import P, five_forms, four_forms, surfaces
 
@@ -423,3 +426,58 @@ def test_full_frame_contraction_is_not_invariant():
     assert integrate_m(basis_one_form(0), X_SEGMENT) == integrate_m(
         basis_one_form(0), slower
     )
+
+
+# -- frame minors ---------------------------------------------------------------------------
+
+
+def leibniz_det(rows, nvars):
+    """The determinant as the signed sum over all permutations."""
+    total = Poly.zero(nvars)
+    for perm in itertools.permutations(range(len(rows))):
+        term = Poly.const(permutation_sign(perm), nvars)
+        for row, col in zip(rows, perm):
+            term = term * row[col]
+        total = total + term
+    return total
+
+
+def random_minor_matrix(rng, n):
+    """An n x n matrix of polynomials in n variables, as a frame minor is:
+    sparse random entries, some forced to zero, and at times one row of
+    parameter values, the row that integrate_full_frame puts in."""
+    rows = [
+        [Poly.zero(n) if rng.random() < 0.3 else rand_poly(rng, n, 2) for _ in range(n)]
+        for _ in range(n)
+    ]
+    if n and rng.random() < 0.5:
+        rows[rng.randrange(n)] = [Poly.variable(k, n) for k in range(n)]
+    return rows
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_poly_det_matches_leibniz_and_elimination(n):
+    rng = random.Random(n)
+    for _ in range(60):
+        rows = random_minor_matrix(rng, n)
+        det = ig._poly_det(rows, n)
+        assert det == leibniz_det(rows, n)
+        point = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+        values = [[entry.evaluate(point) for entry in row] for row in rows]
+        assert det.evaluate(point) == ig._row_reduce(values, n)[1]
+
+
+def test_dropped_components_build_no_jacobian_row(monkeypatch):
+    calls = []
+    partial = Poly.partial
+
+    def counted(self, axis):
+        calls.append(axis)
+        return partial(self, axis)
+
+    monkeypatch.setattr(Poly, "partial", counted)
+    labelled = FiveForm(2, {(0, 5): P("x0 + 1"), (1, 5): P("x1"), (2, 5): P("3")})
+    assert integrate_m(labelled, UNIT_SQUARE) == 0
+    assert calls == []
+    assert integrate_deg(FiveForm(2, {(0, 5): P("x0")}), X_SEGMENT) == Fraction(1, 2)
+    assert calls == [0]

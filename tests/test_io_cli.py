@@ -722,6 +722,20 @@ def test_el_refuses_a_huge_field_count_before_building_names(tmp_path):
     assert result.stderr == f"fvx: {lag}: lagrangian: N = 2000000 above the cap of {fio.MAX_FIELDS}\n"
 
 
+def test_el_refuses_a_dense_jet_pullback_before_any_work(tmp_path):
+    # p0_5^60 on a field of five affine terms pulls back to C(64, 4) terms;
+    # the report ran past 30 s without the budget.
+    lag, fields = tmp_path / "dense.lag", tmp_path / "affine.json"
+    lag.write_text(json.dumps({"N": 1, "density": "p0_5^60"}))
+    fields.write_text(json.dumps(["x0 + x1 + x2 + x3 + 1"]))
+    start = time.monotonic()
+    result = run_python("-m", "fvx.cli", "el", "--lagrangian", str(lag), "--fields", str(fields))
+    assert time.monotonic() - start < 1
+    assert result.returncode == 2
+    message = f"density: pullback needs about {math.comb(64, 4)} terms, above {fio.PULLBACK_TERM_BUDGET}"
+    assert result.stderr == f"fvx: {lag}: {message}\n"
+
+
 @pytest.mark.parametrize(
     "box, message",
     [

@@ -26,6 +26,7 @@ from fvx.lagrange import (
     check_55,
     el_report,
     el_residual,
+    jet_maps,
     lagrangian_names,
     p_index,
     substitute,
@@ -66,12 +67,12 @@ def test_p_index_rejects_label_four():
 
 
 def test_substitute_density_value():
-    value = substitute(WAVE, fields("x0*x1"))
+    value = substitute(WAVE.density, jet_maps(WAVE, fields("x0*x1")))
     assert value == P("1/2*x1^2 - 1/2*x0^2")
 
 
 def test_substitute_replaces_field_slot():
-    assert substitute(MASS, fields("x2 + 1")) == P("1/2*x2^2 + x2 + 1/2")
+    assert substitute(MASS.density, jet_maps(MASS, fields("x2 + 1"))) == P("1/2*x2^2 + x2 + 1/2")
 
 
 # --- residuals ---
