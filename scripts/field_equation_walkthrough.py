@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from fvx import FieldSet, LagrangianSpec, ParamSurface, five_flux
 from fvx import check_51, check_55, el_residual
-from fvx.lagrange import Lambda_form, lagrangian_names
+from fvx.lagrange import J_form, K_form, Lambda_form, lagrangian_names
 from fvx.polyfield import COORD_NAMES, Poly, format_poly, parse_poly
 
 WAVE = LagrangianSpec(
@@ -31,8 +31,8 @@ def inspect(label: str, text: str) -> None:
     lam = Lambda_form(WAVE, phi, 0)
     print(f"{label}: phi = {text}")
     print(f"  residual                 {format_poly(residual, COORD_NAMES)}")
-    print(f"  current matches source   {check_51(WAVE, phi, 0)}")
-    print(f"  closed rank-4 object     {check_55(WAVE, phi, 0)}")
+    print(f"  current matches source   {check_51(J_form(WAVE, phi, 0), K_form(WAVE, phi, 0))}")
+    print(f"  closed rank-4 object     {check_55(lam)}")
     for side in (Fraction(1), Fraction(2), Fraction(3)):
         value = five_flux(lam, cube(side))
         print(f"  flux over side-{side} cube    {value}")

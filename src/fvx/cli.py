@@ -10,16 +10,19 @@ import argparse
 import contextlib
 import json
 import sys
+from typing import TYPE_CHECKING
 
 from fvx import calculus as ca
 from fvx import forms_core as fc
-from fvx import integration as ig
 from fvx import io as fio
-from fvx import lagrange as lg
-from fvx import metric_dual as md
-from fvx import mutations as mu
-from fvx import suites as su
 from fvx.polyfield import COORD_NAMES, Poly, format_poly
+
+if TYPE_CHECKING:
+    from fvx.integration import ParamSurface
+
+# Each command imports the layers it runs, integration, lagrange, metric_dual,
+# suites and mutations, inside its handler, so that `fvx bd` loads none of them.
+# The imports bind modules, never names, so that a patch of an operator is seen.
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -30,22 +33,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser("check", help="run seeded randomized identity suites")
-    check.add_argument(
-        "--suite",
-        action="append",
-        choices=su.SUITE_NAMES,
-        help="suite to run (repeatable; default: all)",
-    )
+    check.add_argument("--suite", action="append", help="suite to run (repeatable; default: all)")
     check.add_argument("--seed", type=int, default=0)
     check.add_argument("--trials", type=int, default=25, help="instances per identity")
     check.add_argument("--max-degree", type=int, default=3, help="polynomial degree cap")
     check.add_argument("--config", help="metric cfg JSON file")
     check.add_argument("--format", choices=("text", "jsonl"), default="text")
-    check.add_argument(
-        "--mutate",
-        choices=sorted(mu.REGISTRY),
-        help="corrupt one operator sign before running (must fail)",
-    )
+    check.add_argument("--mutate", help="corrupt one operator sign before running (must fail)")
     check.add_argument("--out", help="write the report here instead of stdout")
     check.set_defaults(handler=cmd_check)
 
@@ -112,6 +106,8 @@ def cmd_operator(args) -> int:
     elif args.operator == "bdstar":
         result = ca.bdstar(form)
     else:
+        from fvx import metric_dual as md
+
         metric = fio.load_metric(args.config) if args.config else md.DEFAULT_CFG
         result = md.dual(form, metric)
     with _output(args.out) as handle:
@@ -122,7 +118,7 @@ def cmd_operator(args) -> int:
     return 0
 
 
-def _load_pullback(args) -> tuple[fc.FiveForm, ig.ParamSurface]:
+def _load_pullback(args) -> tuple[fc.FiveForm, ParamSurface]:
     """The form and surface of an integral command, each coefficient's
     pullback within the budget."""
     form = fio.load_form(args.form)
@@ -133,17 +129,23 @@ def _load_pullback(args) -> tuple[fc.FiveForm, ig.ParamSurface]:
 
 
 def cmd_integrate(args) -> int:
+    from fvx import integration as ig
+
     form, V = _load_pullback(args)
     print(ig.integrate(form, V))
     return 0
 
 
 def cmd_stokes(args) -> int:
+    from fvx import integration as ig
+
     form, V = _load_pullback(args)
     return _print_sides(("boundary", "interior"), *ig.stokes_sides(form, V))
 
 
 def cmd_flux(args) -> int:
+    from fvx import integration as ig
+
     form, V = _load_pullback(args)
     return _print_sides(("boundary+interior", "derivative route"), *ig.flux_sides(form, V))
 
@@ -156,9 +158,9 @@ def _print_sides(labels: tuple[str, str], lhs, rhs) -> int:
     return 0 if lhs == rhs else 1
 
 
-def _probe_box(arg: str | None) -> ig.ParamSurface:
-    if arg is None:
-        return lg.unit_probe_box()
+def _probe_box(arg: str) -> ParamSurface:
+    from fvx import integration as ig
+
     text = arg.strip()
     if text.startswith("["):
         try:
@@ -174,25 +176,31 @@ def _probe_box(arg: str | None) -> ig.ParamSurface:
 
 
 def cmd_el(args) -> int:
+    from fvx import lagrange as lg
+
     L = fio.load_lagrangian(args.lagrangian)
     phi = fio.load_fields(args.fields)
     if len(phi) != L.n_fields:
         raise fio.FormatError(f"{args.fields}: {len(phi)} fields, but {args.lagrangian} has N = {L.n_fields}")
     fio.check_pullback(L.density, lg.jet_maps(L, phi), 4, f"{args.lagrangian}: density")
-    V = _probe_box(args.box)
-    report = lg.el_report(L, phi, V)
+    report = lg.el_report(L, phi, None if args.box is None else _probe_box(args.box))
     for ell in range(L.n_fields):
-        residual = report.residuals[ell]
+        current = lg.check_51(report.j_forms[ell], report.k_forms[ell])
+        closed = lg.check_55(report.lambda_forms[ell])
         print(f"field {ell}:")
-        print(f"  residual: {format_poly(residual, COORD_NAMES)}")
-        print(f"  current/source match: {'yes' if lg.check_51(L, phi, ell) else 'no'}")
-        print(f"  closed-form check: {'yes' if lg.check_55(L, phi, ell) else 'no'}")
+        print(f"  residual: {format_poly(report.residuals[ell], COORD_NAMES)}")
+        print(f"  current/source match: {'yes' if current else 'no'}")
+        print(f"  closed-form check: {'yes' if closed else 'no'}")
         print(f"  probe flux: {report.flux_values[ell]}")
     print("solution" if report.is_solution else "not a solution")
     return 0 if report.is_solution else 1
 
 
 def cmd_check(args) -> int:
+    from fvx import metric_dual as md
+    from fvx import mutations as mu
+    from fvx import suites as su
+
     metric = fio.load_metric(args.config) if args.config else md.DEFAULT_CFG
     cfg = su.SuiteConfig(
         seed=args.seed,
@@ -201,13 +209,10 @@ def cmd_check(args) -> int:
         metric=metric,
         suites=tuple(args.suite) if args.suite else su.SUITE_NAMES,
     )
-    # Open the output first, so that a bad path does not cost a whole run.
-    with _output(args.out, sys.stdout) as handle:
-        if args.mutate:
-            with mu.apply_mutation(args.mutate):
-                report = su.run_suite(cfg)
-        else:
-            report = su.run_suite(cfg)
+    # Patch, then open the output, so that a bad mutation name or path costs no run.
+    mutation = mu.apply_mutation(args.mutate) if args.mutate else contextlib.nullcontext()
+    with mutation, _output(args.out, sys.stdout) as handle:
+        report = su.run_suite(cfg)
         handle.write(su.emit_report(report, args.format))
     return 0 if report.passed else 1
 

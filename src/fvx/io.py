@@ -13,13 +13,17 @@ import json
 import math
 import re
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from fvx.forms_core import FIVE_AXES, FiveForm
-from fvx.integration import ParamSurface
-from fvx.lagrange import FieldSet, LagrangianSpec, lagrangian_names
-from fvx.metric_dual import MetricConfig
 from fvx.polyfield import COORD_NAMES, Poly, format_poly, param_names, parse_poly
+
+# The converters below import the layer whose objects they build, so that a
+# command that reads only forms loads none of them.
+if TYPE_CHECKING:
+    from fvx.integration import ParamSurface
+    from fvx.lagrange import FieldSet, LagrangianSpec
+    from fvx.metric_dual import MetricConfig
 
 
 class FormatError(ValueError):
@@ -118,6 +122,8 @@ def bound_pairs(data: Sequence, where: str) -> tuple[tuple[Fraction, Fraction], 
 
 
 def surface_from_dict(data: Any) -> ParamSurface:
+    from fvx.integration import ParamSurface
+
     data = _expect_mapping(data, "surface")
     unknown = set(data) - {"dim", "map", "box"}
     if unknown:
@@ -157,6 +163,8 @@ MAX_FIELDS = 100
 
 
 def lagrangian_from_dict(data: Any) -> LagrangianSpec:
+    from fvx.lagrange import LagrangianSpec, lagrangian_names
+
     data = _expect_mapping(data, "lagrangian")
     unknown = set(data) - {"N", "density"}
     if unknown:
@@ -171,10 +179,14 @@ def lagrangian_from_dict(data: Any) -> LagrangianSpec:
 
 
 def lagrangian_to_dict(L: LagrangianSpec) -> dict:
+    from fvx.lagrange import lagrangian_names
+
     return {"N": L.n_fields, "density": format_poly(L.density, lagrangian_names(L.n_fields))}
 
 
 def fields_from_list(data: Any) -> FieldSet:
+    from fvx.lagrange import FieldSet
+
     if not isinstance(data, Sequence) or isinstance(data, str):
         raise FormatError("fields: expected a list of coordinate polynomials")
     polys = tuple(_parse_poly(entry, COORD_NAMES, f"fields[{k}]") for k, entry in enumerate(data))
@@ -189,6 +201,8 @@ def fields_to_list(phi: FieldSet) -> list[str]:
 
 
 def metric_from_dict(data: Any) -> MetricConfig:
+    from fvx.metric_dual import MetricConfig
+
     data = _expect_mapping(data, "cfg")
     unknown = set(data) - {"g", "xi", "sigma", "eta"}
     if unknown:

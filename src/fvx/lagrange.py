@@ -135,8 +135,9 @@ def K_form(L: LagrangianSpec, phi: FieldSet, ell: int) -> FourForm:
     return FourForm(4, {(0, 1, 2, 3): substitute(L.density.partial(p_index(ell, 5)), jet_maps(L, phi))})
 
 
-def check_51(L: LagrangianSpec, phi: FieldSet, ell: int) -> bool:
-    return d4(J_form(L, phi, ell)) == K_form(L, phi, ell)
+def check_51(J: FourForm, K: FourForm) -> bool:
+    """The exterior field equation d4(J) = K, given a field's current and source forms."""
+    return d4(J) == K
 
 
 def Lambda_form(L: LagrangianSpec, phi: FieldSet, ell: int) -> FiveForm:
@@ -155,17 +156,16 @@ def Lambda_form(L: LagrangianSpec, phi: FieldSet, ell: int) -> FiveForm:
     return FiveForm(4, out)
 
 
-def Lambda_star_form(L: LagrangianSpec, phi: FieldSet, ell: int) -> FiveForm:
-    """Same form with the plain block negated; closed under bdstar instead."""
-    lam = Lambda_form(L, phi, ell)
+def Lambda_star_form(lam: FiveForm) -> FiveForm:
+    """Lambda with the plain block negated; closed under bdstar instead."""
     return e_part(lam) - z_part(lam)
 
 
-def check_55(L: LagrangianSpec, phi: FieldSet, ell: int) -> bool:
-    """Closedness of Lambda under bd, cross-checked against the reflected
-    route on the sign-flipped form; the two can never disagree."""
-    route_bd = bd(Lambda_form(L, phi, ell)).is_zero
-    route_bdstar = bdstar(Lambda_star_form(L, phi, ell)).is_zero
+def check_55(lam: FiveForm) -> bool:
+    """Closedness of a field's Lambda under bd, cross-checked against the
+    reflected route on the sign-flipped form; the two can never disagree."""
+    route_bd = bd(lam).is_zero
+    route_bdstar = bdstar(Lambda_star_form(lam)).is_zero
     if route_bd != route_bdstar:
         raise RuntimeError("bd and bdstar routes disagree")
     return route_bd

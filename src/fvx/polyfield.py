@@ -127,7 +127,9 @@ class Poly:
 
     @classmethod
     def zero(cls, nvars: int) -> "Poly":
-        return cls.const(0, nvars)
+        if nvars < 0:
+            raise ValueError("nvars must be nonnegative")
+        return cls._new(nvars, 1, {})
 
     @classmethod
     def const(cls, value: RationalLike, nvars: int) -> "Poly":

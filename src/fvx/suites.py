@@ -754,8 +754,8 @@ def _bd_lambda_residual(i, cfg):
 def _three_way(i, cfg):
     L, phi = i["L"], i["phi"]
     solved = lg.el_residual(L, phi, 0).is_zero
-    yield lg.check_51(L, phi, 0), solved
-    yield lg.check_55(L, phi, 0), solved
+    yield lg.check_51(lg.J_form(L, phi, 0), lg.K_form(L, phi, 0)), solved
+    yield lg.check_55(lg.Lambda_form(L, phi, 0)), solved
 
 
 def _el_flux_route(i, cfg):

@@ -404,6 +404,14 @@ def test_check_mutate_exits_nonzero(capsys):
     assert "FAIL duality/wedge-dual-pairing" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag, kind", [("--suite", "suite"), ("--mutate", "mutation")])
+def test_check_unknown_name_exits_two_naming_it(flag, kind):
+    result = run_python("-m", "fvx.cli", "check", flag, "nope")
+    assert result.returncode == 2
+    assert result.stderr == f"fvx: unknown {kind} 'nope'\n"
+    assert result.stdout == ""
+
+
 def test_check_rejects_bad_trials(capsys):
     assert main(["check", "--trials", "0"]) == 2
     assert "trials" in capsys.readouterr().err
@@ -671,6 +679,23 @@ def test_el_rejects_non_solution(capsys):
     assert "not a solution" in out
 
 
+def test_el_builds_no_forms_beyond_its_report(monkeypatch, capsys):
+    from fvx import lagrange as lg
+
+    lag, fields = DEMO / "free_scalar.lag", DEMO / "not_solution.json"
+    built = {"J_form": 0, "K_form": 0, "Lambda_form": 0}
+    for name in built:
+        def counted(*args, _fn=getattr(lg, name), _name=name):
+            built[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(lg, name, counted)
+    lg.el_report(fio.load_lagrangian(str(lag)), fio.load_fields(str(fields)))
+    by_report = dict(built)
+    assert main(["el", "--lagrangian", str(lag), "--fields", str(fields)]) == 1
+    assert {name: count - by_report[name] for name, count in built.items()} == by_report
+
+
 def test_el_takes_inline_box(capsys):
     rc = main(
         [
@@ -769,3 +794,49 @@ def test_module_runs_as_script():
     result = run_python("-m", "fvx.cli", "check", "--suite", "algebra", "--trials", "2")
     assert result.returncode == 0
     assert "0 failures" in result.stdout
+
+
+# Each command imports only the layers it runs: a fresh process without cached
+# bytecode compiles every module it imports, which is most of a short command.
+CORE = {"fvx", "fvx.cli", "fvx.io", "fvx.polyfield", "fvx.forms_core", "fvx.calculus"}
+LOADED = """
+import contextlib, io, sys
+from fvx.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main(sys.argv[1:])
+print(" ".join(sorted(name for name in sys.modules if name.split(".")[0] == "fvx")))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, layers",
+    [
+        (("bd", "--form", "const1.form"), set()),
+        (("bdstar", "--form", "mixed.form"), set()),
+        (("d", "--form", "radial.form"), set()),
+        (("dual", "--form", "j.form", "--config", "lorentz.cfg"), {"metric_dual"}),
+        (("integrate", "--form", "mixed.form", "--surface", "square.surf"), {"integration"}),
+        (("stokes", "--form", "shear.form", "--surface", "square.surf"), {"integration"}),
+        (("flux", "--form", "mixed.form", "--surface", "square.surf"), {"integration"}),
+        (("el", "--lagrangian", "free_scalar.lag", "--fields", "wave_solution.json"), {"integration", "lagrange"}),
+        (
+            ("check", "--suite", "algebra", "--trials", "1"),
+            {"integration", "lagrange", "metric_dual", "suites", "mutations"},
+        ),
+    ],
+)
+def test_each_command_loads_only_the_layers_it_runs(argv, layers):
+    result = run_python("-c", LOADED, *argv, cwd=DEMO)
+    assert result.returncode == 0, result.stderr
+    assert set(result.stdout.split()) == CORE | {f"fvx.{layer}" for layer in layers}
+
+
+def test_every_public_name_resolves():
+    namespace: dict = {}
+    exec("from fvx import *", namespace)
+    assert all(namespace[name] is getattr(fvx, name) for name in fvx.__all__)
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        fvx.nope
+    # A lazily resolved name is looked up afresh, so it sees a patch.
+    with mu.apply_mutation("el-sign"):
+        assert fvx.el_residual is importlib.import_module("fvx.lagrange").el_residual

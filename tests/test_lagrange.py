@@ -35,6 +35,14 @@ from fvx.lagrange import (
 from fvx.polyfield import Poly, parse_poly
 
 
+def check_51_of(L: LagrangianSpec, phi: FieldSet) -> bool:
+    return check_51(J_form(L, phi, 0), K_form(L, phi, 0))
+
+
+def check_55_of(L: LagrangianSpec, phi: FieldSet) -> bool:
+    return check_55(Lambda_form(L, phi, 0))
+
+
 def LP(text: str, n_fields: int = 1) -> LagrangianSpec:
     return LagrangianSpec(n_fields, parse_poly(text, lagrangian_names(n_fields)))
 
@@ -122,8 +130,8 @@ def test_source_form_frozen():
 
 
 def test_check_51_verdicts():
-    assert check_51(WAVE, fields("x0*x1"), 0)
-    assert not check_51(WAVE, fields("x0^2"), 0)
+    assert check_51_of(WAVE, fields("x0*x1"))
+    assert not check_51_of(WAVE, fields("x0^2"))
 
 
 def test_check_51_defect_is_residual_times_volume():
@@ -157,7 +165,7 @@ def test_lambda_star_flips_plain_block():
     phi = fields("x0^2 + x2")
     dense = WAVE + MASS
     lam = Lambda_form(dense, phi, 0)
-    star = Lambda_star_form(dense, phi, 0)
+    star = Lambda_star_form(lam)
     assert z_part(star) == -z_part(lam)
     assert e_part(star) == e_part(lam)
 
@@ -178,21 +186,21 @@ def test_bd_lambda_top_component_is_residual(dense, phi):
 @given(densities(), field_sets())
 @settings(max_examples=60)
 def test_bdstar_route_same_defect(dense, phi):
-    star = Lambda_star_form(dense, phi, 0)
+    star = Lambda_star_form(Lambda_form(dense, phi, 0))
     assert bdstar(star).coeff((0, 1, 2, 3, 5)) == el_residual(dense, phi, 0)
 
 
 def test_check_55_verdicts():
-    assert check_55(WAVE, fields("x0*x1 + x3"), 0)
-    assert not check_55(MASS, fields("x0"), 0)
+    assert check_55_of(WAVE, fields("x0*x1 + x3"))
+    assert not check_55_of(MASS, fields("x0"))
 
 
 @given(densities(), field_sets())
 @settings(max_examples=60)
 def test_three_formulations_agree(dense, phi):
     solved = el_residual(dense, phi, 0).is_zero
-    assert check_51(dense, phi, 0) is solved
-    assert check_55(dense, phi, 0) is solved
+    assert check_51_of(dense, phi) is solved
+    assert check_55_of(dense, phi) is solved
 
 
 # --- flux formulation ---
@@ -215,7 +223,7 @@ def test_flux_probe_can_miss_nonsolutions():
     maps = tuple(Poly.variable(k, 4) for k in range(4))
     symmetric = ParamSurface(4, maps, ((-1, 1), (0, 1), (0, 1), (0, 1)))
     assert five_flux(Lambda_form(WAVE, phi, 0), symmetric) == 0
-    assert not check_51(WAVE, phi, 0)
+    assert not check_51_of(WAVE, phi)
 
 
 @given(densities(), field_sets(), surfaces(dim=4, max_deg=1))

@@ -5,7 +5,8 @@ or a script under ``scripts/``, names it outside the definition's own body:
 as a name, an attribute (``md.dual``) or a string equal to the name
 (``suites`` looks operators up by name when it runs, so that a mutation
 reaches them).  Re-exports and tests do not count, so code that only tests
-call cannot settle in ``src``.
+call cannot settle in ``src``.  Module-level dunder hooks (the package's
+``__getattr__``) are exempt: the interpreter calls them, and no code names them.
 """
 
 import ast
@@ -31,13 +32,18 @@ def _names(tree: ast.AST) -> Counter:
     return used
 
 
+def _hook(node: ast.AST) -> bool:
+    """A module-level dunder function such as ``__getattr__`` (PEP 562)."""
+    return isinstance(node, ast.FunctionDef) and node.name.startswith("__") and node.name.endswith("__")
+
+
 def unreached() -> set[str]:
     trees = {path: ast.parse(path.read_text()) for path in (ROOT / "src" / "fvx").glob("*.py")}
     scripts = [ast.parse(path.read_text()) for path in (ROOT / "scripts").glob("*.py")]
     used = sum((_names(tree) for path, tree in trees.items() if path.name != "__init__.py"), Counter())
     used += sum(map(_names, scripts), Counter())
     kinds = (ast.FunctionDef, ast.ClassDef)
-    defs = [node for tree in trees.values() for node in tree.body if isinstance(node, kinds)]
+    defs = [node for tree in trees.values() for node in tree.body if isinstance(node, kinds) and not _hook(node)]
     return {node.name for node in defs if used[node.name] == _names(node)[node.name]}
 
 
