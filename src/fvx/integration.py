@@ -17,6 +17,18 @@ Boundaries are the oriented faces of the parameter box with the outward
 convention: fixing parameter k (0-based) at its upper end carries sign
 (-1)^k, the lower end the opposite.  The Stokes checks validate the
 convention rather than assuming it.
+
+``boundary_flux`` pulls the form back once per surface.  Restricting a
+polynomial to a face is a ring homomorphism that commutes with ``compose``
+and with ``partial`` along the other parameters, so a face's integrand is
+the parent integrand with the fixed parameter's Jacobian column left out,
+restricted to the face's bound (the identity that makes the boundary of a
+singular cube the sum of its restricted faces; Spivak, *Calculus on
+Manifolds*, ch. 4).  Both faces of a parameter read their integrand off one
+polynomial, and since the restricted polynomial is the canonical ``Poly`` of
+the face's own pullback, every face value is the same ``Fraction`` as
+``integrate(form, face.surface())`` gives.  ``OrientedFace.surface`` is that
+face-by-face reference route; the tests compare the two.
 """
 
 from __future__ import annotations
@@ -110,12 +122,21 @@ class OrientedFace:
         outward = (-1) ** self.fixed
         return outward if self.end == "high" else -outward
 
+    @property
+    def value(self) -> Fraction:
+        """The bound the fixed parameter takes on this face."""
+        return self.parent.box[self.fixed][0 if self.end == "low" else 1]
+
+    @property
+    def box(self) -> tuple[Interval, ...]:
+        """The parent box without the fixed parameter's interval."""
+        return self.parent.box[: self.fixed] + self.parent.box[self.fixed + 1 :]
+
     def surface(self) -> ParamSurface:
-        parent = self.parent
-        value = parent.box[self.fixed][0 if self.end == "low" else 1]
-        new_map = tuple(comp.restrict(self.fixed, value) for comp in parent.map)
-        new_box = parent.box[: self.fixed] + parent.box[self.fixed + 1 :]
-        return ParamSurface(parent.dim - 1, new_map, new_box)
+        """The face as a surface of its own: the reference route that
+        ``boundary_flux`` must agree with face by face."""
+        new_map = tuple(comp.restrict(self.fixed, self.value) for comp in self.parent.map)
+        return ParamSurface(self.parent.dim - 1, new_map, self.box)
 
 
 def faces(V: ParamSurface) -> list[OrientedFace]:
@@ -286,11 +307,14 @@ def equivalence_check(
 # -- the two integral types ------------------------------------------------------
 
 
-def _pullback_integral(form: FiveForm, V: ParamSurface, frame_rows) -> Fraction:
-    """Integral over the box of each pulled-back coefficient times its frame
-    minor.  ``frame_rows(key)`` names the minor's rows for one component key
+def _pullback_integrands(form: FiveForm, V: ParamSurface, frame_rows, column_sets) -> list[Poly]:
+    """For each set of Jacobian columns, the sum over the kept components of
+    the pulled-back coefficient times its frame minor on those columns.
+    ``frame_rows(key)`` names the minor's rows for one component key
     (coordinate axes, and 5 for the parameter values), or returns None to
-    drop the component.  A row is built the first time a kept key names it."""
+    drop the component.  A row is built the first time a kept key names it,
+    and a coefficient is pulled back the first time one of its minors is
+    nonzero, once for all the column sets."""
     built: dict[int, list[Poly]] = {}
 
     def row(axis: int) -> list[Poly]:
@@ -300,16 +324,41 @@ def _pullback_integral(form: FiveForm, V: ParamSurface, frame_rows) -> Fraction:
             ]
         return built[axis]
 
-    total = Poly.zero(V.dim)
+    maps = list(V.map)
+    totals = [Poly.zero(V.dim) for _ in column_sets]
     for key, coeff in form.coeffs.items():
         labels = frame_rows(key)
         if labels is None:
             continue
-        minor = _poly_det([row(axis) for axis in labels], V.dim)
-        if minor.is_zero:
-            continue
-        total = total + coeff.compose(list(V.map)) * minor
-    return integrate_box(total, V.box)
+        rows = [row(axis) for axis in labels]
+        pulled = None
+        for i, columns in enumerate(column_sets):
+            minor = _poly_det([[r[c] for c in columns] for r in rows], V.dim)
+            if minor.is_zero:
+                continue
+            if pulled is None:
+                pulled = coeff.compose(maps)
+            totals[i] = totals[i] + pulled * minor
+    return totals
+
+
+def _pullback_integral(form: FiveForm, V: ParamSurface, frame_rows) -> Fraction:
+    """Integral over the box of each pulled-back coefficient times its full
+    frame minor."""
+    (integrand,) = _pullback_integrands(form, V, frame_rows, [range(V.dim)])
+    return integrate_box(integrand, V.box)
+
+
+def _plain_rows(key: tuple) -> tuple | None:
+    """The plain integral's minor: the key's coordinate rows; label-5
+    components drop."""
+    return None if 5 in key else key
+
+
+def _completed_rows(key: tuple) -> tuple | None:
+    """The frame-completed integral's minor: only label-5 components count,
+    and **1** fills their label-5 slot, so the rows are the rest of the key."""
+    return key[:-1] if key[-1] == 5 else None
 
 
 def integrate_m(form: FiveForm, V: ParamSurface) -> Fraction:
@@ -318,7 +367,7 @@ def integrate_m(form: FiveForm, V: ParamSurface) -> Fraction:
         raise TypeError("integrate_m expects a FiveForm")
     if form.rank != V.dim:
         raise ValueError("rank must equal surface dimension")
-    return _pullback_integral(form, V, lambda key: None if 5 in key else key)
+    return _pullback_integral(form, V, _plain_rows)
 
 
 def integrate_deg(form: FiveForm, V: ParamSurface) -> Fraction:
@@ -328,7 +377,7 @@ def integrate_deg(form: FiveForm, V: ParamSurface) -> Fraction:
         raise TypeError("integrate_deg expects a FiveForm")
     if form.rank != V.dim + 1:
         raise ValueError("rank must exceed surface dimension by one")
-    return _pullback_integral(form, V, lambda key: key[:-1] if key[-1] == 5 else None)
+    return _pullback_integral(form, V, _completed_rows)
 
 
 def integrate(form: FiveForm, V: ParamSurface) -> Fraction:
@@ -358,14 +407,24 @@ def integrate_full_frame(form: FiveForm, V: ParamSurface) -> Fraction:
 
 
 def boundary_flux(form: FiveForm, V: ParamSurface) -> Fraction:
-    """Oriented sum of face integrals; the integral type follows the rank."""
+    """Oriented sum of face integrals; the integral type follows the rank
+    (frame-completed when rank = dim, plain when rank = dim - 1).
+
+    Restriction commutes with pulling back, so the integrand of each face
+    fixing parameter k is the integrand on V with Jacobian column k left
+    out, restricted to the face's bound: one pullback for both faces of k.
+    """
     if V.dim < 1:
         raise ValueError("surface has no boundary")
     if form.rank not in (V.dim - 1, V.dim):
         raise ValueError("rank incompatible with boundary flux")
+    frame_rows = _completed_rows if form.rank == V.dim else _plain_rows
+    columns = [[c for c in range(V.dim) if c != k] for k in range(V.dim)]
+    integrands = _pullback_integrands(form, V, frame_rows, columns)
     total = Fraction(0)
     for face in faces(V):
-        total += face.sign * integrate(form, face.surface())
+        restricted = integrands[face.fixed].restrict(face.fixed, face.value)
+        total += face.sign * integrate_box(restricted, face.box)
     return total
 
 

@@ -146,12 +146,16 @@ def Lambda_form(L: LagrangianSpec, phi: FieldSet, ell: int) -> FiveForm:
     Plain block: minus the p5-derivative on (0,1,2,3).  Label-5 block: the
     current components with the label-5 slot appended.
     """
-    _check_index(L, ell)
+    return _lambda_from(J_form(L, phi, ell), K_form(L, phi, ell))
+
+
+def _lambda_from(J: FourForm, K: FourForm) -> FiveForm:
+    """Lambda from a field's current and source forms."""
     out: dict[tuple, Poly] = {}
-    source = substitute(L.density.partial(p_index(ell, 5)), jet_maps(L, phi))
+    source = K.coeff((0, 1, 2, 3))
     if not source.is_zero:
         out[(0, 1, 2, 3)] = -source
-    for key, comp in J_form(L, phi, ell).coeffs.items():
+    for key, comp in J.coeffs.items():
         out[key + (5,)] = comp
     return FiveForm(4, out)
 
@@ -196,11 +200,13 @@ def el_report(L: LagrangianSpec, phi: FieldSet, V: ParamSurface | None = None) -
     if V is None:
         V = unit_probe_box()
     indices = range(L.n_fields)
-    lambda_forms = tuple(Lambda_form(L, phi, ell) for ell in indices)
+    j_forms = tuple(J_form(L, phi, ell) for ell in indices)
+    k_forms = tuple(K_form(L, phi, ell) for ell in indices)
+    lambda_forms = tuple(map(_lambda_from, j_forms, k_forms))
     return ELReport(
         residuals=tuple(el_residual(L, phi, ell) for ell in indices),
-        j_forms=tuple(J_form(L, phi, ell) for ell in indices),
-        k_forms=tuple(K_form(L, phi, ell) for ell in indices),
+        j_forms=j_forms,
+        k_forms=k_forms,
         lambda_forms=lambda_forms,
         flux_values=tuple(five_flux(lam, V) for lam in lambda_forms),
     )

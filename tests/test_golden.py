@@ -95,7 +95,7 @@ MUTATION_DIGESTS = {
     'd5-sign': 'a003eba847dd6fc4e8ad8df36642c99fb30e86006efd840079fdb076b4ca79bd',
     'bd-sign': '65d18f21541af5518cb902b23af783cae9be73463f63139b7d1049364462ee95',
     'bdstar-sign': '47d7e180a44bdef7590b34fc7229f9a9f23b28c88995b6ff649abb2f1026a8f3',
-    'integrate-sign': '2a1bea0803a9197e596d2eae47392ccda444eb7f5ffef91f7b37890245992003',
+    'integrate-sign': '10144b926414d30c328b5a6c390d85f949c018ba534fe9daeb1cc57ae1cd7272',
     'flux-sign': '46a15aa8eab9571e8490dd4f1910813c9ebae6009a4fdbe2a3718d16c10bb4b6',
     'epsilon-sign': 'e2a2cffc16b4fc2e6d2ef11e6afcb6023cab2ebbbf5458722e3a86fbf19b5387',
     'dual-sign': '7630123194a38237623b3bbb7351d6f32cf06b3fbd0bd52352d29ef761d2e386',

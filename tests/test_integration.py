@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from fvx import integration as ig
 from fvx.calculus import bd, d4, d5
 from fvx.forms_core import (
+    COORD_AXES,
     FiveForm,
     MultiVector,
     basis_one_form,
@@ -38,7 +39,7 @@ from fvx.integration import (
 )
 from fvx.mutations import apply_mutation
 from fvx.polyfield import Poly, param_names, parse_poly
-from fvx.suites import SuiteConfig, rand_poly, run_suite
+from fvx.suites import SuiteConfig, rand_form, rand_poly, rand_surface, run_suite
 
 from formgen import P, five_forms, four_forms, surfaces
 
@@ -236,8 +237,8 @@ def _sign_flipped(method):
 
 
 def test_broken_restrict_fails_the_boundary_identities():
-    # Every face map goes through Poly.restrict, so its sign must reach the
-    # boundary side of the Stokes and by-parts identities.
+    # Every face integrand goes through Poly.restrict, so its sign must reach
+    # the boundary side of the Stokes, flux and by-parts identities.
     with mock.patch.object(Poly, "restrict", _sign_flipped(Poly.restrict)):
         report = run_suite(SuiteConfig(seed=0, trials=5, suites=("stokes", "flux")))
     assert {(r.suite, r.identity) for r in report.failures} == {
@@ -247,6 +248,7 @@ def test_broken_restrict_fails_the_boundary_identities():
         ("flux", "by-parts-bd-left"),
         ("flux", "by-parts-bdstar-left"),
         ("flux", "by-parts-d5"),
+        ("flux", "five-flux-routes"),
     }
 
 
@@ -277,6 +279,64 @@ def test_boundary_flux_segment_endpoint_contractions():
 def test_boundary_flux_rank_incompatible():
     with pytest.raises(ValueError, match="incompatible"):
         boundary_flux(wedge(basis_one_form(0), wedge(basis_one_form(1), j_form())), UNIT_SQUARE)
+
+
+def face_by_face(form, V):
+    """The reference route: each face as a surface of its own."""
+    return sum((face.sign * ig.integrate(form, face.surface()) for face in faces(V)), Fraction(0))
+
+
+def _all_dropped(rng, rank, dim):
+    """A form the face rule drops entirely: no label-5 key where the faces
+    are frame-completed (rank = dim), only label-5 keys where they are plain."""
+    if rank == dim:
+        return rand_form(rng, rank, 2, axes=COORD_AXES)
+    inner = rand_form(rng, rank - 1, 2, axes=COORD_AXES)
+    return FiveForm(rank, {key + (5,): coeff for key, coeff in inner.coeffs.items()})
+
+
+@pytest.mark.parametrize("dim", range(1, 5))
+def test_boundary_flux_matches_the_face_by_face_route(dim):
+    rng = random.Random(f"faces:{dim}")
+    nonzero = 0
+    for _ in range(40):
+        V = rand_surface(rng, dim, 2)
+        for rank in (dim - 1, dim):
+            form = rand_form(rng, rank, 2)
+            flux = boundary_flux(form, V)
+            assert flux == face_by_face(form, V)
+            nonzero += flux != 0
+            if rank:
+                dropped = _all_dropped(rng, rank, dim)
+                assert boundary_flux(dropped, V) == 0 == face_by_face(dropped, V)
+    assert nonzero >= 10
+
+
+def test_boundary_flux_pulls_back_once_per_surface(monkeypatch):
+    V = surf(3, ["l1 + l2^2", "l2 - l1 l3", "l3 + l1 l2", "l1 l2 l3 + l3^2"], [(0, 1), (Fraction(-1, 2), 1), (1, 2)])
+    plain = FiveForm(2, {(0, 1): P("x0 x2"), (1, 3): P("x1 + 2"), (0, 5): P("x3")})
+    completed = FiveForm(3, {(0, 1, 5): P("x2^2"), (2, 3, 5): P("x0 - x1"), (0, 1, 2): P("x3")})
+    cases = [(form, face_by_face(form, V)) for form in (plain, completed)]
+    calls = {}
+
+    def count(cls, name):
+        method = getattr(cls, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return method(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    for cls, name in ((Poly, "compose"), (Poly, "partial"), (ig.OrientedFace, "surface")):
+        count(cls, name)
+    for form, reference in cases:
+        calls.update(compose=0, partial=0, surface=0)
+        assert boundary_flux(form, V) == reference != 0
+        # Two of the three components are kept, each pulled back once.
+        assert calls["compose"] == 2
+        assert calls["partial"] <= 4 * V.dim
+        assert calls["surface"] == 0
 
 
 # -- Stokes, at rank dim - 1 and rank dim -----------------------------------------------

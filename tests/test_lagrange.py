@@ -271,6 +271,20 @@ def test_report_solution_flag():
     assert el_report(WAVE, fields("x0^2 + x1^2")).is_solution
 
 
+def test_report_builds_three_jets_per_field(monkeypatch):
+    # One jet each for the residual, the current and the source; Lambda is
+    # assembled from the current and the source forms already built.
+    from fvx import lagrange
+
+    calls = []
+    build = lagrange.jet_maps
+    monkeypatch.setattr(lagrange, "jet_maps", lambda *args: calls.append(args) or build(*args))
+    phi = fields("x0*x1", "x2^2")
+    report = el_report(COUPLED, phi)
+    assert len(calls) == 3 * COUPLED.n_fields
+    assert report.lambda_forms == tuple(Lambda_form(COUPLED, phi, ell) for ell in range(COUPLED.n_fields))
+
+
 # --- validation ---
 
 
