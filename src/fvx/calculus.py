@@ -90,8 +90,10 @@ def _derivative(t: _Alternating, cls, name: str, scalar_rule) -> _Alternating:
             if value.is_zero:
                 continue
             sign, merged = merge_sign((axis,), key)
-            out[merged] = out.get(merged, Poly.zero(4)) + sign * value
-    return cls(t.rank + 1, out)
+            if sign < 0:
+                value = -value
+            out[merged] = out[merged] + value if merged in out else value
+    return cls._new(t.rank + 1, out)
 
 
 def d4(S: FourForm) -> FourForm:
@@ -145,10 +147,11 @@ def _homotopy(S: FourForm) -> FourForm:
         scaled = coeff.scale_integrate(m - 1)
         for i, beta in enumerate(key):
             rest = key[:i] + key[i + 1 :]
-            sign = merge_sign((beta,), rest)[0]
-            term = sign * (Poly.variable(beta, 4) * scaled)
-            out[rest] = out.get(rest, Poly.zero(4)) + term
-    return FourForm(m - 1, out)
+            term = Poly.variable(beta, 4) * scaled
+            if merge_sign((beta,), rest)[0] < 0:
+                term = -term
+            out[rest] = out[rest] + term if rest in out else term
+    return FourForm._new(m - 1, out)
 
 
 def poincare_potential_4(S: FourForm) -> FourForm:

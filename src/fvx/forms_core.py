@@ -17,6 +17,14 @@ inside it.
 IndexedArray is a separate container for the antisymmetrization identities,
 where arrays are indexed by arbitrary tuples rather than sorted subsets; like
 the forms, it stores only nonzero entries.
+
+Validation sits at the edge.  The public constructors (``FiveForm(...)``,
+``FourForm(...)``, ``MultiVector(...)``, ``IndexedArray(...)``) check and
+coerce every key and value they are given.  The results of fvx's own
+operators go through the private ``_new`` class methods instead, which only
+drop zero entries: a key built from valid keys (merged, stripped of its
+label 5, or complemented) is valid by construction, and every value is
+already an exact ``Poly`` or ``Fraction``.
 """
 
 from __future__ import annotations
@@ -38,13 +46,8 @@ def permutation_sign(seq: Sequence[int]) -> int:
     """Sign of the permutation sorting ``seq``; 0 if any entry repeats."""
     if len(set(seq)) != len(seq):
         return 0
-    sign = 1
-    items = list(seq)
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            if items[i] > items[j]:
-                sign = -sign
-    return sign
+    inversions = sum(a > b for a, b in itertools.combinations(seq, 2))
+    return -1 if inversions % 2 else 1
 
 
 def merge_sign(left: IndexKey, right: IndexKey) -> tuple[int, IndexKey]:
@@ -90,8 +93,22 @@ class _Alternating:
                 canonical.pop(key, None)
             else:
                 canonical[key] = value
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "coeffs", canonical)
+        _set_rank(self, rank)
+        _set_coeffs(self, canonical)
+
+    @classmethod
+    def _new(cls, rank: int, coeffs: Mapping[IndexKey, Poly]):
+        """The form of ``coeffs`` less its zero coefficients, unchecked.
+
+        The keys must be strictly increasing tuples of ``rank`` labels from
+        ``cls.AXES`` and the values polynomials in the four coordinates:
+        fvx's operators call this on what they built from valid forms, and
+        input from outside goes through ``cls(...)``, which checks everything.
+        """
+        form = object.__new__(cls)
+        _set_rank(form, rank)
+        _set_coeffs(form, {key: value for key, value in coeffs.items() if value.num})
+        return form
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -105,7 +122,8 @@ class _Alternating:
         return cls(0, {(): value})
 
     def coeff(self, key: Iterable[int]) -> Poly:
-        return self.coeffs.get(tuple(key), Poly.zero(4))
+        value = self.coeffs.get(tuple(key))
+        return Poly.zero(4) if value is None else value
 
     def component(self, indices: Iterable[int]) -> Poly:
         """Fully antisymmetric component at an arbitrary index tuple."""
@@ -113,7 +131,8 @@ class _Alternating:
         sign = permutation_sign(indices)
         if sign == 0:
             return Poly.zero(4)
-        return sign * self.coeff(sorted(indices))
+        value = self.coeff(sorted(indices))
+        return value if sign > 0 else -value
 
     @property
     def is_zero(self) -> bool:
@@ -132,11 +151,11 @@ class _Alternating:
         self._same_kind(other)
         merged = dict(self.coeffs)
         for key, value in other.coeffs.items():
-            merged[key] = merged.get(key, Poly.zero(4)) + value
-        return type(self)(self.rank, merged)
+            merged[key] = merged[key] + value if key in merged else value
+        return type(self)._new(self.rank, merged)
 
     def __neg__(self):
-        return type(self)(self.rank, {k: -v for k, v in self.coeffs.items()})
+        return type(self)._new(self.rank, {k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -144,7 +163,7 @@ class _Alternating:
     def __mul__(self, factor: Poly | RationalLike):
         if isinstance(factor, _Alternating):
             raise TypeError("use wedge() for products of forms")
-        return type(self)(self.rank, {k: v * factor for k, v in self.coeffs.items()})
+        return type(self)._new(self.rank, {k: v * factor for k, v in self.coeffs.items()})
 
     __rmul__ = __mul__
 
@@ -160,6 +179,10 @@ class _Alternating:
             return f"{type(self).__name__}({self.rank}, 0)"
         parts = [f"{key}: {self.coeffs[key]!r}" for key in sorted(self.coeffs)]
         return f"{type(self).__name__}({self.rank}, {{{', '.join(parts)}}})"
+
+
+# The slots' own setters, past the ``__setattr__`` that keeps forms immutable.
+_set_rank, _set_coeffs = (getattr(_Alternating, name).__set__ for name in _Alternating.__slots__)
 
 
 class FiveForm(_Alternating):
@@ -203,12 +226,12 @@ def wedge(a: _Alternating, b: _Alternating) -> _Alternating:
     for ka, ca in a.coeffs.items():
         set_a = set(ka)
         for kb, cb in b.coeffs.items():
-            if set_a & set(kb):
+            if not set_a.isdisjoint(kb):
                 continue
             sign, key = merge_sign(ka, kb)
-            term = sign * (ca * cb)
-            out[key] = out.get(key, Poly.zero(4)) + term
-    return type(a)(a.rank + b.rank, out)
+            term = ca * cb if sign > 0 else -(ca * cb)
+            out[key] = out[key] + term if key in out else term
+    return type(a)._new(a.rank + b.rank, out)
 
 
 def contract(t: FiveForm, w: MultiVector) -> Poly:
@@ -227,26 +250,28 @@ def contract(t: FiveForm, w: MultiVector) -> Poly:
 
 def z_part(t: _Alternating) -> _Alternating:
     """Components whose labels avoid 5."""
-    return type(t)(t.rank, {k: v for k, v in t.coeffs.items() if 5 not in k})
+    return type(t)._new(t.rank, {k: v for k, v in t.coeffs.items() if 5 not in k})
 
 
 def e_part(t: _Alternating) -> _Alternating:
     """Components whose labels include 5."""
-    return type(t)(t.rank, {k: v for k, v in t.coeffs.items() if 5 in k})
+    return type(t)._new(t.rank, {k: v for k, v in t.coeffs.items() if 5 in k})
 
 
 def lift(S: FourForm) -> FiveForm:
     """Embed a four-label form as a five-label form with no label-5 part."""
     if not isinstance(S, FourForm):
         raise TypeError("lift expects a FourForm")
-    return FiveForm(S.rank, dict(S.coeffs))
+    return FiveForm._new(S.rank, S.coeffs)
 
 
 def project(s: FiveForm) -> FourForm:
     """Forget the label-5 components and read the rest as a four-label form."""
     if not isinstance(s, FiveForm):
         raise TypeError("project expects a FiveForm")
-    return FourForm(s.rank, {k: v for k, v in s.coeffs.items() if 5 not in k})
+    if s.rank > len(COORD_AXES):
+        raise ValueError(f"rank {s.rank} out of range")
+    return FourForm._new(s.rank, {k: v for k, v in s.coeffs.items() if 5 not in k})
 
 
 def t_from_s(s: FiveForm) -> FiveForm:
@@ -259,7 +284,7 @@ def s_from_t(t: FiveForm) -> FiveForm:
     if t.rank < 1:
         raise ValueError("rank-0 form has no label-5 slot")
     out = {k[:-1]: v for k, v in t.coeffs.items() if k[-1] == 5}
-    return FiveForm(t.rank - 1, out)
+    return FiveForm._new(t.rank - 1, out)
 
 
 # -- sparse indexed arrays ----------------------------------------------------
@@ -287,14 +312,30 @@ class IndexedArray:
         labels = frozenset(index_set)
         if len(labels) != len(index_set):
             raise ValueError("index set has repeats")
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "index_set", index_set)
-        object.__setattr__(self, "_labels", labels)
+        _set_arity(self, arity)
+        _set_index_set(self, index_set)
+        _set_labels(self, labels)
         table = {
             self._checked(key): value if isinstance(value, Fraction) else Fraction(value)
             for key, value in (values or {}).items()
         }
-        object.__setattr__(self, "values", {key: value for key, value in table.items() if value})
+        _set_values(self, {key: value for key, value in table.items() if value})
+
+    @classmethod
+    def _new(cls, arity: int, index_set: tuple[int, ...], values: Mapping[IndexKey, Fraction]) -> "IndexedArray":
+        """The array of ``values`` less its zero entries, unchecked.
+
+        The index set must be a tuple without repeats, every key a tuple of
+        ``arity`` of its labels and every value a Fraction: fvx's operators
+        call this on tables they built over a fixed index set, and input
+        from outside goes through ``IndexedArray(...)``.
+        """
+        array = object.__new__(cls)
+        _set_arity(array, arity)
+        _set_index_set(array, index_set)
+        _set_labels(array, frozenset(index_set))
+        _set_values(array, {key: value for key, value in values.items() if value})
+        return array
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("IndexedArray is immutable")
@@ -341,6 +382,11 @@ class IndexedArray:
     def __repr__(self) -> str:
         entries = {k: str(v) for k, v in self.values.items()}
         return f"IndexedArray({self.arity}, {self.index_set}, {entries})"
+
+
+_set_arity, _set_index_set, _set_labels, _set_values = (
+    getattr(IndexedArray, name).__set__ for name in IndexedArray.__slots__
+)
 
 
 def transposition_identity_check(array: IndexedArray, m: int) -> bool:

@@ -107,7 +107,10 @@ def _check_index(L: LagrangianSpec, ell: int) -> None:
 def el_residual(L: LagrangianSpec, phi: FieldSet, ell: int) -> Poly:
     """Field-equation residual: div of momenta minus the p5-derivative."""
     _check_index(L, ell)
-    jet = jet_maps(L, phi)
+    return _residual(L, jet_maps(L, phi), ell)
+
+
+def _residual(L: LagrangianSpec, jet: list[Poly], ell: int) -> Poly:
     total = Poly.zero(4)
     for mu in range(4):
         total = total + substitute(L.density.partial(p_index(ell, mu)), jet).partial(mu)
@@ -118,21 +121,28 @@ def J_form(L: LagrangianSpec, phi: FieldSet, ell: int) -> FourForm:
     """Current 3-form: the momentum for the missing coordinate, with the
     sign of inserting it in front."""
     _check_index(L, ell)
-    jet = jet_maps(L, phi)
+    return _current(L, jet_maps(L, phi), ell)
+
+
+def _current(L: LagrangianSpec, jet: list[Poly], ell: int) -> FourForm:
     out = {}
     for missing in range(4):
         key = tuple(a for a in range(4) if a != missing)
         momentum = substitute(L.density.partial(p_index(ell, missing)), jet)
         if momentum.is_zero:
             continue
-        out[key] = permutation_sign((missing,) + key) * momentum
-    return FourForm(3, out)
+        out[key] = momentum if permutation_sign((missing,) + key) > 0 else -momentum
+    return FourForm._new(3, out)
 
 
 def K_form(L: LagrangianSpec, phi: FieldSet, ell: int) -> FourForm:
     """Source 4-form: the p5-derivative of the density on the volume key."""
     _check_index(L, ell)
-    return FourForm(4, {(0, 1, 2, 3): substitute(L.density.partial(p_index(ell, 5)), jet_maps(L, phi))})
+    return _source(L, jet_maps(L, phi), ell)
+
+
+def _source(L: LagrangianSpec, jet: list[Poly], ell: int) -> FourForm:
+    return FourForm._new(4, {(0, 1, 2, 3): substitute(L.density.partial(p_index(ell, 5)), jet)})
 
 
 def check_51(J: FourForm, K: FourForm) -> bool:
@@ -151,13 +161,10 @@ def Lambda_form(L: LagrangianSpec, phi: FieldSet, ell: int) -> FiveForm:
 
 def _lambda_from(J: FourForm, K: FourForm) -> FiveForm:
     """Lambda from a field's current and source forms."""
-    out: dict[tuple, Poly] = {}
-    source = K.coeff((0, 1, 2, 3))
-    if not source.is_zero:
-        out[(0, 1, 2, 3)] = -source
+    out = {(0, 1, 2, 3): -K.coeff((0, 1, 2, 3))}
     for key, comp in J.coeffs.items():
         out[key + (5,)] = comp
-    return FiveForm(4, out)
+    return FiveForm._new(4, out)
 
 
 def Lambda_star_form(lam: FiveForm) -> FiveForm:
@@ -199,12 +206,14 @@ class ELReport:
 def el_report(L: LagrangianSpec, phi: FieldSet, V: ParamSurface | None = None) -> ELReport:
     if V is None:
         V = unit_probe_box()
+    # One jet for every field's residual, current and source.
+    jet = jet_maps(L, phi)
     indices = range(L.n_fields)
-    j_forms = tuple(J_form(L, phi, ell) for ell in indices)
-    k_forms = tuple(K_form(L, phi, ell) for ell in indices)
+    j_forms = tuple(_current(L, jet, ell) for ell in indices)
+    k_forms = tuple(_source(L, jet, ell) for ell in indices)
     lambda_forms = tuple(map(_lambda_from, j_forms, k_forms))
     return ELReport(
-        residuals=tuple(el_residual(L, phi, ell) for ell in indices),
+        residuals=tuple(_residual(L, jet, ell) for ell in indices),
         j_forms=j_forms,
         k_forms=k_forms,
         lambda_forms=lambda_forms,

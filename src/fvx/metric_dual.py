@@ -104,8 +104,10 @@ def epsilon_lower(cfg: MetricConfig = DEFAULT_CFG) -> IndexedArray:
     """Totally antisymmetric array with eps_{01235} = eta * |det h|^(1/2)."""
     scale = cfg.eta * cfg.kappa
     # Only the 120 permutations of the labels are nonzero.
-    values = {idx: scale * permutation_sign(idx) for idx in itertools.permutations(FIVE_AXES)}
-    return IndexedArray(5, FIVE_AXES, values)
+    values = {
+        idx: scale if permutation_sign(idx) > 0 else -scale for idx in itertools.permutations(FIVE_AXES)
+    }
+    return IndexedArray._new(5, FIVE_AXES, values)
 
 
 def epsilon_upper(lower: IndexedArray, cfg: MetricConfig) -> IndexedArray:
@@ -120,7 +122,7 @@ def epsilon_upper(lower: IndexedArray, cfg: MetricConfig) -> IndexedArray:
         if labels not in weights:
             weights[labels] = cfg.weight(labels)
         values[idx] = value / weights[labels]
-    return IndexedArray(5, FIVE_AXES, values)
+    return IndexedArray._new(lower.arity, lower.index_set, values)
 
 
 def permutation_delta(upper: Sequence[int], lower: Sequence[int]) -> int:
@@ -166,7 +168,7 @@ def theta_epsilon(w: MultiVector, cfg: MetricConfig = DEFAULT_CFG) -> FiveForm:
     for key, comp in w.coeffs.items():
         rest, sign = _complement(key)
         out[rest] = comp * (scale * sign)
-    return FiveForm(5 - w.rank, out)
+    return FiveForm._new(5 - w.rank, out)
 
 
 def epsilon_pair(w: MultiVector, v: MultiVector, cfg: MetricConfig = DEFAULT_CFG) -> Poly:
@@ -186,13 +188,13 @@ def epsilon_pair(w: MultiVector, v: MultiVector, cfg: MetricConfig = DEFAULT_CFG
 
 def theta_h(w: MultiVector, cfg: MetricConfig = DEFAULT_CFG) -> FiveForm:
     """Lower every index with the diagonal metric."""
-    return FiveForm(w.rank, {key: comp * cfg.weight(key) for key, comp in w.coeffs.items()})
+    return FiveForm._new(w.rank, {key: comp * cfg.weight(key) for key, comp in w.coeffs.items()})
 
 
 def theta_h_inv(t: FiveForm, cfg: MetricConfig = DEFAULT_CFG) -> MultiVector:
     """Raise every index with the inverse diagonal metric."""
     raised = {key: comp * (1 / cfg.weight(key)) for key, comp in t.coeffs.items()}
-    return MultiVector(t.rank, raised)
+    return MultiVector._new(t.rank, raised)
 
 
 def h_inner(s: FiveForm, t: FiveForm, cfg: MetricConfig = DEFAULT_CFG) -> Poly:
@@ -222,7 +224,7 @@ def dual(w: FiveForm, cfg: MetricConfig = DEFAULT_CFG) -> FiveForm:
     for key, comp in w.coeffs.items():
         rest, sign = _complement(key)
         out[rest] = comp * (scale * sign / cfg.weight(key))
-    return FiveForm(5 - w.rank, out)
+    return FiveForm._new(5 - w.rank, out)
 
 
 def dual2_zfree(w: FiveForm, cfg: MetricConfig = DEFAULT_CFG) -> FiveForm:

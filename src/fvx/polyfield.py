@@ -171,7 +171,12 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly._new(self.nvars, self.den, {m: -c for m, c in self.num.items()})
+        # Negation keeps the form canonical: the same denominator and content.
+        poly = object.__new__(Poly)
+        _set_nvars(poly, self.nvars)
+        _set_den(poly, self.den)
+        _set_num(poly, {m: -c for m, c in self.num.items()})
+        return poly
 
     def __sub__(self, other: "Poly | RationalLike") -> "Poly":
         return self + (-self._coerce(other))
@@ -183,8 +188,10 @@ class Poly:
         if not isinstance(other, Poly):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
-            top = other.numerator
-            return Poly._new(self.nvars, self.den * other.denominator, {m: c * top for m, c in self.num.items()})
+            top, bottom = other.numerator, other.denominator
+            if bottom == 1 and (top == 1 or top == -1):
+                return self if top == 1 else -self
+            return Poly._new(self.nvars, self.den * bottom, {m: c * top for m, c in self.num.items()})
         if other.nvars != self.nvars:
             raise ValueError("polynomials over different variable counts")
         product: dict[int, int] = {}

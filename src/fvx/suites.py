@@ -32,7 +32,7 @@ from fvx.forms_core import FIVE_AXES, FiveForm, FourForm, IndexedArray, MultiVec
 from fvx.integration import ParamSurface
 from fvx.lagrange import FieldSet, LagrangianSpec
 from fvx.metric_dual import DEFAULT_CFG, MetricConfig
-from fvx.polyfield import _BITS, COORD_NAMES, Poly, default_names, format_poly
+from fvx.polyfield import _BITS, COORD_NAMES, Poly, _pack, default_names, format_poly
 
 SUITE_NAMES = ("algebra", "calculus", "stokes", "flux", "duality", "lagrange", "appendix")
 
@@ -122,7 +122,7 @@ def rand_form(
 ) -> FiveForm:
     keys = list(itertools.combinations(axes, rank))
     chosen = rng.sample(keys, min(len(keys), rng.randint(1, 3)))
-    return cls(rank, {k: rand_poly(rng, 4, max_degree) for k in chosen})
+    return cls._new(rank, {k: rand_poly(rng, 4, max_degree) for k in chosen})
 
 
 def rand_vector(rng: random.Random, max_degree: int) -> MultiVector:
@@ -188,7 +188,8 @@ def describe_instance(inst: Mapping[str, object]) -> str:
 
 
 def _poly_without(p: Poly, key: tuple[int, ...]) -> Poly:
-    return Poly(p.nvars, {k: c for k, c in p.terms.items() if k != key})
+    packed = _pack(key)
+    return Poly._new(p.nvars, p.den, {m: c for m, c in p.num.items() if m != packed})
 
 
 def _parts(value) -> tuple[list[Poly], Callable[[list[Poly]], object] | None]:
@@ -198,7 +199,7 @@ def _parts(value) -> tuple[list[Poly], Callable[[list[Poly]], object] | None]:
         return [value], lambda polys: polys[0]
     if isinstance(value, fc._Alternating):
         keys = sorted(value.coeffs)
-        rebuild = lambda polys: type(value)(value.rank, dict(zip(keys, polys)))
+        rebuild = lambda polys: type(value)._new(value.rank, dict(zip(keys, polys)))
         return [value.coeffs[k] for k in keys], rebuild
     if isinstance(value, ParamSurface):
         return list(value.map), lambda polys: ParamSurface(value.dim, tuple(polys), value.box)
@@ -574,12 +575,19 @@ STOKES = (
 # flux ---------------------------------------------------------------------------
 
 
+def _flux_nonzero(i, cfg) -> bool:
+    """Whether the interior term and the five-flux total are both nonzero.
+    The total is the boundary flux plus (-1)^m times the interior term, so
+    it is nonzero exactly when the boundary flux differs from
+    (-1)^(m+1) times it; the interior integral is computed once."""
+    t, V = i["t"], i["V"]
+    interior = ig.integrate_m(t, V)
+    return interior != 0 and ig.boundary_flux(t, V) != (-1) ** (t.rank + 1) * interior
+
+
 # A zero interior term or zero total satisfies the route comparison for the
 # wrong reasons; redraw so both routes meet on nonzero numbers.
-_make_flux = _redraw(
-    _make_stokes(0),
-    lambda i, cfg: ig.integrate_m(i["t"], i["V"]) != 0 and ig.five_flux(i["t"], i["V"]) != 0,
-)
+_make_flux = _redraw(_make_stokes(0), _flux_nonzero)
 
 
 def _make_by_parts(shift: int):
@@ -776,11 +784,9 @@ def conforming_array(weights: Sequence[Fraction]) -> IndexedArray:
     """Array with S[(i,) + j] = weights[i] * sign(j), the shape for which the
     transposition identity is stated."""
     m = len(weights)
-    values = {}
-    for i in range(m):
-        for perm in itertools.permutations(range(m)):
-            values[(i,) + perm] = weights[i] * fc.permutation_sign(perm)
-    return IndexedArray(m + 1, tuple(range(m)), values)
+    signed = [(perm, fc.permutation_sign(perm)) for perm in itertools.permutations(range(m))]
+    values = {(i,) + perm: w if sign > 0 else -w for i, w in enumerate(weights) for perm, sign in signed}
+    return IndexedArray._new(m + 1, tuple(range(m)), values)
 
 
 def _make_transposition(rng, cfg):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fvx.forms_core import (
+    COORD_AXES,
     FIVE_AXES,
     FiveForm,
     FourForm,
@@ -28,6 +29,10 @@ from fvx.forms_core import (
     wedge,
     z_part,
 )
+from fvx import calculus as ca
+from fvx import lagrange as lg
+from fvx import metric_dual as md
+from fvx import suites as su
 from fvx.polyfield import Poly
 from fvx.suites import conforming_array
 
@@ -394,3 +399,105 @@ def test_forms_are_immutable():
     t = j_form()
     with pytest.raises(AttributeError):
         t.rank = 3
+
+
+# -- trusted paths ----------------------------------------------------------------
+#
+# fvx's operators build their results through the unchecked ``_new`` class
+# methods; each result must equal its copy through the checking constructor
+# and hold no zero coefficient.
+
+
+def assert_canonical(r):
+    assert all(isinstance(v, Poly) and v.nvars == 4 and not v.is_zero for v in r.coeffs.values())
+    assert type(r)(r.rank, r.coeffs) == r
+
+
+# A metric besides the default with xi != +-1 and eta = -1, so that the
+# duality maps scale by non-unit factors.
+OTHER_METRIC = md.MetricConfig(g=(1, 1, -1, 1), xi=Fraction(4, 9), eta=-1)
+
+
+def _trusted_results(rng):
+    """One seeded draw through every operator that builds its result with ``_new``."""
+    s = su.rand_form(rng, rng.randint(0, 5), 2)
+    t = su.rand_form(rng, s.rank, 2)
+    u = su.rand_form(rng, rng.randint(0, 5 - s.rank), 2)
+    S = su.rand_form(rng, rng.randint(1, 4), 2, cls=FourForm, axes=COORD_AXES)
+    R = su.rand_form(rng, rng.randint(0, 4 - S.rank), 2, cls=FourForm, axes=COORD_AXES)
+    w = su.rand_form(rng, rng.randint(0, 5), 2, cls=MultiVector)
+    v = su.rand_form(rng, rng.randint(0, 5 - w.rank), 2, cls=MultiVector)
+    p = su.rand_poly(rng, 4, 2)
+    L, phi = su.rand_lagrangian(rng, 1, 2), su.rand_fields(rng, 1, 2)
+    yield from (s, t, u, S, R, w, v)
+    yield from (s + t, s - t, -s, s * p, s * Fraction(-3, 7), s * 1, s * -1, 0 * s, S + S, -w)
+    yield from (wedge(s, u), wedge(u, s), wedge(w, v), wedge(S, R))
+    yield from (z_part(s), e_part(s), z_part(w), e_part(w), lift(S))
+    if s.rank <= 4:
+        yield project(s)
+    if s.rank >= 1:
+        yield s_from_t(s)
+    yield from (ca.d4(S), ca.d5(s), ca.bd(s), ca.bdstar(s))
+    yield from (ca.poincare_potential_4(ca.d4(S)), ca.poincare_potential_5(ca.d5(s)), ca.poincare_potential_bd(ca.bd(s)))
+    for metric in (md.DEFAULT_CFG, OTHER_METRIC):
+        yield from (md.dual(s, metric), md.theta_h(w, metric), md.theta_h_inv(s, metric), md.theta_epsilon(w, metric))
+    yield from (lg.J_form(L, phi, 0), lg.K_form(L, phi, 0), lg.Lambda_form(L, phi, 0))
+    yield from lg.el_report(L, phi).lambda_forms
+    # The shrinker rebuilds a form with one coefficient replaced, here by zero.
+    polys, rebuild = su._parts(s)
+    if polys:
+        yield rebuild(polys[:-1] + [Poly.zero(4)])
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_trusted_results_equal_their_checked_copies(seed):
+    for r in _trusted_results(random.Random(seed)):
+        assert_canonical(r)
+
+
+def test_project_refuses_rank_five():
+    with pytest.raises(ValueError, match="rank 5 out of range"):
+        project(FiveForm.zero(5))
+
+
+@pytest.mark.parametrize("cfg", [md.DEFAULT_CFG, OTHER_METRIC], ids=["default", "other"])
+def test_epsilon_tables_equal_their_checked_copies(cfg):
+    lower = md.epsilon_lower(cfg)
+    upper = md.epsilon_upper(lower, cfg)
+    assert lower == IndexedArray(5, FIVE_AXES, lower.values)
+    assert upper == IndexedArray(5, FIVE_AXES, upper.values)
+    for table in (lower, upper):
+        assert sorted(table.values) == sorted(itertools.permutations(FIVE_AXES))
+        assert all(isinstance(v, Fraction) and v for v in table.values.values())
+        assert table[(5, 3, 2, 1, 0)] == table[(0, 1, 2, 3, 5)] != 0
+        with pytest.raises(ValueError, match="bad index tuple"):
+            table[(0, 1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("weights", [(Fraction(1, 2), Fraction(-3)), (Fraction(2), Fraction(0), Fraction(-1, 3), Fraction(5, 7))])
+def test_conforming_array_equals_its_checked_copy(weights):
+    m = len(weights)
+    arr = conforming_array(weights)
+    assert arr == IndexedArray(m + 1, range(m), arr.values)
+    assert all(isinstance(v, Fraction) and v for v in arr.values.values())
+    assert arr[(0,) + tuple(reversed(range(m)))] == weights[0] * permutation_sign(tuple(reversed(range(m))))
+
+
+def _assert_canonical_poly(p):
+    assert p.den > 0 and 0 not in p.num.values()
+    assert math.gcd(p.den, *p.num.values()) == 1
+    assert p == Poly(p.nvars, p.terms)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_sign_products_stay_canonical(seed):
+    rng = random.Random(seed)
+    for p in (su.rand_poly(rng, 4, 3), su.rand_poly(rng, 2, 3, max_terms=5), Poly.zero(4)):
+        for q in (-p, p * 1, p * -1, p * Fraction(1), p * Fraction(-1), 1 * p, -1 * p):
+            _assert_canonical_poly(q)
+        assert p * 1 == p == -(p * -1)
+        # The shrinker drops one monomial at a time the same way.
+        for expo in p.terms:
+            q = su._poly_without(p, expo)
+            _assert_canonical_poly(q)
+            assert q == Poly(p.nvars, {k: c for k, c in p.terms.items() if k != expo})

@@ -1,10 +1,15 @@
 """File formats and the command-line driver."""
 
+import contextlib
+import copy
 import importlib
+import io
 import json
 import math
 import pkgutil
 import random
+import signal
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -785,6 +790,89 @@ def test_el_rejects_malformed_box_pairs(capsys, box, message):
     )
     assert rc == 2
     assert capsys.readouterr().err.startswith(message)
+
+
+# -- command line: fuzzed demo payloads ---------------------------------------------
+
+# The eight commands that read files, each with the demo files it reads.
+FILE_COMMANDS = (
+    ("d", {"--form": "radial.form"}),
+    ("bd", {"--form": "mixed.form"}),
+    ("bdstar", {"--form": "mixed.form"}),
+    ("dual", {"--form": "j.form", "--config": "lorentz.cfg"}),
+    ("integrate", {"--form": "mixed.form", "--surface": "square.surf"}),
+    ("stokes", {"--form": "shear.form", "--surface": "square.surf"}),
+    ("flux", {"--form": "mixed.form", "--surface": "square.surf"}),
+    ("el", {"--lagrangian": "free_scalar.lag", "--fields": "not_solution.json"}),
+)
+
+# Out-of-range variables: x4 for a form or field, l3 on the 2-dimensional
+# demo surface, p1_0 in the one-field Lagrangian.
+FUZZ_ATOMS = (2**40, "1/0", None, [], "x4", "l3", "p1_0")
+
+
+def _json_paths(data, path=()):
+    """The path of every value in a JSON document, the root included."""
+    yield path
+    if isinstance(data, (dict, list)):
+        items = data.items() if isinstance(data, dict) else enumerate(data)
+        for key, value in items:
+            yield from _json_paths(value, path + (key,))
+
+
+def _with_value(data, path, value):
+    if not path:
+        return value
+    data = copy.deepcopy(data)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+@st.composite
+def fuzzed_runs(draw):
+    """One file command with one JSON value of one of its demo files
+    replaced by an atom: the argv and the payload to write."""
+    command, files = draw(st.sampled_from(FILE_COMMANDS))
+    option = draw(st.sampled_from(sorted(files)))
+    data = json.loads((DEMO / files[option]).read_text())
+    path = draw(st.sampled_from(list(_json_paths(data))))
+    return command, files, option, _with_value(data, path, draw(st.sampled_from(FUZZ_ATOMS)))
+
+
+class _Hang(Exception):
+    pass
+
+
+def _hang(signum, frame):
+    raise _Hang("the command ran past its alarm")
+
+
+@settings(max_examples=200, deadline=None)
+@given(fuzzed_runs())
+def test_fuzzed_demo_payload_exits_cleanly(run):
+    command, files, option, payload = run
+    with tempfile.TemporaryDirectory() as tmp:
+        fuzzed = Path(tmp) / files[option]
+        fuzzed.write_text(json.dumps(payload))
+        argv = [command]
+        for name, demo in files.items():
+            argv += [name, str(fuzzed if name == option else DEMO / demo)]
+        out, err = io.StringIO(), io.StringIO()
+        previous = signal.signal(signal.SIGALRM, _hang)
+        signal.alarm(5)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("fvx: ")
 
 
 # -- module execution ----------------------------------------------------------------

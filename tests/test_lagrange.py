@@ -271,8 +271,8 @@ def test_report_solution_flag():
     assert el_report(WAVE, fields("x0^2 + x1^2")).is_solution
 
 
-def test_report_builds_three_jets_per_field(monkeypatch):
-    # One jet each for the residual, the current and the source; Lambda is
+def test_report_builds_one_jet_per_call(monkeypatch):
+    # One jet serves every field's residual, current and source; Lambda is
     # assembled from the current and the source forms already built.
     from fvx import lagrange
 
@@ -281,8 +281,13 @@ def test_report_builds_three_jets_per_field(monkeypatch):
     monkeypatch.setattr(lagrange, "jet_maps", lambda *args: calls.append(args) or build(*args))
     phi = fields("x0*x1", "x2^2")
     report = el_report(COUPLED, phi)
-    assert len(calls) == 3 * COUPLED.n_fields
-    assert report.lambda_forms == tuple(Lambda_form(COUPLED, phi, ell) for ell in range(COUPLED.n_fields))
+    assert len(calls) == 1
+    monkeypatch.undo()
+    indices = range(COUPLED.n_fields)
+    assert report.residuals == tuple(el_residual(COUPLED, phi, ell) for ell in indices)
+    assert report.j_forms == tuple(J_form(COUPLED, phi, ell) for ell in indices)
+    assert report.k_forms == tuple(K_form(COUPLED, phi, ell) for ell in indices)
+    assert report.lambda_forms == tuple(Lambda_form(COUPLED, phi, ell) for ell in indices)
 
 
 # --- validation ---

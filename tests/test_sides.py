@@ -178,6 +178,28 @@ def test_grouped_divergence_rhs_matches_the_permutation_loop(case):
     assert all(lhs == rhs for lhs, rhs in sides)
 
 
+def test_flux_redraw_integrates_each_draw_once(monkeypatch):
+    """The five-flux-routes redraw computes the interior integral once per
+    draw, and decides as the test of both routes' terms did: the total is
+    nonzero exactly when the boundary flux differs from (-1)^(m+1) times
+    the interior term."""
+    from fvx import integration as ig
+
+    cfg = SuiteConfig()
+    make = su._make_stokes(0)
+    rng = random.Random(0)
+    for i in (make(rng, cfg) for _ in range(20)):
+        t, V = i["t"], i["V"]
+        assert su._flux_nonzero(i, cfg) == (ig.integrate_m(t, V) != 0 and ig.five_flux(t, V) != 0)
+    integrals, surfaces = [], []
+    integrate_m, rand_surface = ig.integrate_m, su.rand_surface
+    monkeypatch.setattr(ig, "integrate_m", lambda *args: integrals.append(args) or integrate_m(*args))
+    monkeypatch.setattr(su, "rand_surface", lambda *args: surfaces.append(args) or rand_surface(*args))
+    for seed in range(5, 8):  # seed 5 takes 19 draws, 6 takes 3, 7 takes 2
+        su._make_flux(random.Random(seed), cfg)
+    assert len(integrals) == len(surfaces) == 24
+
+
 def test_vacuous_comparisons_only_decrease():
     counts = vacuity_census()
     names = {ident.name for idents in su.IDENTITIES.values() for ident in idents}
