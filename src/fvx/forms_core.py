@@ -125,15 +125,6 @@ class _Alternating:
         value = self.coeffs.get(tuple(key))
         return Poly.zero(4) if value is None else value
 
-    def component(self, indices: Iterable[int]) -> Poly:
-        """Fully antisymmetric component at an arbitrary index tuple."""
-        indices = tuple(indices)
-        sign = permutation_sign(indices)
-        if sign == 0:
-            return Poly.zero(4)
-        value = self.coeff(sorted(indices))
-        return value if sign > 0 else -value
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -38,13 +38,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from fvx.calculus import bd, bdstar, d5
-from fvx.forms_core import (
-    COORD_AXES,
-    FiveForm,
-    MultiVector,
-    wedge,
-    z_part,
-)
+from fvx.forms_core import FiveForm, wedge
 from fvx.polyfield import Poly, RationalLike, integrate_box
 
 Interval = tuple[Fraction, Fraction]
@@ -78,29 +72,6 @@ class ParamSurface:
         for a, b in box:
             if not a < b:
                 raise ValueError("box intervals must satisfy a < b")
-
-    def image_point(self, lam: Sequence[RationalLike]) -> tuple[Fraction, ...]:
-        return tuple(comp.evaluate(lam) for comp in self.map)
-
-
-@dataclass(frozen=True)
-class TangentFrame:
-    """Evaluated tangent vectors, with label-5 components set to the
-    parameter values themselves."""
-
-    vectors: tuple[MultiVector, ...]
-    point: tuple[Fraction, ...]
-
-    @property
-    def z_matrix(self) -> list[list[Fraction]]:
-        return [
-            [vec.coeff((axis,)).as_fraction() for axis in COORD_AXES]
-            for vec in self.vectors
-        ]
-
-    @property
-    def is_degenerate(self) -> bool:
-        return _row_reduce(self.z_matrix, len(COORD_AXES))[0] < len(self.vectors)
 
 
 @dataclass(frozen=True)
@@ -149,36 +120,7 @@ def faces(V: ParamSurface) -> list[OrientedFace]:
     ]
 
 
-# -- exact linear algebra over the rationals -----------------------------------
-
-
-def _row_reduce(rows: list[list[Fraction]], cols: int):
-    """Gauss-Jordan elimination over the first ``cols`` columns.
-
-    Returns the rank, the determinant of the leading square block (zero when
-    some column has no pivot), and the reduced rows with every pivot scaled
-    to 1, so the columns past ``cols`` of an augmented system hold its
-    solution.
-    """
-    work = [list(map(Fraction, row)) for row in rows]
-    rank, det = 0, Fraction(1)
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
-        if pivot is None:
-            det = Fraction(0)
-            continue
-        if pivot != rank:
-            work[rank], work[pivot] = work[pivot], work[rank]
-            det = -det
-        lead = work[rank][col]
-        det *= lead
-        work[rank] = [x / lead for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col]:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[rank])]
-        rank += 1
-    return rank, det, work
+# -- determinants of polynomial matrices ---------------------------------------
 
 
 def _poly_det(rows: list[list[Poly]], nvars: int) -> Poly:
@@ -202,106 +144,6 @@ def _poly_det(rows: list[list[Poly]], nvars: int) -> Poly:
         return minors[mask]
 
     return minor((1 << n) - 1)
-
-
-# -- tangent frames and surface equivalence ------------------------------------
-
-
-def _check_in_box(V: ParamSurface, lam: Sequence[RationalLike]) -> tuple[Fraction, ...]:
-    lam = tuple(Fraction(v) for v in lam)
-    if len(lam) != V.dim:
-        raise ValueError("parameter point has wrong dimension")
-    for value, (a, b) in zip(lam, V.box):
-        if not a <= value <= b:
-            raise ValueError("point outside parameter box")
-    return lam
-
-
-def _jacobian(V: ParamSurface) -> list[list[Poly]]:
-    return [[V.map[axis].partial(k) for k in range(V.dim)] for axis in COORD_AXES]
-
-
-def tangent_frame(V: ParamSurface, lam: Sequence[RationalLike]) -> TangentFrame:
-    """Evaluate the tangent vectors at a parameter point.
-
-    The coordinate parts are the Jacobian columns; the label-5 part of the
-    k-th vector is the k-th parameter value.
-    """
-    lam = _check_in_box(V, lam)
-    J = _jacobian(V)
-    vectors = []
-    for k in range(V.dim):
-        comps: dict[tuple, Poly] = {}
-        for axis in COORD_AXES:
-            value = J[axis][k].evaluate(lam)
-            if value:
-                comps[(axis,)] = Poly.const(value, 4)
-        if lam[k]:
-            comps[(5,)] = Poly.const(lam[k], 4)
-        vectors.append(MultiVector(1, comps))
-    return TangentFrame(tuple(vectors), lam)
-
-
-def surface_multivector(V: ParamSurface, lam: Sequence[RationalLike]) -> MultiVector:
-    """Wedge of the coordinate parts of the tangent frame.
-
-    Zero exactly when the frame is degenerate, so a zero result is the
-    degeneracy flag.
-    """
-    frame = tangent_frame(V, lam)
-    w = MultiVector.from_scalar(1)
-    for vec in frame.vectors:
-        w = wedge(w, z_part(vec))
-    return w
-
-
-RELATIONS = ("1", "1u", "2", "3")
-
-
-def equivalence_check(
-    a: ParamSurface,
-    b: ParamSurface,
-    lam_a: Sequence[RationalLike],
-    lam_b: Sequence[RationalLike],
-    relation: str,
-) -> bool:
-    """Pointwise equivalence of two parametrizations.
-
-    Relation "1": some positive-determinant matrix carries b's coordinate
-    frame to a's.  "1u": that matrix is unimodular (equivalently the surface
-    multivectors coincide).  "2": the coordinate frames are equal.  "3":
-    relation "2" and the parameter values agree as well.
-    """
-    if relation not in RELATIONS:
-        raise ValueError(f"unknown relation {relation!r}")
-    if a.dim != b.dim:
-        raise ValueError("surfaces of different dimension")
-    frame_a = tangent_frame(a, lam_a)
-    frame_b = tangent_frame(b, lam_b)
-    if a.image_point(frame_a.point) != b.image_point(frame_b.point):
-        raise ValueError("tangent frames taken at different image points")
-    if frame_a.is_degenerate or frame_b.is_degenerate:
-        raise ValueError("degenerate tangent frame")
-
-    za, zb = frame_a.z_matrix, frame_b.z_matrix
-    if relation in ("2", "3"):
-        same_frames = za == zb
-        if relation == "2":
-            return same_frames
-        return same_frames and frame_a.point == frame_b.point
-
-    m = a.dim
-    # Solve B M = A (columns: the coordinate parts of the tangent vectors) by
-    # reducing the rows [B | A].  B has rank m, so rows 0..m-1 hold M; the
-    # system is consistent when the other rows reduce to zero.
-    augmented = [[zb[k][axis] for k in range(m)] + [za[k][axis] for k in range(m)] for axis in range(4)]
-    reduced = _row_reduce(augmented, m)[2]
-    if any(any(row[m:]) for row in reduced[m:]):
-        return False
-    det = _row_reduce([row[m:] for row in reduced[:m]], m)[1]
-    if relation == "1":
-        return det > 0
-    return det == 1
 
 
 # -- the two integral types ------------------------------------------------------

@@ -57,11 +57,6 @@ class LagrangianSpec:
         if self.density.nvars != 5 * self.n_fields:
             raise ValueError("density must use exactly five variables per field")
 
-    def __add__(self, other: "LagrangianSpec") -> "LagrangianSpec":
-        if other.n_fields != self.n_fields:
-            raise ValueError("field counts differ")
-        return LagrangianSpec(self.n_fields, self.density + other.density)
-
 
 @dataclass(frozen=True)
 class FieldSet:

@@ -171,21 +171,6 @@ def theta_epsilon(w: MultiVector, cfg: MetricConfig = DEFAULT_CFG) -> FiveForm:
     return FiveForm._new(5 - w.rank, out)
 
 
-def epsilon_pair(w: MultiVector, v: MultiVector, cfg: MetricConfig = DEFAULT_CFG) -> Poly:
-    """Full contraction of two multivectors of complementary rank into the
-    alternating tensor."""
-    if w.rank + v.rank != 5:
-        raise ValueError("ranks must sum to five")
-    scale = cfg.eta * cfg.kappa
-    total = Poly.zero(4)
-    for key, comp in w.coeffs.items():
-        rest, sign = _complement(key)
-        other = v.coeffs.get(rest)
-        if other is not None:
-            total = total + comp * other * (scale * sign)
-    return total
-
-
 def theta_h(w: MultiVector, cfg: MetricConfig = DEFAULT_CFG) -> FiveForm:
     """Lower every index with the diagonal metric."""
     return FiveForm._new(w.rank, {key: comp * cfg.weight(key) for key, comp in w.coeffs.items()})

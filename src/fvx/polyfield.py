@@ -209,14 +209,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "Poly":
-        if exponent < 0:
-            raise ValueError("negative power")
-        result = Poly.const(1, self.nvars)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
             other = Poly.const(other, self.nvars)

@@ -43,6 +43,11 @@ SUITE_NAMES = ("algebra", "calculus", "stokes", "flux", "duality", "lagrange", "
 # Poly.compose.  At the cap the default check takes 1.1-1.6 s (seeds 0-4).
 MAX_DEGREE = 8
 
+# The largest --trials.  The full check at 100 trials takes 1.8 s at degree 3
+# and 3.5 s at degree 8, so a run at the cap lasts about 35 s; run_suite keeps
+# every record, so an uncapped count also grows memory without bound.
+MAX_TRIALS = 1000
+
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -56,6 +61,8 @@ class SuiteConfig:
         object.__setattr__(self, "suites", tuple(self.suites))
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.trials > MAX_TRIALS:
+            raise ValueError(f"--trials {self.trials} above the cap of {MAX_TRIALS}")
         if self.max_degree < 1:
             raise ValueError("max degree must be at least 1")
         if self.max_degree > MAX_DEGREE:
@@ -826,9 +833,11 @@ def divergence_sides(
     lead = Fraction(1, math.factorial(n))
     tail = Fraction(1, math.factorial(n - 1))
     for idx in probes:
+        # S(h, idx) for every label h: the sign depends on idx alone.
+        sign = fc.permutation_sign(idx)
         lhs = Poly.zero(4)
         for h in labels:
-            lhs = lhs + ca.bullet_partial(S(h, idx), h)
+            lhs = lhs + ca.bullet_partial(weight[h] * sign, h)
         # Reorderings that give the same sequence add their signs first; a
         # probe with a repeated label cancels to all-zero counts this way.
         counts: dict[tuple[int, ...], int] = {}
@@ -883,13 +892,6 @@ IDENTITIES: dict[str, tuple[Identity, ...]] = {
     "lagrange": LAGRANGE,
     "appendix": APPENDIX,
 }
-
-
-def identity(suite: str, name: str) -> Identity:
-    for ident in IDENTITIES[suite]:
-        if ident.name == name:
-            return ident
-    raise KeyError(f"no identity {name!r} in suite {suite!r}")
 
 
 def run_suite(cfg: SuiteConfig) -> Report:

@@ -383,13 +383,6 @@ def test_transposition_identity_rejects_non_antisymmetric():
 # -- misc -----------------------------------------------------------------------
 
 
-def test_component_signs_and_repeats():
-    t = wedge(basis_one_form(0), basis_one_form(1))
-    assert t.component((0, 1)) == Poly.const(1, 4)
-    assert t.component((1, 0)) == Poly.const(-1, 4)
-    assert t.component((0, 0)).is_zero
-
-
 def test_scalar_multiplication_and_linearity():
     t = FiveForm(1, {(0,): P("x0"), (5,): P("2")})
     assert Fraction(1, 2) * t + Fraction(1, 2) * t == t

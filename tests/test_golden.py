@@ -3,8 +3,8 @@
 A passing jsonl record carries no computed values, so a change that shifts
 the random stream or a computed number can leave every report byte-identical.
 These digests pin what the reports do not: every instance the suites draw,
-the shrunk counterexamples of the mutation runs, the exact integral values,
-the frame-equivalence verdicts, and the demo command output.
+the shrunk counterexamples of the mutation runs, the exact integral values
+and the demo command output.
 
 To print the current digests (after a change that is meant to alter them):
 
@@ -18,7 +18,6 @@ import itertools
 import os
 import random
 import tempfile
-from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -26,8 +25,6 @@ from fvx import integration as ig
 from fvx import mutations as mu
 from fvx import suites as su
 from fvx.cli import main
-from fvx.integration import ParamSurface
-from fvx.polyfield import Poly
 
 from formgen import rand_poly_reference
 
@@ -151,84 +148,11 @@ def integral_values() -> list[str]:
     return values
 
 
-# Parameter changes mu -> A mu + c, applied around the frame point; the last
-# two are singular, so the changed surface has a degenerate frame there.
-_CHANGES = {
-    1: ([[1]], [[2]], [[-1]], [[Fraction(1, 3)]], [[0]]),
-    2: (
-        [[1, 0], [0, 1]],
-        [[0, 1], [1, 0]],
-        [[1, 2], [0, 1]],
-        [[2, 1], [1, 1]],
-        [[3, 0], [1, -2]],
-        [[1, 1], [1, 1]],
-    ),
-    3: (
-        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-        [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
-        [[1, 1, 0], [0, 1, 1], [0, 0, 1]],
-        [[2, 0, 1], [0, 1, 0], [1, 0, 1]],
-        [[1, 2, 3], [2, 4, 6], [0, 0, 1]],
-    ),
-    4: (
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
-        [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]],
-        [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]],
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 1, 1, 0]],
-    ),
-}
-
-
-def _changed(V: ParamSurface, A, lam, bent: bool) -> ParamSurface:
-    """V composed with mu -> A mu + lam over [-1, 1]^m, so that mu = 0 lands
-    on lam; ``bent`` adds mu_0 to the last coordinate, which keeps the image
-    point but tilts the first tangent vector, mostly out of V's tangent
-    space."""
-    m = V.dim
-    subs = []
-    for k in range(m):
-        poly = Poly.const(lam[k], m)
-        for j in range(m):
-            poly = poly + Poly.variable(j, m) * Fraction(A[k][j])
-        subs.append(poly)
-    maps = [comp.compose(subs) for comp in V.map]
-    if bent:
-        maps[3] = maps[3] + Poly.variable(0, m)
-    box = ((Fraction(-1), Fraction(1)),) * m
-    return ParamSurface(m, tuple(maps), box)
-
-
-def frame_verdicts() -> list[str]:
-    """Degeneracy flags and all four equivalence relations on fixed frames."""
-    rng = random.Random("golden:frames")
-    verdicts = []
-    for dim, changes in _CHANGES.items():
-        for _ in range(3):
-            V = su.rand_surface(rng, dim, 3)
-            lam = tuple((a + b) / 2 for a, b in V.box)
-            verdicts.append(str(ig.tangent_frame(V, lam).is_degenerate))
-            for A in changes:
-                for bent in (False, True):
-                    W = _changed(V, A, lam, bent)
-                    origin = (0,) * dim
-                    verdicts.append(str(ig.tangent_frame(W, origin).is_degenerate))
-                    for relation in ig.RELATIONS:
-                        verdicts.append(
-                            _outcome(ig.equivalence_check, V, W, lam, origin, relation)
-                        )
-    return verdicts
-
-
 INTEGRAL_DIGEST = '39ef80807c290af956a50dc6b9b059fd5ba9a5bf1b49e0c229fdd8d3ba788630'
-FRAME_DIGEST = '448ea6b3e3ffb43aade194090023affebc5a9aa1e6609e78113e686d15b1683b'
 
 
 def test_integral_values_are_unchanged():
     assert _sha("\n".join(integral_values())) == INTEGRAL_DIGEST
-
-
-def test_frame_verdicts_are_unchanged():
-    assert _sha("\n".join(frame_verdicts())) == FRAME_DIGEST
 
 
 # -- demo output -----------------------------------------------------------------------------
@@ -286,5 +210,4 @@ if __name__ == "__main__":
     print("INSTANCE_DIGESTS =", {seed: instance_digest(seed) for seed in range(5)})
     print("MUTATION_DIGESTS =", {m.name: mutation_digest(m.name) for m in mu.MUTATIONS})
     print("INTEGRAL_DIGEST =", repr(_sha("\n".join(integral_values()))))
-    print("FRAME_DIGEST =", repr(_sha("\n".join(frame_verdicts()))))
     print("DEMO_OUTPUT =", {command: demo_run(command) for command in DEMO_COMMANDS})

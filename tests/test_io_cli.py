@@ -250,6 +250,9 @@ def test_load_form_prefixes_path_on_content_errors(tmp_path):
 def test_suite_config_validation():
     with pytest.raises(ValueError, match="trials"):
         su.SuiteConfig(trials=0)
+    with pytest.raises(ValueError, match="--trials 1001 above the cap of 1000"):
+        su.SuiteConfig(trials=1001)
+    assert su.SuiteConfig(trials=1000).trials == 1000
     with pytest.raises(ValueError, match="max degree"):
         su.SuiteConfig(max_degree=0)
     with pytest.raises(ValueError, match="--max-degree 9 above the cap of 8"):
@@ -274,11 +277,13 @@ def test_check_refuses_a_high_degree_before_any_work(capsys):
     assert capsys.readouterr().err == "fvx: --max-degree 120 above the cap of 8\n"
 
 
-def test_identity_lookup():
-    ident = su.identity("algebra", "wedge-unit")
-    assert ident.name == "wedge-unit"
-    with pytest.raises(KeyError, match="no identity"):
-        su.identity("algebra", "nope")
+@pytest.mark.parametrize("trials", ["1001", "99999999999999999999999"])
+def test_check_refuses_a_trial_count_above_the_cap(capsys, trials):
+    # An oversized count used to run until killed, keeping every record.
+    start = time.monotonic()
+    assert main(["check", "--suite", "algebra", "--trials", trials]) == 2
+    assert time.monotonic() - start < 1
+    assert capsys.readouterr().err == f"fvx: --trials {trials} above the cap of 1000\n"
 
 
 def test_reports_are_deterministic_for_a_seed():

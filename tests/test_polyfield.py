@@ -220,11 +220,6 @@ def test_constructors_check_nvars():
     assert Poly.const(0, 3) == Poly.zero(3) and not Poly.const(0, 3).terms
 
 
-@given(polys)
-def test_pow_matches_repeated_product(p):
-    assert p**3 == p * p * p
-
-
 scalars = st.one_of(st.integers(-3, 3), rationals)
 
 
