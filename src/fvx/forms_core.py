@@ -50,6 +50,18 @@ def permutation_sign(seq: Sequence[int]) -> int:
     return -1 if inversions % 2 else 1
 
 
+def signed_permutations(items: Sequence[int]) -> Iterable[tuple[int, tuple[int, ...]]]:
+    """``(sign, perm)`` for each permutation of ``items`` in the order of
+    ``itertools.permutations``, the sign taken relative to the positions of
+    ``items``.  That order puts the i-th remaining item in front, which
+    costs i transpositions, so the signs follow by recurrence with no
+    ranking (Knuth, TAOCP Vol. 4A, 7.2.1.2)."""
+    signs = [1]
+    for m in range(2, len(items) + 1):
+        signs = [-s if i % 2 else s for i in range(m) for s in signs]
+    return zip(signs, itertools.permutations(items))
+
+
 def merge_sign(left: IndexKey, right: IndexKey) -> tuple[int, IndexKey]:
     """Sign and sorted key for concatenating two disjoint sorted keys."""
     inversions = 0
@@ -411,7 +423,7 @@ def transposition_identity_check(array: IndexedArray, m: int) -> bool:
     factor = Fraction(m * (-1) ** (m + 1), math.factorial(m))
     # Entries with a repeated tail vanish on both sides; only distinct tails
     # can carry weight.
-    signed = [(permutation_sign(perm), perm) for perm in itertools.permutations(array.index_set)]
+    signed = list(signed_permutations(array.index_set))
     for i in array.index_set:
         total = sum(sign * scaled.get(perm + (i,), 0) for sign, perm in signed)
         for sign, tail in signed:

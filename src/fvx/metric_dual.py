@@ -9,7 +9,6 @@ components and the constructors refuse.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +22,7 @@ from fvx.forms_core import (
     e_part,
     permutation_sign,
     s_from_t,
+    signed_permutations,
 )
 from fvx.polyfield import Poly
 
@@ -104,9 +104,8 @@ def epsilon_lower(cfg: MetricConfig = DEFAULT_CFG) -> IndexedArray:
     """Totally antisymmetric array with eps_{01235} = eta * |det h|^(1/2)."""
     scale = cfg.eta * cfg.kappa
     # Only the 120 permutations of the labels are nonzero.
-    values = {
-        idx: scale if permutation_sign(idx) > 0 else -scale for idx in itertools.permutations(FIVE_AXES)
-    }
+    negated = -scale
+    values = {idx: scale if sign > 0 else negated for sign, idx in signed_permutations(FIVE_AXES)}
     return IndexedArray._new(5, FIVE_AXES, values)
 
 
@@ -114,14 +113,16 @@ def epsilon_upper(lower: IndexedArray, cfg: MetricConfig) -> IndexedArray:
     """The alternating tensor ``lower`` of cfg with all five indices raised by
     the inverse metric, one factor per slot."""
     # The weight is a product over the labels, so entries that list the same
-    # labels share it: one product per sorted label set, for this call only.
-    weights: dict[tuple[int, ...], Fraction] = {}
+    # labels with the same value share the quotient: one division per sorted
+    # label set and value, for this call only.  The value is keyed by its two
+    # integers, which hash far faster than the Fraction.
+    quotients: dict[tuple[tuple[int, ...], int, int], Fraction] = {}
     values = {}
     for idx, value in lower.values.items():
-        labels = tuple(sorted(idx))
-        if labels not in weights:
-            weights[labels] = cfg.weight(labels)
-        values[idx] = value / weights[labels]
+        key = (tuple(sorted(idx)), value.numerator, value.denominator)
+        if key not in quotients:
+            quotients[key] = value / cfg.weight(key[0])
+        values[idx] = quotients[key]
     return IndexedArray._new(lower.arity, lower.index_set, values)
 
 
@@ -151,7 +152,7 @@ def contraction_sides(
     total = Fraction(0)
     for key, value in upper.values.items():
         if key[:m] == A:
-            total += value * lower[B + key[m:]]
+            total += value * lower.values.get(B + key[m:], 0)
     return total, -math.factorial(5 - m) * cfg.sign_xi * permutation_delta(A, B)
 
 

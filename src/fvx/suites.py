@@ -791,8 +791,8 @@ def conforming_array(weights: Sequence[Fraction]) -> IndexedArray:
     """Array with S[(i,) + j] = weights[i] * sign(j), the shape for which the
     transposition identity is stated."""
     m = len(weights)
-    signed = [(perm, fc.permutation_sign(perm)) for perm in itertools.permutations(range(m))]
-    values = {(i,) + perm: w if sign > 0 else -w for i, w in enumerate(weights) for perm, sign in signed}
+    signed = list(fc.signed_permutations(range(m)))
+    values = {(i,) + perm: w if sign > 0 else -w for i, w in enumerate(weights) for sign, perm in signed}
     return IndexedArray._new(m + 1, tuple(range(m)), values)
 
 
@@ -816,20 +816,16 @@ def divergence_sides(
     re-antisymmetrized derivative of its contraction T."""
     n = len(labels)
     weight = dict(zip(labels, weights))
+    contractions: dict[tuple[int, ...], dict[int, int]] = {}
 
-    def S(h: int, key: tuple[int, ...]) -> Poly:
-        return weight[h] * fc.permutation_sign(key)
+    def T(key: tuple[int, ...]) -> dict[int, int]:
+        # The contraction sum over h of S(h, (h,) + key), as the integer
+        # multiple of each weight w_h; a label h in key repeats, giving 0.
+        if key not in contractions:
+            contractions[key] = {h: fc.permutation_sign((h,) + key) for h in labels if h not in key}
+        return contractions[key]
 
-    def T(key: tuple[int, ...]) -> Poly:
-        # S(h, (h,) + key) has a repeated label, so is w_h * 0, for h in key.
-        total = Poly.zero(4)
-        for h in labels:
-            if h not in key:
-                total = total + S(h, (h,) + key)
-        return total
-
-    derivatives: dict[tuple[int, ...], Poly] = {}
-    signed = [(fc.permutation_sign(perm), perm) for perm in itertools.permutations(range(n))]
+    derivatives: dict[tuple[int, int], Poly] = {}
     lead = Fraction(1, math.factorial(n))
     tail = Fraction(1, math.factorial(n - 1))
     for idx in probes:
@@ -841,15 +837,23 @@ def divergence_sides(
         # Reorderings that give the same sequence add their signs first; a
         # probe with a repeated label cancels to all-zero counts this way.
         counts: dict[tuple[int, ...], int] = {}
-        for sign, perm in signed:
-            reordered = tuple(idx[p] for p in perm)
+        for sign, reordered in fc.signed_permutations(idx):
             counts[reordered] = counts.get(reordered, 0) + sign
-        rhs = Poly.zero(4)
+        # The derivative is linear, so the right side is a sum of integer
+        # multiples of bullet_partial(w_h, axis), added up per (axis, h)
+        # before any Poly work.
+        multiples: dict[tuple[int, int], int] = {}
         for reordered, count in counts.items():
             if count:
-                if reordered not in derivatives:
-                    derivatives[reordered] = ca.bullet_partial(T(reordered[1:]), reordered[0])
-                rhs = rhs + derivatives[reordered] * count
+                for h, multiple in T(reordered[1:]).items():
+                    pair = (reordered[0], h)
+                    multiples[pair] = multiples.get(pair, 0) + count * multiple
+        rhs = Poly.zero(4)
+        for (axis, h), multiple in multiples.items():
+            if multiple:
+                if (axis, h) not in derivatives:
+                    derivatives[axis, h] = ca.bullet_partial(weight[h], axis)
+                rhs = rhs + derivatives[axis, h] * multiple
         yield lhs * lead, rhs * (tail * lead)
 
 

@@ -1,10 +1,14 @@
 """Wedge algebra, pairings, label-5 bookkeeping, and array antisymmetrization."""
 
+import contextlib
 import itertools
 import math
 import random
 import re
+import sys
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,12 +28,14 @@ from fvx.forms_core import (
     permutation_sign,
     project,
     s_from_t,
+    signed_permutations,
     t_from_s,
     transposition_identity_check,
     wedge,
     z_part,
 )
 from fvx import calculus as ca
+from fvx import forms_core as fc
 from fvx import lagrange as lg
 from fvx import metric_dual as md
 from fvx import suites as su
@@ -338,6 +344,62 @@ def test_permutation_sign_is_multiplicative(perms):
     tau, sigma = map(tuple, perms)
     composed = tuple(tau[s] for s in sigma)
     assert permutation_sign(composed) == permutation_sign(tau) * permutation_sign(sigma)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_signed_permutations_follow_the_enumeration_order(n):
+    distinct = tuple(random.Random(n).sample(range(9), n))
+    for items in (tuple(range(n)), distinct, tuple(reversed(distinct)), tuple(i // 2 for i in range(n))):
+        # The sign is that of the permutation of positions, so repeated
+        # items still carry one.
+        expected = [
+            (permutation_sign(perm), tuple(items[p] for p in perm))
+            for perm in itertools.permutations(range(n))
+        ]
+        assert list(signed_permutations(items)) == expected
+
+
+# The patches below rebind the names in fvx's modules only, so these two
+# still reach the originals through this module's own names.
+def _flipped_signed_permutations(items):
+    return ((-sign, perm) for sign, perm in signed_permutations(items))
+
+
+def _flipped_permutation_sign(seq):
+    return -permutation_sign(seq)
+
+
+# The sign routes' kill rows at seed 0 over the suites that read signs: the
+# identities that fail, with their failing instance counts, when one route's
+# signs are negated.  The two routes are independent, so each row is caught
+# on its own; epsilon-reference compares them, and the divergence readings
+# compare S with T, whose permutation_sign flips cancel.
+SIGN_ROUTE_KILLS = {
+    "signed_permutations": (
+        _flipped_signed_permutations,
+        {"epsilon-reference": 25, "divergence-contraction-4": 19, "divergence-contraction-5": 23},
+    ),
+    "permutation_sign": (
+        _flipped_permutation_sign,
+        {"epsilon-reference": 21, "bd-lambda-residual": 7, "three-way-equivalence": 1},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SIGN_ROUTE_KILLS)
+def test_sign_route_kill_rows(name):
+    # Patched by hand at every binding: a mutation's negated result cannot
+    # negate the signs inside a zip.
+    flipped, kills = SIGN_ROUTE_KILLS[name]
+    original = getattr(fc, name)
+    fvx_modules = [m for key, m in list(sys.modules.items()) if key == "fvx" or key.startswith("fvx.")]
+    bindings = [(m, attr) for m in fvx_modules for attr, value in vars(m).items() if value is original]
+    assert (fc, name) in bindings and (md, name) in bindings
+    with contextlib.ExitStack() as stack:
+        for module, attr in bindings:
+            stack.enter_context(mock.patch.object(module, attr, flipped))
+        report = su.run_suite(su.SuiteConfig(seed=0, suites=("duality", "appendix", "lagrange")))
+    assert Counter(r.identity for r in report.failures) == kills
 
 
 @settings(max_examples=20, deadline=None)

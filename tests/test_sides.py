@@ -134,22 +134,30 @@ def test_a_differing_pair_ends_the_comparison():
     assert counterexample == "p=x0"
 
 
-def old_divergence_rhs(weights, idx, labels):
-    """The right side as it was computed before the reorderings were
-    grouped: one T and one derivative per signed permutation of the probe."""
+def reference_divergence_sides(weights, probes, labels):
+    """Both sides as the literal sums state them: S and the contraction T as
+    polynomials, and one T and one derivative per signed reordering of the
+    probe, with every sign ranked by permutation_sign."""
     n = len(labels)
+
+    def S(h, key):
+        return weights[labels.index(h)] * permutation_sign(key)
 
     def T(key):
         total = Poly.zero(4)
         for h in labels:
-            total = total + weights[labels.index(h)] * permutation_sign((h,) + key)
+            total = total + S(h, (h,) + key)
         return total
 
-    rhs = Poly.zero(4)
-    for perm in itertools.permutations(range(n)):
-        reordered = tuple(idx[p] for p in perm)
-        rhs = rhs + bullet_partial(T(reordered[1:]), reordered[0]) * permutation_sign(perm)
-    return rhs * Fraction(1, math.factorial(n - 1) * math.factorial(n))
+    for idx in probes:
+        lhs = Poly.zero(4)
+        for h in labels:
+            lhs = lhs + bullet_partial(S(h, idx), h)
+        rhs = Poly.zero(4)
+        for perm in itertools.permutations(range(n)):
+            reordered = tuple(idx[p] for p in perm)
+            rhs = rhs + bullet_partial(T(reordered[1:]), reordered[0]) * permutation_sign(perm)
+        yield lhs * Fraction(1, math.factorial(n)), rhs * Fraction(1, math.factorial(n - 1) * math.factorial(n))
 
 
 def _probes(labels):
@@ -171,10 +179,19 @@ _divergence_cases = st.sampled_from((COORD_AXES, FIVE_AXES)).flatmap(
 @settings(max_examples=25, deadline=None)
 @given(_divergence_cases)
 @example((FIVE_AXES, [P("x0 x1"), P("x2"), P("1/2"), P("x3^2"), P("x0 - 3")], [(5, 0, 5, 1, 2)]))
+# n = 4 and 5, each with a probe of distinct labels and one with repeats.
+@example((COORD_AXES, [P("x0 x1 - 2"), P("x2^2"), P("1/3 x3"), P("x1 x3")], [(3, 1, 0, 2), (2, 2, 0, 1)]))
+@example(
+    (
+        FIVE_AXES,
+        [P("x0 x1 - 2"), P("x2^2"), P("1/3 x3"), P("x1 x3"), P("-x2 + 5/2")],
+        [(5, 3, 1, 0, 2), (2, 1, 2, 1, 5)],
+    )
+)
 def test_grouped_divergence_rhs_matches_the_permutation_loop(case):
     labels, weights, probes = case
     sides = list(su.divergence_sides(weights, probes, labels))
-    assert [rhs for _, rhs in sides] == [old_divergence_rhs(weights, idx, labels) for idx in probes]
+    assert sides == list(reference_divergence_sides(weights, probes, labels))
     assert all(lhs == rhs for lhs, rhs in sides)
 
 
