@@ -95,7 +95,7 @@ def _output(path: str | None, default=None):
         raise fio.FormatError(f"{path}: {exc.strerror or exc}") from None
 
 
-def cmd_operator(args) -> int:
+def cmd_operator(args: argparse.Namespace) -> int:
     form = fio.load_form(args.form)
     if args.operator == "d":
         if not fc.e_part(form).is_zero:
@@ -118,7 +118,7 @@ def cmd_operator(args) -> int:
     return 0
 
 
-def _load_pullback(args) -> tuple[fc.FiveForm, ParamSurface]:
+def _load_pullback(args: argparse.Namespace) -> tuple[fc.FiveForm, ParamSurface]:
     """The form and surface of an integral command, each coefficient's
     pullback within the budget."""
     form = fio.load_form(args.form)
@@ -128,7 +128,7 @@ def _load_pullback(args) -> tuple[fc.FiveForm, ParamSurface]:
     return form, V
 
 
-def cmd_integrate(args) -> int:
+def cmd_integrate(args: argparse.Namespace) -> int:
     from fvx import integration as ig
 
     form, V = _load_pullback(args)
@@ -136,14 +136,14 @@ def cmd_integrate(args) -> int:
     return 0
 
 
-def cmd_stokes(args) -> int:
+def cmd_stokes(args: argparse.Namespace) -> int:
     from fvx import integration as ig
 
     form, V = _load_pullback(args)
     return _print_sides(("boundary", "interior"), *ig.stokes_sides(form, V))
 
 
-def cmd_flux(args) -> int:
+def cmd_flux(args: argparse.Namespace) -> int:
     from fvx import integration as ig
 
     form, V = _load_pullback(args)
@@ -175,7 +175,7 @@ def _probe_box(arg: str) -> ParamSurface:
     return ig.ParamSurface(4, maps, fio.bound_pairs(data, "box"))
 
 
-def cmd_el(args) -> int:
+def cmd_el(args: argparse.Namespace) -> int:
     from fvx import lagrange as lg
 
     L = fio.load_lagrangian(args.lagrangian)
@@ -196,9 +196,8 @@ def cmd_el(args) -> int:
     return 0 if report.is_solution else 1
 
 
-def cmd_check(args) -> int:
+def cmd_check(args: argparse.Namespace) -> int:
     from fvx import metric_dual as md
-    from fvx import mutations as mu
     from fvx import suites as su
 
     metric = fio.load_metric(args.config) if args.config else md.DEFAULT_CFG
@@ -210,6 +209,8 @@ def cmd_check(args) -> int:
         suites=tuple(args.suite) if args.suite else su.SUITE_NAMES,
     )
     # Patch, then open the output, so that a bad mutation name or path costs no run.
+    if args.mutate:
+        from fvx import mutations as mu
     mutation = mu.apply_mutation(args.mutate) if args.mutate else contextlib.nullcontext()
     with mutation, _output(args.out, sys.stdout) as handle:
         report = su.run_suite(cfg)

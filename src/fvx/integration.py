@@ -33,60 +33,54 @@ face-by-face reference route; the tests compare the two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from fvx.calculus import bd, bdstar, d5
 from fvx.forms_core import FiveForm, wedge
-from fvx.polyfield import Poly, RationalLike, integrate_box
+from fvx.polyfield import Poly, RationalLike, Record, integrate_box
 
 Interval = tuple[Fraction, Fraction]
 
 
-@dataclass(frozen=True)
-class ParamSurface:
+class ParamSurface(Record):
     """Polynomial map from a rational box into the patch.
 
     ``dim`` may be 0 (a point, used for the faces of curves); public surfaces
     have dim 1..4.  Map components are polynomials in the parameters.
     """
 
-    dim: int
-    map: tuple[Poly, Poly, Poly, Poly]
-    box: tuple[Interval, ...]
+    __slots__ = ("dim", "map", "box")
 
-    def __post_init__(self):
-        if not 0 <= self.dim <= 4:
+    def __init__(self, dim: int, map: tuple[Poly, Poly, Poly, Poly], box: tuple[Interval, ...]):
+        if not 0 <= dim <= 4:
             raise ValueError("surface dimension must be between 0 and 4")
-        object.__setattr__(self, "map", tuple(self.map))
-        if len(self.map) != 4:
+        map = tuple(map)
+        if len(map) != 4:
             raise ValueError("surface map needs exactly four components")
-        for comp in self.map:
-            if not isinstance(comp, Poly) or comp.nvars != self.dim:
+        for comp in map:
+            if not isinstance(comp, Poly) or comp.nvars != dim:
                 raise ValueError("map components must be polynomials in the parameters")
-        box = tuple((Fraction(a), Fraction(b)) for a, b in self.box)
-        object.__setattr__(self, "box", box)
-        if len(box) != self.dim:
+        box = tuple((Fraction(a), Fraction(b)) for a, b in box)
+        if len(box) != dim:
             raise ValueError("box needs one interval per parameter")
         for a, b in box:
             if not a < b:
                 raise ValueError("box intervals must satisfy a < b")
+        self._set(dim, map, box)
 
 
-@dataclass(frozen=True)
-class OrientedFace:
+class OrientedFace(Record):
     """One face of the parameter box, with its induced orientation sign."""
 
-    parent: ParamSurface
-    fixed: int
-    end: str
+    __slots__ = ("parent", "fixed", "end")
 
-    def __post_init__(self):
-        if not 0 <= self.fixed < self.parent.dim:
+    def __init__(self, parent: ParamSurface, fixed: int, end: str):
+        if not 0 <= fixed < parent.dim:
             raise ValueError("fixed parameter index out of range")
-        if self.end not in ("low", "high"):
+        if end not in ("low", "high"):
             raise ValueError("end must be 'low' or 'high'")
+        self._set(parent, fixed, end)
 
     @property
     def sign(self) -> int:

@@ -22,13 +22,12 @@ content of the agreement theorems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from fvx.calculus import bd, bdstar, d4
 from fvx.forms_core import FiveForm, FourForm, e_part, permutation_sign, z_part
 from fvx.integration import ParamSurface, five_flux
-from fvx.polyfield import Poly
+from fvx.polyfield import Poly, Record
 
 P_LABELS = (0, 1, 2, 3, 5)
 
@@ -44,33 +43,32 @@ def lagrangian_names(n_fields: int) -> tuple[str, ...]:
     return tuple(f"p{ell}_{label}" for ell in range(n_fields) for label in P_LABELS)
 
 
-@dataclass(frozen=True)
-class LagrangianSpec:
+class LagrangianSpec(Record):
     """Autonomous density polynomial over the 5N formal field variables."""
 
-    n_fields: int
-    density: Poly
+    __slots__ = ("n_fields", "density")
 
-    def __post_init__(self):
-        if self.n_fields < 1:
+    def __init__(self, n_fields: int, density: Poly):
+        if n_fields < 1:
             raise ValueError("need at least one field")
-        if self.density.nvars != 5 * self.n_fields:
+        if density.nvars != 5 * n_fields:
             raise ValueError("density must use exactly five variables per field")
+        self._set(n_fields, density)
 
 
-@dataclass(frozen=True)
-class FieldSet:
+class FieldSet(Record):
     """Concrete polynomial fields on the patch."""
 
-    fields: tuple[Poly, ...]
+    __slots__ = ("fields",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "fields", tuple(self.fields))
-        if not self.fields:
+    def __init__(self, fields: tuple[Poly, ...]):
+        fields = tuple(fields)
+        if not fields:
             raise ValueError("need at least one field")
-        for phi in self.fields:
+        for phi in fields:
             if not isinstance(phi, Poly) or phi.nvars != 4:
                 raise ValueError("fields must be polynomials in the four coordinates")
+        self._set(fields)
 
     def __len__(self) -> int:
         return len(self.fields)
@@ -183,15 +181,20 @@ def unit_probe_box() -> ParamSurface:
     return ParamSurface(4, maps, ((0, 1),) * 4)
 
 
-@dataclass(frozen=True)
-class ELReport:
+class ELReport(Record):
     """Everything the three formulations produce for one (L, phi) pair."""
 
-    residuals: tuple[Poly, ...]
-    j_forms: tuple[FourForm, ...]
-    k_forms: tuple[FourForm, ...]
-    lambda_forms: tuple[FiveForm, ...]
-    flux_values: tuple[Fraction, ...]
+    __slots__ = ("residuals", "j_forms", "k_forms", "lambda_forms", "flux_values")
+
+    def __init__(
+        self,
+        residuals: tuple[Poly, ...],
+        j_forms: tuple[FourForm, ...],
+        k_forms: tuple[FourForm, ...],
+        lambda_forms: tuple[FiveForm, ...],
+        flux_values: tuple[Fraction, ...],
+    ):
+        self._set(residuals, j_forms, k_forms, lambda_forms, flux_values)
 
     @property
     def is_solution(self) -> bool:

@@ -10,7 +10,6 @@ components and the constructors refuse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -24,11 +23,10 @@ from fvx.forms_core import (
     s_from_t,
     signed_permutations,
 )
-from fvx.polyfield import Poly
+from fvx.polyfield import Poly, Record
 
 
-@dataclass(frozen=True)
-class MetricConfig:
+class MetricConfig(Record):
     """Diagonal metric with signs g on the coordinate block and h_55 = xi.
 
     sigma is the scale constant of the distinguished basis vector; it only
@@ -36,23 +34,21 @@ class MetricConfig:
     formulas in the fixed basis used here.  eta is the orientation flag.
     """
 
-    g: tuple[int, int, int, int] = (1, -1, -1, -1)
-    xi: Fraction = Fraction(-1)
-    sigma: Fraction = Fraction(1)
-    eta: int = 1
+    __slots__ = ("g", "xi", "sigma", "eta")
 
-    def __post_init__(self):
-        object.__setattr__(self, "g", tuple(self.g))
-        if len(self.g) != 4 or any(s not in (1, -1) for s in self.g):
+    def __init__(self, g=(1, -1, -1, -1), xi=-1, sigma=1, eta=1):
+        g = tuple(g)
+        if len(g) != 4 or any(s not in (1, -1) for s in g):
             raise ValueError("g must be four signs")
-        object.__setattr__(self, "xi", Fraction(self.xi))
-        if not self.xi:
+        xi = Fraction(xi)
+        if not xi:
             raise ValueError("xi must be nonzero")
-        object.__setattr__(self, "sigma", Fraction(self.sigma))
-        if self.sigma <= 0:
+        sigma = Fraction(sigma)
+        if sigma <= 0:
             raise ValueError("sigma must be positive")
-        if self.eta not in (1, -1):
+        if eta not in (1, -1):
             raise ValueError("eta must be +1 or -1")
+        self._set(g, xi, sigma, eta)
         # kappa raises when |det h| is not a rational square: refuse such a
         # metric here, not at its first use.
         self.kappa

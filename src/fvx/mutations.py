@@ -12,19 +12,18 @@ from __future__ import annotations
 
 import contextlib
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from types import ModuleType
 
 from fvx import calculus, forms_core, integration, lagrange, metric_dual
+from fvx.polyfield import Record
 
 
-@dataclass(frozen=True)
-class Mutation:
-    name: str
-    module: ModuleType
-    attribute: str
-    caught_by: tuple[str, str]
+class Mutation(Record):
+    __slots__ = ("name", "module", "attribute", "caught_by")
+
+    def __init__(self, name: str, module: ModuleType, attribute: str, caught_by: tuple[str, str]):
+        self._set(name, module, attribute, caught_by)
 
 
 MUTATIONS: tuple[Mutation, ...] = (

@@ -333,6 +333,39 @@ class Poly:
 _set_nvars, _set_den, _set_num = (getattr(Poly, name).__set__ for name in Poly.__slots__)
 
 
+class Record:
+    """Immutable record: a subclass names its fields in ``__slots__``, and its ``__init__``
+    checks the arguments and stores them with ``_set``.  ``==``, hash, repr and copies go by
+    the fields; a copy or an unpickled record is built again through ``__init__``."""
+
+    __slots__ = ()
+
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
 def integrate_box(p: Poly, box: Sequence[tuple[RationalLike, RationalLike]]) -> Fraction:
     """Exact integral over a rational box.
 

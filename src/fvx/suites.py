@@ -17,7 +17,6 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass, replace
 from functools import partial
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Sequence
@@ -32,7 +31,7 @@ from fvx.forms_core import FIVE_AXES, FiveForm, FourForm, IndexedArray, MultiVec
 from fvx.integration import ParamSurface
 from fvx.lagrange import FieldSet, LagrangianSpec
 from fvx.metric_dual import DEFAULT_CFG, MetricConfig
-from fvx.polyfield import _BITS, COORD_NAMES, Poly, _pack, default_names, format_poly
+from fvx.polyfield import _BITS, COORD_NAMES, Poly, Record, _pack, default_names, format_poly
 
 SUITE_NAMES = ("algebra", "calculus", "stokes", "flux", "duality", "lagrange", "appendix")
 
@@ -49,43 +48,39 @@ MAX_DEGREE = 8
 MAX_TRIALS = 1000
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    seed: int = 0
-    trials: int = 25
-    max_degree: int = 3
-    metric: MetricConfig = DEFAULT_CFG
-    suites: tuple[str, ...] = SUITE_NAMES
+class SuiteConfig(Record):
+    __slots__ = ("seed", "trials", "max_degree", "metric", "suites")
 
-    def __post_init__(self):
-        object.__setattr__(self, "suites", tuple(self.suites))
-        if self.trials < 1:
+    def __init__(self, seed=0, trials=25, max_degree=3, metric=DEFAULT_CFG, suites=SUITE_NAMES):
+        suites = tuple(suites)
+        if trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.trials > MAX_TRIALS:
-            raise ValueError(f"--trials {self.trials} above the cap of {MAX_TRIALS}")
-        if self.max_degree < 1:
+        if trials > MAX_TRIALS:
+            raise ValueError(f"--trials {trials} above the cap of {MAX_TRIALS}")
+        if max_degree < 1:
             raise ValueError("max degree must be at least 1")
-        if self.max_degree > MAX_DEGREE:
-            raise ValueError(f"--max-degree {self.max_degree} above the cap of {MAX_DEGREE}")
-        if not self.suites:
+        if max_degree > MAX_DEGREE:
+            raise ValueError(f"--max-degree {max_degree} above the cap of {MAX_DEGREE}")
+        if not suites:
             raise ValueError("no suites selected")
-        for name in self.suites:
+        for name in suites:
             if name not in SUITE_NAMES:
                 raise ValueError(f"unknown suite {name!r}")
+        self._set(seed, trials, max_degree, metric, suites)
 
 
-@dataclass(frozen=True)
-class InstanceRecord:
-    suite: str
-    identity: str
-    index: int
-    passed: bool
-    counterexample: str | None = None
+class InstanceRecord(Record):
+    __slots__ = ("suite", "identity", "index", "passed", "counterexample")
+
+    def __init__(self, suite: str, identity: str, index: int, passed: bool, counterexample: str | None = None):
+        self._set(suite, identity, index, passed, counterexample)
 
 
-@dataclass(frozen=True)
-class Report:
-    records: tuple[InstanceRecord, ...]
+class Report(Record):
+    __slots__ = ("records",)
+
+    def __init__(self, records: tuple[InstanceRecord, ...]):
+        self._set(records)
 
     @property
     def failures(self) -> tuple[InstanceRecord, ...]:
@@ -250,15 +245,15 @@ def shrink_instance(inst: dict, still_fails: Callable[[dict], bool]) -> dict:
 # -- identity registry ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(Record):
     """A named identity: ``make`` draws an instance, ``sides`` yields the
     ``(lhs, rhs)`` pairs it equates, lazily, so a failing pair stops the
     comparison before the next one is computed."""
 
-    name: str
-    make: Callable[[random.Random, SuiteConfig], dict]
-    sides: Callable[[dict, SuiteConfig], Iterator[tuple[object, object]]]
+    __slots__ = ("name", "make", "sides")
+
+    def __init__(self, name: str, make: Callable[..., dict], sides: Callable[..., Iterator[tuple]]):
+        self._set(name, make, sides)
 
     def holds(self, inst: dict, cfg: SuiteConfig) -> bool:
         return all(lhs == rhs for lhs, rhs in self.sides(inst, cfg))
@@ -654,7 +649,9 @@ def _make_contraction(rng, cfg):
 
 
 def _contraction(i, cfg):
-    for metric in (cfg.metric, replace(cfg.metric, xi=-cfg.metric.xi)):
+    # Each side is a product of two signs (a raised times a lowered entry, and delta's
+    # two permutation_sign values), so no uniform flip of a sign route changes it.
+    for metric in (cfg.metric, MetricConfig(cfg.metric.g, -cfg.metric.xi, cfg.metric.sigma, cfg.metric.eta)):
         # epsilon-sign reaches both tables: raised is built from this lowered one.
         lowered = md.epsilon_lower(metric)
         raised = md.epsilon_upper(lowered, metric)
@@ -802,6 +799,8 @@ def _make_transposition(rng, cfg):
 
 
 def _transposition(i, cfg):
+    # Quadratic in the signs as well: the check multiplies each sign by a signed
+    # sum, and a flipped conforming array is conforming with negated weights.
     yield fc.transposition_identity_check(conforming_array(i["weights"]), i["m"]), True
 
 

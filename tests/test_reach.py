@@ -8,6 +8,12 @@ reaches them).  Re-exports and tests do not count, so code that only tests
 call cannot settle in ``src``.  Module-level dunder hooks (the package's
 ``__getattr__``) are exempt: the interpreter calls them, and no code names them.
 
+The same holds for the methods and properties of every class, matched as
+``Class.attr`` rather than by the bare name, so that a common name used on
+another object (``args.surface``) does not keep ``OrientedFace.surface``.
+Dunder methods are exempt.  The few members kept without such a use are
+listed in ``KEPT_MEMBERS``, each with its reason.
+
 Every name a module imports is also used in that module, so a deletion cannot
 leave its imports behind.
 """
@@ -31,9 +37,13 @@ def _names(tree: ast.AST) -> Counter:
     return used
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _hook(node: ast.AST) -> bool:
     """A module-level dunder function such as ``__getattr__`` (PEP 562)."""
-    return isinstance(node, ast.FunctionDef) and node.name.startswith("__") and node.name.endswith("__")
+    return isinstance(node, ast.FunctionDef) and _dunder(node.name)
 
 
 def unreached() -> set[str]:
@@ -48,6 +58,125 @@ def unreached() -> set[str]:
 
 def test_every_definition_is_reached_outside_the_tests():
     assert unreached() == set()
+
+
+# Members that no fvx module or script names, and why each stays.
+KEPT_MEMBERS = {
+    "IndexedArray.from_function": "perfbench/run.py reads its trace counter",
+    "OrientedFace.surface": "perfbench/run.py reads its trace counter; the tests' face-by-face "
+    "reference for boundary_flux",
+    "Poly.evaluate": "the tests' reference for compose, * and +",
+    "MetricConfig.varpi": "the one computation with sigma, which the config format carries",
+}
+
+
+class _Receivers(ast.NodeVisitor):
+    """Each ``receiver.attr`` of a module, with the classes the receiver can
+    be: ``None`` when unknown (any class with the member matches), else the
+    family of a class named directly (``Poly.zero``, ``ig.ParamSurface``), of
+    ``self``/``cls`` in a method, or of a parameter's annotation; a parameter
+    annotated with no fvx class (``args: argparse.Namespace``) matches none."""
+
+    def __init__(self, family):
+        self.family, self.scope, self.owner, self.functions = family, {}, None, []
+        self.refs: list[tuple[str, set | None, list]] = []
+
+    def _classes(self, node: ast.AST) -> set:
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            node = ast.parse(node.value, mode="eval")
+        names = {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node)}
+        return set().union(*(self.family(name) for name in names))
+
+    def visit_ClassDef(self, node):
+        outer, self.owner = self.owner, node.name
+        self.generic_visit(node)
+        self.owner = outer
+
+    def visit_FunctionDef(self, node):
+        outer, self.scope = self.scope, dict(self.scope)
+        params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        for k, param in enumerate(params):
+            if k == 0 and self.owner is not None:
+                self.scope[param.arg] = self.family(self.owner)
+            elif param.annotation is not None:
+                self.scope[param.arg] = self._classes(param.annotation)
+            else:
+                self.scope.pop(param.arg, None)
+        owner, self.owner = self.owner, None
+        self.functions.append(node)
+        self.generic_visit(node)
+        self.functions.pop()
+        self.scope, self.owner = outer, owner
+
+    def visit_Attribute(self, node):
+        receiver = node.value
+        if isinstance(receiver, ast.Name) and receiver.id in self.scope:
+            kinds = self.scope[receiver.id]
+        else:
+            kinds = self.family(getattr(receiver, "id", None) or getattr(receiver, "attr", None)) or None
+        self.refs.append((node.attr, kinds, list(self.functions)))
+        self.generic_visit(node)
+
+
+def unreached_members(defining: list[ast.Module], using: list[ast.Module]) -> set[str]:
+    """``Class.attr`` of each non-dunder member that the ``using`` modules
+    never reach outside the member's own body."""
+    classes = {node.name: node for tree in defining for node in tree.body if isinstance(node, ast.ClassDef)}
+    bases = {name: {b.id for b in node.bases if getattr(b, "id", None) in classes} for name, node in classes.items()}
+
+    def ancestors(name: str) -> set:
+        return {name}.union(*(ancestors(base) for base in bases[name]))
+
+    def family(name) -> set:
+        if name not in classes:
+            return set()
+        return ancestors(name) | {other for other in classes if name in ancestors(other)}
+
+    refs = []
+    for tree in using:
+        receivers = _Receivers(family)
+        receivers.visit(tree)
+        refs += receivers.refs
+    return {
+        f"{name}.{member.name}"
+        for name, node in classes.items()
+        for member in node.body
+        if isinstance(member, ast.FunctionDef) and not _dunder(member.name)
+        if not any(
+            attr == member.name and (kinds is None or name in kinds) and member not in functions
+            for attr, kinds, functions in refs
+        )
+    }
+
+
+def test_members_are_matched_by_class():
+    tree = ast.parse(
+        "import argparse\n"
+        "class Base:\n"
+        "    def _set(self): ...\n"
+        "    def spare(self): ...\n"
+        "class Face(Base):\n"
+        "    def __init__(self): self._set()\n"
+        "    def surface(self): return self.surface()\n"
+        "    def sign(self): ...\n"
+        "    def value(self): ...\n"
+        "    @classmethod\n"
+        "    def make(cls): ...\n"
+        "class Other:\n"
+        "    def spare(self): ...\n"
+        "def cmd(args: argparse.Namespace, other: 'Other | None'):\n"
+        "    return args.surface, args.sign, other.spare()\n"
+        "def walk(face):\n"
+        "    return face.value, Face.make()\n"
+    )
+    assert unreached_members([tree], [tree]) == {"Base.spare", "Face.surface", "Face.sign"}
+
+
+def test_every_member_is_reached_outside_the_tests():
+    trees = {path: ast.parse(path.read_text()) for path in (ROOT / "src" / "fvx").glob("*.py")}
+    using = [tree for path, tree in trees.items() if path.name != "__init__.py"]
+    using += [ast.parse(path.read_text()) for path in (ROOT / "scripts").glob("*.py")]
+    assert unreached_members(list(trees.values()), using) == set(KEPT_MEMBERS)
 
 
 def _scoped_imports(tree: ast.Module):

@@ -1,0 +1,140 @@
+"""The immutable records of fvx: construction, checks, equality, hashing.
+
+Every record derives from ``polyfield.Record``.  Each case below builds one
+record class from values that its ``__init__`` stores unchanged, one
+argument list that differs in a field, and, where the class checks its
+arguments, one bad argument list with the message it must raise.
+"""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from fvx import forms_core
+from fvx.integration import OrientedFace, ParamSurface
+from fvx.lagrange import ELReport, FieldSet, LagrangianSpec
+from fvx.metric_dual import DEFAULT_CFG, MetricConfig
+from fvx.mutations import Mutation
+from fvx.polyfield import Poly, Record
+from fvx.suites import SUITE_NAMES, Identity, InstanceRecord, Report, SuiteConfig
+
+T = Poly.variable(0, 1)
+SURFACE = ParamSurface(1, (T, T, T, T), ((Fraction(0), Fraction(1)),))
+RECORD_ARGS = ("algebra", "wedge-unit", 0, True, None)
+RECORD = InstanceRecord(*RECORD_ARGS)
+
+
+def _make(rng, cfg):
+    return {}
+
+
+def _sides(inst, cfg):
+    yield 1, 1
+
+
+# (class, args, args differing in one field, bad args or None, message, hashable)
+CASES = [
+    (
+        ParamSurface,
+        (1, (T, T, T, T), ((Fraction(0), Fraction(1)),)),
+        (1, (T, T, T, T), ((Fraction(0), Fraction(2)),)),
+        (5, (T, T, T, T), ((0, 1),)),
+        "surface dimension must be between 0 and 4",
+        False,
+    ),
+    (OrientedFace, (SURFACE, 0, "low"), (SURFACE, 0, "high"), (SURFACE, 0, "top"), "end must be", False),
+    (
+        LagrangianSpec,
+        (1, Poly.variable(0, 5)),
+        (1, Poly.variable(1, 5)),
+        (1, Poly.variable(0, 4)),
+        "five variables per field",
+        False,
+    ),
+    (FieldSet, ((Poly.variable(0, 4),),), ((Poly.variable(1, 4),),), ((),), "need at least one field", False),
+    (
+        ELReport,
+        ((Poly.zero(4),), (), (), (), (Fraction(0),)),
+        ((Poly.zero(4),), (), (), (), (Fraction(1),)),
+        None,
+        "",
+        False,
+    ),
+    (
+        MetricConfig,
+        ((1, -1, -1, -1), Fraction(-1), Fraction(1), 1),
+        ((1, -1, -1, -1), Fraction(-4), Fraction(1), 1),
+        ((1, -1, -1, -1), 0, 1, 1),
+        "xi must be nonzero",
+        True,
+    ),
+    (
+        SuiteConfig,
+        (0, 25, 3, DEFAULT_CFG, SUITE_NAMES),
+        (1, 25, 3, DEFAULT_CFG, SUITE_NAMES),
+        (0, 25, 3, DEFAULT_CFG, ("nope",)),
+        "unknown suite 'nope'",
+        True,
+    ),
+    (InstanceRecord, RECORD_ARGS, ("algebra", "wedge-unit", 0, False, "x"), None, "", True),
+    (Report, ((RECORD,),), ((),), None, "", True),
+    (Identity, ("wedge-unit", _make, _sides), ("wedge-zero", _make, _sides), None, "", True),
+    (
+        Mutation,
+        ("wedge-sign", forms_core, "wedge", ("algebra", "wedge-unit")),
+        ("wedge-sign", forms_core, "wedge", ("algebra", "wedge-zero")),
+        None,
+        "",
+        True,
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, args, other, bad, message, hashable", CASES, ids=[c[0].__name__ for c in CASES])
+def test_record(cls, args, other, bad, message, hashable):
+    record = cls(*args)
+    assert isinstance(record, Record)
+    assert tuple(getattr(record, name) for name in cls.__slots__) == args
+    assert cls(**dict(zip(cls.__slots__, args))) == record
+    assert not cls(*args) != record
+    assert cls(*other) != record
+    # Another record type, or a plain tuple of the same values, is never equal.
+    stranger, stranger_args = next(case[:2] for case in CASES if case[0] is not cls)
+    assert record != stranger(*stranger_args) and stranger(*stranger_args) != record
+    assert record.__eq__(args) is NotImplemented and record != args
+    if hashable:
+        assert hash(cls(*args)) == hash(record)
+    else:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+    name = cls.__slots__[0]
+    with pytest.raises(AttributeError, match="immutable"):
+        setattr(record, name, args[0])
+    with pytest.raises(AttributeError, match="immutable"):
+        delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert tuple(getattr(record, name) for name in cls.__slots__) == args
+    assert copy.copy(record) == record
+    if bad is not None:
+        with pytest.raises(ValueError, match=message):
+            cls(*bad)
+    with pytest.raises(TypeError):
+        cls(*args, *args)
+
+
+def test_record_defaults_and_repr():
+    assert SuiteConfig() == SuiteConfig(0, 25, 3, DEFAULT_CFG, SUITE_NAMES)
+    assert MetricConfig() == MetricConfig((1, -1, -1, -1), Fraction(-1), Fraction(1), 1) == DEFAULT_CFG
+    assert InstanceRecord("algebra", "wedge-unit", 0, True) == RECORD
+    # Field conversions: lists become tuples, rationals become Fractions.
+    assert MetricConfig([1, -1, -1, -1], -1, 1).g == (1, -1, -1, -1)
+    assert type(MetricConfig(xi=-1).xi) is Fraction
+    assert SuiteConfig(suites=["algebra"]).suites == ("algebra",)
+    assert ParamSurface(1, [T, T, T, T], [(0, 1)]) == SURFACE
+    for record in (SuiteConfig(seed=3), MetricConfig(xi=Fraction(-4)), RECORD, Report((RECORD,))):
+        assert pickle.loads(pickle.dumps(record)) == record
+    assert repr(RECORD) == "InstanceRecord(suite='algebra', identity='wedge-unit', index=0, passed=True, counterexample=None)"
+    assert repr(DEFAULT_CFG) == "MetricConfig(g=(1, -1, -1, -1), xi=Fraction(-1, 1), sigma=Fraction(1, 1), eta=1)"
