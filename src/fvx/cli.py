@@ -162,13 +162,7 @@ def _probe_box(arg: str) -> ParamSurface:
     from fvx import integration as ig
 
     text = arg.strip()
-    if text.startswith("["):
-        try:
-            data = json.loads(text)
-        except ValueError as exc:  # also an integer over the digit limit
-            raise fio.FormatError(f"box: {exc}") from None
-    else:
-        data = fio.load_json(arg)
+    data = fio.parse_json(text, "box") if text.startswith("[") else fio.load_json(arg)
     if not isinstance(data, list) or len(data) != 4:
         raise fio.FormatError("box: expected four [a, b] pairs")
     maps = tuple(Poly.variable(k, 4) for k in range(4))

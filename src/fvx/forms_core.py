@@ -25,6 +25,11 @@ operators go through the private ``_new`` class methods instead, which only
 drop zero entries: a key built from valid keys (merged, stripped of its
 label 5, or complemented) is valid by construction, and every value is
 already an exact ``Poly`` or ``Fraction``.
+
+Forms, multivectors and arrays are ``polyfield.Record`` values: immutable,
+equal when of one class with equal fields, copied and pickled by their
+fields.  The constructors store through ``Record._set``; the ``_new`` paths
+store each slot with ``object.__setattr__``, which skips ``_set``'s loop.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from fvx.polyfield import Poly, RationalLike
+from fvx.polyfield import Poly, RationalLike, Record
 
 IndexKey = tuple[int, ...]
 
@@ -73,7 +78,7 @@ def merge_sign(left: IndexKey, right: IndexKey) -> tuple[int, IndexKey]:
     return (-1 if inversions % 2 else 1), merged
 
 
-class _Alternating:
+class _Alternating(Record):
     """Shared storage and linear structure for forms and multivectors."""
 
     AXES: tuple[int, ...] = FIVE_AXES
@@ -105,8 +110,7 @@ class _Alternating:
                 canonical.pop(key, None)
             else:
                 canonical[key] = value
-        _set_rank(self, rank)
-        _set_coeffs(self, canonical)
+        self._set(rank, canonical)
 
     @classmethod
     def _new(cls, rank: int, coeffs: Mapping[IndexKey, Poly]):
@@ -118,12 +122,9 @@ class _Alternating:
         input from outside goes through ``cls(...)``, which checks everything.
         """
         form = object.__new__(cls)
-        _set_rank(form, rank)
-        _set_coeffs(form, {key: value for key, value in coeffs.items() if value.num})
+        object.__setattr__(form, "rank", rank)
+        object.__setattr__(form, "coeffs", {key: value for key, value in coeffs.items() if value.num})
         return form
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def zero(cls, rank: int):
@@ -170,11 +171,6 @@ class _Alternating:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.rank == other.rank and self.coeffs == other.coeffs
-
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
@@ -182,10 +178,6 @@ class _Alternating:
             return f"{type(self).__name__}({self.rank}, 0)"
         parts = [f"{key}: {self.coeffs[key]!r}" for key in sorted(self.coeffs)]
         return f"{type(self).__name__}({self.rank}, {{{', '.join(parts)}}})"
-
-
-# The slots' own setters, past the ``__setattr__`` that keeps forms immutable.
-_set_rank, _set_coeffs = (getattr(_Alternating, name).__set__ for name in _Alternating.__slots__)
 
 
 class FiveForm(_Alternating):
@@ -296,12 +288,12 @@ def s_from_t(t: FiveForm) -> FiveForm:
 _ZERO = Fraction(0)
 
 
-class IndexedArray:
+class IndexedArray(Record):
     """Rational array over tuples from a fixed finite index set.  Only the
     nonzero entries are stored; ``array[idx]`` is the one read path and
     gives 0 for any tuple that is not stored."""
 
-    __slots__ = ("arity", "index_set", "_labels", "values")
+    __slots__ = ("arity", "index_set", "values")
 
     def __init__(
         self,
@@ -312,17 +304,12 @@ class IndexedArray:
         if arity < 1:
             raise ValueError("arity must be positive")
         index_set = tuple(index_set)
-        labels = frozenset(index_set)
-        if len(labels) != len(index_set):
+        if len(set(index_set)) != len(index_set):
             raise ValueError("index set has repeats")
-        _set_arity(self, arity)
-        _set_index_set(self, index_set)
-        _set_labels(self, labels)
-        table = {
-            self._checked(key): value if isinstance(value, Fraction) else Fraction(value)
-            for key, value in (values or {}).items()
-        }
-        _set_values(self, {key: value for key, value in table.items() if value})
+        table = {tuple(key): Fraction(value) for key, value in (values or {}).items()}
+        self._set(arity, index_set, {key: value for key, value in table.items() if value})
+        for key in table:
+            self._checked(key)
 
     @classmethod
     def _new(cls, arity: int, index_set: tuple[int, ...], values: Mapping[IndexKey, Fraction]) -> "IndexedArray":
@@ -334,18 +321,14 @@ class IndexedArray:
         from outside goes through ``IndexedArray(...)``.
         """
         array = object.__new__(cls)
-        _set_arity(array, arity)
-        _set_index_set(array, index_set)
-        _set_labels(array, frozenset(index_set))
-        _set_values(array, {key: value for key, value in values.items() if value})
+        object.__setattr__(array, "arity", arity)
+        object.__setattr__(array, "index_set", index_set)
+        object.__setattr__(array, "values", {key: value for key, value in values.items() if value})
         return array
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("IndexedArray is immutable")
 
     def _checked(self, idx: Iterable[int]) -> IndexKey:
         idx = tuple(idx)
-        if len(idx) != self.arity or not self._labels.issuperset(idx):
+        if len(idx) != self.arity or not set(self.index_set).issuperset(idx):
             raise ValueError(f"bad index tuple {idx!r}")
         return idx
 
@@ -360,36 +343,15 @@ class IndexedArray:
     def __getitem__(self, idx: Iterable[int]) -> Fraction:
         return self.values.get(self._checked(idx), _ZERO)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IndexedArray):
-            return NotImplemented
-        return (
-            self.arity == other.arity
-            and self.index_set == other.index_set
-            and self.values == other.values
-        )
-
     __hash__ = None  # type: ignore[assignment]
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.values
-
+    # The epsilon-sign mutation negates epsilon_lower's array through ``*``.
     def __mul__(self, factor: RationalLike) -> "IndexedArray":
-        factor = Fraction(factor)
-        scaled = {k: v * factor for k, v in self.values.items()}
-        return IndexedArray(self.arity, self.index_set, scaled)
-
-    __rmul__ = __mul__
+        return IndexedArray._new(self.arity, self.index_set, {k: v * factor for k, v in self.values.items()})
 
     def __repr__(self) -> str:
         entries = {k: str(v) for k, v in self.values.items()}
         return f"IndexedArray({self.arity}, {self.index_set}, {entries})"
-
-
-_set_arity, _set_index_set, _set_labels, _set_values = (
-    getattr(IndexedArray, name).__set__ for name in IndexedArray.__slots__
-)
 
 
 def transposition_identity_check(array: IndexedArray, m: int) -> bool:

@@ -257,16 +257,26 @@ def check_pullback(p: Poly, maps: Sequence[Poly], nvars: int, where: str) -> Non
         raise FormatError(f"{where}: pullback needs about {terms} terms, above {PULLBACK_TERM_BUDGET}")
 
 
+def parse_json(text: str, where: str) -> Any:
+    """The JSON value of ``text``; any fault is a FormatError that starts with
+    ``where`` (a syntax error names its line and column)."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # also an integer literal over the digit limit
+        raise FormatError(f"{where}: {exc}") from None
+    except RecursionError:
+        raise FormatError(f"{where}: JSON nested too deeply") from None
+
+
 def load_json(path: str) -> Any:
     try:
         with open(path) as handle:
-            return json.load(handle)
+            text = handle.read()
     except OSError as exc:
         raise FormatError(f"{path}: {exc.strerror or exc}") from None
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    except ValueError as exc:  # an integer literal over the digit limit
+    except ValueError as exc:  # bytes that do not decode
         raise FormatError(f"{path}: {exc}") from None
+    return parse_json(text, path)
 
 
 def _wrap(path: str, fn, data: Any):

@@ -27,6 +27,8 @@ jets of fields).  ``restrict`` sets one variable to a rational and drops it,
 in one pass over the terms; it builds the map of each face of a parameter
 box, where ``compose`` would multiply out a substitution of all variables
 and one constant.
+
+``Record``, defined here, is the immutable base of every fvx value and record.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ RationalLike = Fraction | int
 
 MAX_EXPONENT = 0x7FFF
 _BITS = 16
+# Stores one slot past ``Record.__setattr__``; a global name saves a lookup per call.
+_store = object.__setattr__
 
 
 def _pack(expo: Exponent) -> int:
@@ -58,14 +62,49 @@ def _ratio(value: RationalLike) -> tuple[int, int]:
     return value.numerator, value.denominator
 
 
-class Poly:
+class Record:
+    """Immutable record, the base of every fvx value: a subclass names its fields in
+    ``__slots__``; its ``__init__`` checks the arguments and stores them with ``_set``, a
+    trusted ``_new`` with ``object.__setattr__``.  ``==``, hash, repr and copies go by the
+    fields; a copy or an unpickled record is built again through ``__init__``."""
+
+    __slots__ = ()
+
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            _store(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Poly(Record):
     """Polynomial with rational coefficients in ``nvars`` variables.
 
     ``num`` maps packed monomials to nonzero int numerators over the
     positive int ``den``.  The form is canonical: ``gcd(den, *num.values())``
     is 1 and the zero polynomial has ``den == 1``, so equality of polynomials
     is equality of ``nvars``, ``den`` and ``num``.  ``terms`` is the read
-    view ``{exponent tuple: Fraction}``.  Instances are immutable.
+    view ``{exponent tuple: Fraction}``.  A ``Record`` whose ``==`` also
+    takes an int or a Fraction; a copy is rebuilt through ``_new``.
     """
 
     __slots__ = ("nvars", "den", "num")
@@ -88,9 +127,7 @@ class Poly:
                 coeffs[key] = coeffs.get(key, 0) + value
         den = lcm(*(c.denominator for c in coeffs.values()))
         canonical = Poly._new(nvars, den, {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()})
-        _set_nvars(self, nvars)
-        _set_den(self, canonical.den)
-        _set_num(self, canonical.num)
+        self._set(nvars, canonical.den, canonical.num)
 
     @classmethod
     def _new(cls, nvars: int, den: int, num: dict[int, int]) -> "Poly":
@@ -109,13 +146,13 @@ class Poly:
                 den //= g
                 num = {m: c // g for m, c in num.items()}
         poly = object.__new__(cls)
-        _set_nvars(poly, nvars)
-        _set_den(poly, den)
-        _set_num(poly, num)
+        _store(poly, "nvars", nvars)
+        _store(poly, "den", den)
+        _store(poly, "num", num)
         return poly
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Poly is immutable")
+    def __reduce__(self) -> tuple:
+        return Poly._new, (self.nvars, self.den, self.num)
 
     @property
     def terms(self) -> dict[Exponent, Fraction]:
@@ -173,9 +210,9 @@ class Poly:
     def __neg__(self) -> "Poly":
         # Negation keeps the form canonical: the same denominator and content.
         poly = object.__new__(Poly)
-        _set_nvars(poly, self.nvars)
-        _set_den(poly, self.den)
-        _set_num(poly, {m: -c for m, c in self.num.items()})
+        _store(poly, "nvars", self.nvars)
+        _store(poly, "den", self.den)
+        _store(poly, "num", {m: -c for m, c in self.num.items()})
         return poly
 
     def __sub__(self, other: "Poly | RationalLike") -> "Poly":
@@ -328,44 +365,6 @@ class Poly:
         return f"Poly({format_poly(self, names)!r})"
 
 
-# The slots' own setters: the constructors fill a new instance through them,
-# past the ``__setattr__`` that keeps every Poly immutable.
-_set_nvars, _set_den, _set_num = (getattr(Poly, name).__set__ for name in Poly.__slots__)
-
-
-class Record:
-    """Immutable record: a subclass names its fields in ``__slots__``, and its ``__init__``
-    checks the arguments and stores them with ``_set``.  ``==``, hash, repr and copies go by
-    the fields; a copy or an unpickled record is built again through ``__init__``."""
-
-    __slots__ = ()
-
-    def _set(self, *values: object) -> None:
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other: object) -> bool:
-        return self._values() == other._values() if type(other) is type(self) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __reduce__(self) -> tuple:
-        return type(self), self._values()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
-        return f"{type(self).__qualname__}({fields})"
-
-
 def integrate_box(p: Poly, box: Sequence[tuple[RationalLike, RationalLike]]) -> Fraction:
     """Exact integral over a rational box.
 
@@ -508,7 +507,9 @@ def parse_poly(text: str, names: Sequence[str]) -> Poly:
     nvars = len(names)
     axis_of = {name: i for i, name in enumerate(names)}
     tokens = _tokenize(text)
-    result = Poly.zero(nvars)
+    # Coefficients summed per exponent tuple; a zero sum keeps its key, so
+    # Poly(...) still checks every exponent the text names.
+    terms: dict[Exponent, Fraction] = {}
     pos = 0
 
     if not tokens:
@@ -552,5 +553,5 @@ def parse_poly(text: str, names: Sequence[str]) -> Poly:
             saw_factor = True
         if not saw_factor:
             raise ValueError("term with no factors")
-        result = result + Poly(nvars, {tuple(expo): coeff})
-    return result
+        terms[tuple(expo)] = terms.get(tuple(expo), 0) + coeff
+    return Poly(nvars, terms)

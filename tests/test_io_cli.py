@@ -233,7 +233,7 @@ def test_load_json_reports_path_and_position(tmp_path):
         fio.load_json(str(missing))
     bad = tmp_path / "bad.form"
     bad.write_text('{"rank": 1,,}')
-    with pytest.raises(fio.FormatError, match=r"bad.form:1:12"):
+    with pytest.raises(fio.FormatError, match=r"bad.form: Expecting .*: line 1 column 12 "):
         fio.load_json(str(bad))
 
 
@@ -549,6 +549,29 @@ def test_oversized_json_integer_exits_two_naming_the_input(tmp_path, capsys):
     el = ["el", "--lagrangian", str(DEMO / "free_scalar.lag"), "--fields", str(DEMO / "wave_solution.json")]
     assert main([*el, "--box", box]) == 2
     assert capsys.readouterr().err.startswith("fvx: box: ")
+
+
+NESTED = {"open": "[" * 200_000, "balanced": "[" * 2_000 + "]" * 2_000}
+
+
+@pytest.mark.parametrize("text", NESTED.values(), ids=NESTED)
+@pytest.mark.parametrize("command", ["bd --form", "check --config"])
+def test_nested_json_file_exits_two_without_traceback(tmp_path, command, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    result = run_python("-m", "fvx.cli", *command.split(), str(path))
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"fvx: {path}: JSON nested too deeply")
+    assert "Traceback" not in result.stderr
+
+
+def test_nested_inline_box_exits_two_without_traceback():
+    # An inline argument stays below the kernel's 128 KiB limit per argument.
+    el = ["el", "--lagrangian", str(DEMO / "free_scalar.lag"), "--fields", str(DEMO / "wave_solution.json")]
+    result = run_python("-m", "fvx.cli", *el, "--box", "[" * 100_000)
+    assert result.returncode == 2
+    assert result.stderr.startswith("fvx: box: JSON nested too deeply")
+    assert "Traceback" not in result.stderr
 
 
 def test_zero_denominator_exits_two_without_traceback(tmp_path):

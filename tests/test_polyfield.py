@@ -1,6 +1,7 @@
 """Ring axioms, formal calculus, and text round-trips for exact polynomials."""
 
 import itertools
+import time
 from fractions import Fraction
 from math import gcd
 from unittest import mock
@@ -385,6 +386,32 @@ def test_parse_star_products_and_signs():
     assert p == -(l1 * l2) + 2 * l1 * l1 - Fraction(1, 2)
 
 
+def test_parse_is_linear_in_the_number_of_terms():
+    # Adding one Poly per term to a growing sum took 15 s for this text.
+    n = 16_000
+    text = " + ".join(["x0"] + [f"x0^{k}" for k in range(2, n)])
+    start = time.perf_counter()
+    p = parse_poly(text, COORD_NAMES)
+    assert time.perf_counter() - start < 1
+    assert p == Poly(4, {(k, 0, 0, 0): 1 for k in range(1, n)})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), rationals, exponents), min_size=1, max_size=8))
+def test_parse_equals_the_term_by_term_sum(terms):
+    chunks = [
+        f"{'-' if negative else '+'} {abs(coeff)} " + " ".join(f"{n}^{e}" for n, e in zip(COORD_NAMES, expo))
+        for negative, coeff, expo in terms
+    ]
+    total = Poly.zero(4)
+    for chunk in chunks:
+        total = total + parse_poly(chunk, COORD_NAMES)
+    assert parse_poly(" ".join(chunks), COORD_NAMES) == total
+    # A sum that cancels still names its exponents, and each is checked.
+    with pytest.raises(ValueError, match="exponent 40000 above 32767"):
+        parse_poly(" ".join(chunks) + " + x0^40000 - x0^40000", COORD_NAMES)
+
+
 def test_parse_rejects_unknown_variable():
     with pytest.raises(ValueError, match="unknown variable"):
         parse_poly("x0 + y1", COORD_NAMES)
@@ -433,3 +460,6 @@ def test_poly_is_immutable():
     p = P("x0")
     with pytest.raises(AttributeError):
         p.nvars = 5
+    with pytest.raises(AttributeError, match="Poly is immutable"):
+        del p.num
+    assert p == P("x0")

@@ -16,6 +16,11 @@ listed in ``KEPT_MEMBERS``, each with its reason.
 
 Every name a module imports is also used in that module, so a deletion cannot
 leave its imports behind.
+
+Immutability has one mechanism, ``polyfield.Record``: every class that
+declares ``__slots__`` derives from it, no other class defines
+``__setattr__`` or ``__delattr__``, and no module takes a slot's own
+``__set__`` to store past them.
 """
 
 import ast
@@ -241,3 +246,55 @@ def test_unused_imports_are_found():
 def test_every_import_is_used():
     for path in sorted((ROOT / "src" / "fvx").glob("*.py")):
         assert unused_imports(ast.parse(path.read_text())) == [], path.name
+
+
+_HOOKS = ("__setattr__", "__delattr__")
+
+
+def hand_rolled_immutability(trees: list[ast.Module]) -> list[str]:
+    """Each class with ``__slots__`` that is not a ``Record``, each
+    ``__setattr__``/``__delattr__`` outside ``Record``, and each use of a
+    descriptor's ``__set__``."""
+    classes = {node.name: node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+
+    def is_record(name: str) -> bool:
+        bases = (getattr(b, "id", None) or getattr(b, "attr", None) for b in classes[name].bases)
+        return name == "Record" or any(base in classes and is_record(base) for base in bases)
+
+    found = []
+    for name, node in classes.items():
+        defined = {stmt.name for stmt in node.body if isinstance(stmt, ast.FunctionDef)}
+        for stmt in node.body:
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+            defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+        if "__slots__" in defined and not is_record(name):
+            found.append(f"{name}.__slots__")
+        if name != "Record":
+            found += [f"{name}.{hook}" for hook in _HOOKS if hook in defined]
+    uses = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    return found + [f"line {node.lineno}: .__set__" for node in uses if node.attr == "__set__"]
+
+
+def test_hand_rolled_immutability_is_found():
+    tree = ast.parse(
+        "class Record:\n"
+        "    __slots__ = ()\n"
+        "    def __setattr__(self, name, value): ...\n"
+        "    __delattr__ = __setattr__\n"
+        "class Value(Record):\n"
+        "    __slots__ = ('a',)\n"
+        "class Form(Value):\n"
+        "    __slots__ = ('b',)\n"
+        "class Bare:\n"
+        "    __slots__ = ('c',)\n"
+        "    def __setattr__(self, name, value): ...\n"
+        "class Loose(Value):\n"
+        "    __delattr__ = None\n"
+        "_set_c = Bare.c.__set__\n"
+    )
+    assert hand_rolled_immutability([tree]) == ["Bare.__slots__", "Bare.__setattr__", "Loose.__delattr__", "line 14: .__set__"]
+
+
+def test_every_value_is_immutable_through_record():
+    trees = [ast.parse(path.read_text()) for path in sorted((ROOT / "src" / "fvx").glob("*.py"))]
+    assert hand_rolled_immutability(trees) == []

@@ -4,6 +4,10 @@ Every record derives from ``polyfield.Record``.  Each case below builds one
 record class from values that its ``__init__`` stores unchanged, one
 argument list that differs in a field, and, where the class checks its
 arguments, one bad argument list with the message it must raise.
+
+The values (``Poly``, the forms and ``IndexedArray``) are records too: they
+refuse assignment and deletion, and they copy, deep-copy and pickle, and so
+do the records that hold them.
 """
 
 import copy
@@ -13,6 +17,7 @@ from fractions import Fraction
 import pytest
 
 from fvx import forms_core
+from fvx.forms_core import FiveForm, FourForm, IndexedArray, MultiVector
 from fvx.integration import OrientedFace, ParamSurface
 from fvx.lagrange import ELReport, FieldSet, LagrangianSpec
 from fvx.metric_dual import DEFAULT_CFG, MetricConfig
@@ -138,3 +143,43 @@ def test_record_defaults_and_repr():
         assert pickle.loads(pickle.dumps(record)) == record
     assert repr(RECORD) == "InstanceRecord(suite='algebra', identity='wedge-unit', index=0, passed=True, counterexample=None)"
     assert repr(DEFAULT_CFG) == "MetricConfig(g=(1, -1, -1, -1), xi=Fraction(-1, 1), sigma=Fraction(1, 1), eta=1)"
+
+
+X0, X1 = Poly.variable(0, 4), Poly.variable(1, 4)
+VALUES = [
+    Poly(2, {(1, 0): Fraction(1, 2), (0, 3): -2}),
+    FiveForm(2, {(0, 5): X0 * X1, (1, 2): 3}),
+    FourForm(1, {(3,): X1 - Fraction(1, 3)}),
+    MultiVector(1, {(5,): 1}),
+    IndexedArray(2, (0, 1, 5), {(0, 5): Fraction(1, 3), (5, 1): -1}),
+]
+
+
+@pytest.mark.parametrize("value", VALUES, ids=[type(v).__name__ for v in VALUES])
+def test_value_is_a_record(value):
+    assert isinstance(value, Record)
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
+    fields = tuple(getattr(value, name) for name in type(value).__slots__)
+    for name in type(value).__slots__:
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(value, name)
+    assert tuple(getattr(value, name) for name in type(value).__slots__) == fields
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(value)
+
+
+HOLDERS = [
+    SURFACE,
+    LagrangianSpec(1, Poly.variable(0, 5) * Fraction(2, 3)),
+    FieldSet((X0 * X1, X1)),
+    ELReport((X0,), (FourForm(1, {(0,): X1}),), (FourForm.zero(1),), (FiveForm(4, {(0, 1, 2, 5): X0}),), (Fraction(1, 2),)),
+]
+
+
+@pytest.mark.parametrize("record", HOLDERS, ids=[type(r).__name__ for r in HOLDERS])
+def test_records_holding_values_deep_copy_and_pickle(record):
+    assert copy.deepcopy(record) == record
+    assert pickle.loads(pickle.dumps(record)) == record
