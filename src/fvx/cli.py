@@ -119,10 +119,11 @@ def cmd_operator(args: argparse.Namespace) -> int:
 
 
 def _load_pullback(args: argparse.Namespace) -> tuple[fc.FiveForm, ParamSurface]:
-    """The form and surface of an integral command, each coefficient's
-    pullback within the budget."""
+    """The form and surface of an integral command, its frame minors and each
+    coefficient's pullback within the budget."""
     form = fio.load_form(args.form)
     V = fio.load_surface(args.surface)
+    fio.check_frame_minor(V.map, V.dim, args.surface)
     for key, coeff in form.coeffs.items():
         fio.check_pullback(coeff, V.map, V.dim, f"{args.form}: coeffs[{''.join(map(str, key))!r}]")
     return form, V

@@ -27,9 +27,10 @@ label 5, or complemented) is valid by construction, and every value is
 already an exact ``Poly`` or ``Fraction``.
 
 Forms, multivectors and arrays are ``polyfield.Record`` values: immutable,
-equal when of one class with equal fields, copied and pickled by their
-fields.  The constructors store through ``Record._set``; the ``_new`` paths
-store each slot with ``object.__setattr__``, which skips ``_set``'s loop.
+equal when of one class with equal fields, printed, copied and pickled by the
+fields that ``_Alternating`` and ``IndexedArray`` declare; the form classes
+add none, so no value has a ``__dict__``.  The constructors store through
+``Record._set``, the ``_new`` paths through ``polyfield._store``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from fvx.polyfield import Poly, RationalLike, Record
+from fvx.polyfield import Poly, RationalLike, Record, _store
 
 IndexKey = tuple[int, ...]
 
@@ -122,8 +123,8 @@ class _Alternating(Record):
         input from outside goes through ``cls(...)``, which checks everything.
         """
         form = object.__new__(cls)
-        object.__setattr__(form, "rank", rank)
-        object.__setattr__(form, "coeffs", {key: value for key, value in coeffs.items() if value.num})
+        _store(form, "rank", rank)
+        _store(form, "coeffs", {key: value for key, value in coeffs.items() if value.num})
         return form
 
     @classmethod
@@ -173,22 +174,19 @@ class _Alternating(Record):
 
     __hash__ = None  # type: ignore[assignment]
 
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return f"{type(self).__name__}({self.rank}, 0)"
-        parts = [f"{key}: {self.coeffs[key]!r}" for key in sorted(self.coeffs)]
-        return f"{type(self).__name__}({self.rank}, {{{', '.join(parts)}}})"
-
 
 class FiveForm(_Alternating):
+    __slots__ = ()
     AXES = FIVE_AXES
 
 
 class FourForm(_Alternating):
+    __slots__ = ()
     AXES = COORD_AXES
 
 
 class MultiVector(_Alternating):
+    __slots__ = ()
     AXES = FIVE_AXES
 
 
@@ -321,9 +319,9 @@ class IndexedArray(Record):
         from outside goes through ``IndexedArray(...)``.
         """
         array = object.__new__(cls)
-        object.__setattr__(array, "arity", arity)
-        object.__setattr__(array, "index_set", index_set)
-        object.__setattr__(array, "values", {key: value for key, value in values.items() if value})
+        _store(array, "arity", arity)
+        _store(array, "index_set", index_set)
+        _store(array, "values", {key: value for key, value in values.items() if value})
         return array
 
     def _checked(self, idx: Iterable[int]) -> IndexKey:
@@ -345,13 +343,9 @@ class IndexedArray(Record):
 
     __hash__ = None  # type: ignore[assignment]
 
-    # The epsilon-sign mutation negates epsilon_lower's array through ``*``.
+    # ``epsilon_upper`` and the epsilon-sign mutation scale epsilon tables through ``*``.
     def __mul__(self, factor: RationalLike) -> "IndexedArray":
         return IndexedArray._new(self.arity, self.index_set, {k: v * factor for k, v in self.values.items()})
-
-    def __repr__(self) -> str:
-        entries = {k: str(v) for k, v in self.values.items()}
-        return f"IndexedArray({self.arity}, {self.index_set}, {entries})"
 
 
 def transposition_identity_check(array: IndexedArray, m: int) -> bool:

@@ -9,6 +9,7 @@ carry enough context to locate the offending entry.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -238,6 +239,10 @@ def metric_from_dict(data: Any) -> MetricConfig:
 PULLBACK_TERM_BUDGET = 10_000
 
 
+def _shape(p: Poly) -> tuple[int, int]:
+    return len(p.num), max(map(sum, p.terms), default=0)  # terms, degree
+
+
 def check_pullback(p: Poly, maps: Sequence[Poly], nvars: int, where: str) -> None:
     """Refuse p when its pullback along ``maps`` (polynomials in ``nvars``
     variables) may need more than PULLBACK_TERM_BUDGET terms.  Per monomial,
@@ -245,7 +250,7 @@ def check_pullback(p: Poly, maps: Sequence[Poly], nvars: int, where: str) -> Non
     t - 1) terms (multisets of its terms) and at most C(e * deg + nvars,
     nvars) (monomials of bounded degree); the estimate is the sum over the
     monomials of the product over the variables."""
-    shape = [(len(m.terms), max(map(sum, m.terms), default=0)) for m in maps]
+    shape = list(map(_shape, maps))
     terms = 0
     for expo in p.terms:
         count = 1
@@ -255,6 +260,22 @@ def check_pullback(p: Poly, maps: Sequence[Poly], nvars: int, where: str) -> Non
         terms += count
     if terms > PULLBACK_TERM_BUDGET:
         raise FormatError(f"{where}: pullback needs about {terms} terms, above {PULLBACK_TERM_BUDGET}")
+
+
+def check_frame_minor(maps: Sequence[Poly], dim: int, where: str) -> None:
+    """Refuse a surface whose frame minors (determinants of ``dim`` rows of the
+    tangent frame) may need more than PULLBACK_TERM_BUDGET terms.  A row holds
+    a map's partials, of degree deg - 1 with at most t terms, or the parameter
+    values, of degree 1 with one term.  Rows of degrees D_i and t_i terms give
+    at most C(sum D_i + dim, dim) terms and at most dim! * prod t_i; the
+    estimate is the largest over the sets of rows of the smaller bound."""
+    rows = [(max(deg - 1, 0), t) for t, deg in map(_shape, maps)] + [(1, 1)]
+    terms = max(
+        min(math.comb(sum(d for d, _ in chosen) + dim, dim), math.factorial(dim) * math.prod(t for _, t in chosen))
+        for chosen in itertools.combinations(rows, dim)
+    )
+    if terms > PULLBACK_TERM_BUDGET:
+        raise FormatError(f"{where}: frame minor needs about {terms} terms, above {PULLBACK_TERM_BUDGET}")
 
 
 def parse_json(text: str, where: str) -> Any:

@@ -107,19 +107,10 @@ def epsilon_lower(cfg: MetricConfig = DEFAULT_CFG) -> IndexedArray:
 
 def epsilon_upper(lower: IndexedArray, cfg: MetricConfig) -> IndexedArray:
     """The alternating tensor ``lower`` of cfg with all five indices raised by
-    the inverse metric, one factor per slot."""
-    # The weight is a product over the labels, so entries that list the same
-    # labels with the same value share the quotient: one division per sorted
-    # label set and value, for this call only.  The value is keyed by its two
-    # integers, which hash far faster than the Fraction.
-    quotients: dict[tuple[tuple[int, ...], int, int], Fraction] = {}
-    values = {}
-    for idx, value in lower.values.items():
-        key = (tuple(sorted(idx)), value.numerator, value.denominator)
-        if key not in quotients:
-            quotients[key] = value / cfg.weight(key[0])
-        values[idx] = quotients[key]
-    return IndexedArray._new(lower.arity, lower.index_set, values)
+    the inverse metric, one factor per slot.  Every stored key of ``lower``
+    must list each of the five labels once, as the alternating tensor's do,
+    so every entry is divided by the same weight, ``cfg.det_h``."""
+    return lower * (1 / cfg.det_h)
 
 
 def permutation_delta(upper: Sequence[int], lower: Sequence[int]) -> int:

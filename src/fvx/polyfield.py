@@ -63,19 +63,25 @@ def _ratio(value: RationalLike) -> tuple[int, int]:
 
 
 class Record:
-    """Immutable record, the base of every fvx value: a subclass names its fields in
-    ``__slots__``; its ``__init__`` checks the arguments and stores them with ``_set``, a
-    trusted ``_new`` with ``object.__setattr__``.  ``==``, hash, repr and copies go by the
-    fields; a copy or an unpickled record is built again through ``__init__``."""
+    """Immutable record, the base of every fvx value: a subclass declares its own fields once,
+    in ``__slots__`` (``()`` for none), and ``_fields`` lists its parent's and then its own.
+    ``__init__`` checks and stores with ``_set``, a trusted ``_new`` with ``_store``.  ``==``,
+    hash, repr and copies go by the fields; a copy or unpickled record is rebuilt by ``__init__``."""
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        if "__slots__" not in cls.__dict__:
+            raise TypeError(f"{cls.__name__} must declare __slots__")
+        cls._fields += tuple(cls.__slots__)
 
     def _set(self, *values: object) -> None:
-        for name, value in zip(self.__slots__, values, strict=True):
+        for name, value in zip(self._fields, values, strict=True):
             _store(self, name, value)
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -92,7 +98,7 @@ class Record:
         return type(self), self._values()
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
         return f"{type(self).__qualname__}({fields})"
 
 

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import importlib
 import io
+import itertools
 import json
 import math
 import pkgutil
@@ -673,6 +674,59 @@ def test_pullback_within_budget_integrates(tmp_path, capsys, coeff, surface, val
         (tmp_path / "x.surf").write_text(json.dumps(surface))
         surface = tmp_path / "x.surf"
     assert main(["integrate", "--form", str(form), "--surface", str(surface)]) == 0
+    assert capsys.readouterr().out == f"{value}\n"
+
+
+def dense_surface(d: int) -> dict:
+    """A 4-surface whose four maps each hold every monomial of degree <= d in
+    l1..l4, with integer coefficients 1-9.  The frame minor has up to
+    C(4(d - 1) + 4, 4) terms: 4,845 at d = 5 and 35,960 at d = 8, which took
+    12 s as a child without the frame-minor budget (2 CPUs, CPython 3.11.7)."""
+    rng = random.Random(1)
+    expos = [e for e in itertools.product(range(d + 1), repeat=4) if sum(e) <= d]
+    monomial = lambda e: " ".join(f"l{k + 1}^{p}" for k, p in enumerate(e) if p)
+    maps = [" + ".join(f"{rng.randint(1, 9)} {monomial(e)}".strip() for e in expos) for _ in range(4)]
+    return {"dim": 4, "map": maps, "box": [[0, 1]] * 4}
+
+
+VOLUME = {"rank": 4, "coeffs": {"0123": "1"}}
+
+
+@pytest.mark.parametrize("command", ["integrate", "stokes", "flux"])
+def test_dense_frame_minor_exits_two_before_any_work(tmp_path, command):
+    form, surface = tmp_path / "x.form", tmp_path / "x.surf"
+    form.write_text(json.dumps(VOLUME))
+    surface.write_text(json.dumps(dense_surface(8)))
+    start = time.monotonic()
+    result = run_python("-m", "fvx.cli", command, "--form", str(form), "--surface", str(surface))
+    assert time.monotonic() - start < 1
+    assert result.returncode == 2
+    assert result.stderr == f"fvx: {surface}: frame minor needs about {math.comb(32, 4)} terms, above 10000\n"
+
+
+def test_frame_minor_estimate_covers_every_set_of_rows(tmp_path, capsys):
+    # The two highest-degree maps are monomials, but the minor on the rows of
+    # the two dense maps of degree 75 has up to C(2 * 74 + 2, 2) terms.
+    dense = " + ".join(f"l1^{i} l2^{j}" for i in range(76) for j in range(76 - i))
+    form, surface = tmp_path / "x.form", tmp_path / "x.surf"
+    form.write_text(json.dumps({"rank": 2, "coeffs": {"23": "1"}}))
+    surface.write_text(json.dumps({"dim": 2, "map": ["l1^1000", "l2^999", dense, f"2 {dense}"], "box": [[0, 1]] * 2}))
+    assert main(["integrate", "--form", str(form), "--surface", str(surface)]) == 2
+    assert capsys.readouterr().err == f"fvx: {surface}: frame minor needs about {math.comb(150, 2)} terms, above 10000\n"
+
+
+@pytest.mark.parametrize(
+    "form, surface, value",
+    [
+        (VOLUME, dense_surface(5), "-28164057608556983/77189112000"),
+        ({"rank": 2, "coeffs": {"01": "1"}}, {"dim": 2, "map": ["l1^1000", "l2", "l1 l2", "0"], "box": [[0, 1]] * 2}, "1"),
+    ],
+    ids=["dense-under-budget", "sparse-high-degree"],
+)
+def test_frame_minor_within_budget_integrates(tmp_path, capsys, form, surface, value):
+    (tmp_path / "x.form").write_text(json.dumps(form))
+    (tmp_path / "x.surf").write_text(json.dumps(surface))
+    assert main(["integrate", "--form", str(tmp_path / "x.form"), "--surface", str(tmp_path / "x.surf")]) == 0
     assert capsys.readouterr().out == f"{value}\n"
 
 

@@ -17,6 +17,11 @@ listed in ``KEPT_MEMBERS``, each with its reason.
 Every name a module imports is also used in that module, so a deletion cannot
 leave its imports behind.
 
+Dunder methods escape that name search, so the operator methods are checked
+at run time: each one a class of ``src/fvx`` defines is wrapped and counted
+while the default check and the ``demo/`` commands run, and the ones never
+called are listed in ``KEPT_OPERATORS``, each with its reason.
+
 Immutability has one mechanism, ``polyfield.Record``: every class that
 declares ``__slots__`` derives from it, no other class defines
 ``__setattr__`` or ``__delattr__``, and no module takes a slot's own
@@ -24,8 +29,19 @@ declares ``__slots__`` derives from it, no other class defines
 """
 
 import ast
+import contextlib
+import importlib
+import inspect
+import io
+import pkgutil
 from collections import Counter
 from pathlib import Path
+
+import fvx
+from fvx.cli import main
+from fvx.suites import SuiteConfig, run_suite
+
+from test_golden import DEMO_COMMANDS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -298,3 +314,80 @@ def test_hand_rolled_immutability_is_found():
 def test_every_value_is_immutable_through_record():
     trees = [ast.parse(path.read_text()) for path in sorted((ROOT / "src" / "fvx").glob("*.py"))]
     assert hand_rolled_immutability(trees) == []
+
+
+# -- operators reached at run time ---------------------------------------------------------
+
+OPERATORS = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__neg__", "__bool__", "__eq__", "__getitem__", "__len__",
+)
+
+# Operator methods that neither the default check nor a demo command calls, and why each stays.
+KEPT_OPERATORS = {
+    "Poly.__radd__": "the reflected half of +: a Poly takes a rational on either side",
+    "Poly.__rsub__": "the reflected half of -: a Poly takes a rational on either side",
+    "_Alternating.__bool__": "without it every form would be truthy",
+}
+
+
+def uncalled_operators(classes, run) -> set[str]:
+    """``Class.op`` of each operator method the classes define in their own
+    dict that ``run()`` never calls.  Each attribute name gets its own
+    wrapper, so an alias (``__radd__ = __add__``) counts on its own."""
+    called, originals = set(), []
+
+    def counted(name: str, method):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return method(*args, **kwargs)
+
+        return wrapper
+
+    for cls in classes:
+        for op in OPERATORS:
+            if op in vars(cls):
+                originals.append((cls, op, vars(cls)[op]))
+                setattr(cls, op, counted(f"{cls.__qualname__}.{op}", vars(cls)[op]))
+    try:
+        run()
+    finally:
+        for cls, op, method in originals:
+            setattr(cls, op, method)
+    return {f"{cls.__qualname__}.{op}" for cls, op, _ in originals} - called
+
+
+def test_uncalled_operators_are_found():
+    class Value:
+        def __add__(self, other):
+            return self
+
+        __radd__ = __add__
+
+        def __neg__(self):
+            return self
+
+    assert uncalled_operators([Value], lambda: Value() + 1) == {
+        f"{Value.__qualname__}.__radd__",
+        f"{Value.__qualname__}.__neg__",
+    }
+    assert Value.__add__ is Value.__radd__
+
+
+def _default_check_and_demo():
+    assert run_suite(SuiteConfig(seed=0)).passed
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for command in DEMO_COMMANDS:
+            main(command.split())
+
+
+def test_every_operator_is_reached(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    modules = [importlib.import_module(f"fvx.{info.name}") for info in pkgutil.iter_modules(fvx.__path__)]
+    classes = [
+        cls
+        for module in modules
+        for cls in vars(module).values()
+        if inspect.isclass(cls) and cls.__module__ == module.__name__
+    ]
+    assert uncalled_operators(classes, _default_check_and_demo) == set(KEPT_OPERATORS)

@@ -1,6 +1,8 @@
 """The immutable records of fvx: construction, checks, equality, hashing.
 
-Every record derives from ``polyfield.Record``.  Each case below builds one
+Every record derives from ``polyfield.Record``, declares its fields once in
+``__slots__`` (``()`` keeps its parent's) and reads them as ``_fields``; no
+record has a ``__dict__``.  Each case below builds one
 record class from values that its ``__init__`` stores unchanged, one
 argument list that differs in a field, and, where the class checks its
 arguments, one bad argument list with the message it must raise.
@@ -100,9 +102,9 @@ CASES = [
 @pytest.mark.parametrize("cls, args, other, bad, message, hashable", CASES, ids=[c[0].__name__ for c in CASES])
 def test_record(cls, args, other, bad, message, hashable):
     record = cls(*args)
-    assert isinstance(record, Record)
-    assert tuple(getattr(record, name) for name in cls.__slots__) == args
-    assert cls(**dict(zip(cls.__slots__, args))) == record
+    assert isinstance(record, Record) and cls._fields
+    assert tuple(getattr(record, name) for name in cls._fields) == args
+    assert cls(**dict(zip(cls._fields, args))) == record
     assert not cls(*args) != record
     assert cls(*other) != record
     # Another record type, or a plain tuple of the same values, is never equal.
@@ -114,14 +116,14 @@ def test_record(cls, args, other, bad, message, hashable):
     else:
         with pytest.raises(TypeError, match="unhashable"):
             hash(record)
-    name = cls.__slots__[0]
+    name = cls._fields[0]
     with pytest.raises(AttributeError, match="immutable"):
         setattr(record, name, args[0])
     with pytest.raises(AttributeError, match="immutable"):
         delattr(record, name)
     with pytest.raises(AttributeError):
         record.extra = 1
-    assert tuple(getattr(record, name) for name in cls.__slots__) == args
+    assert tuple(getattr(record, name) for name in cls._fields) == args
     assert copy.copy(record) == record
     if bad is not None:
         with pytest.raises(ValueError, match=message):
@@ -160,15 +162,38 @@ def test_value_is_a_record(value):
     assert isinstance(value, Record)
     for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
-    fields = tuple(getattr(value, name) for name in type(value).__slots__)
-    for name in type(value).__slots__:
+    names = type(value)._fields
+    assert names
+    fields = tuple(getattr(value, name) for name in names)
+    for name in names:
         with pytest.raises(AttributeError, match="immutable"):
             setattr(value, name, None)
         with pytest.raises(AttributeError, match="immutable"):
             delattr(value, name)
-    assert tuple(getattr(value, name) for name in type(value).__slots__) == fields
+    assert tuple(getattr(value, name) for name in names) == fields
     with pytest.raises(TypeError, match="unhashable"):
         hash(value)
+    with pytest.raises(TypeError):
+        vars(value)
+
+
+def test_a_subclass_keeps_its_parents_fields():
+    class G(forms_core._Alternating):
+        __slots__ = ()
+
+    form = G(1, {(0,): 1})
+    assert G._fields == ("rank", "coeffs")
+    assert repr(form) == f"{G.__qualname__}(rank=1, coeffs={{(0,): Poly('1')}})"
+    assert G._new(1, {}) != G._new(2, {})
+    with pytest.raises(TypeError):
+        vars(form)
+
+
+def test_a_record_must_declare_its_slots():
+    with pytest.raises(TypeError, match="Loose must declare __slots__"):
+
+        class Loose(Record):
+            pass
 
 
 HOLDERS = [
