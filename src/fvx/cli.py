@@ -56,20 +56,15 @@ def build_parser() -> argparse.ArgumentParser:
         op.add_argument("--out", help="also write the result as JSON here")
         op.set_defaults(handler=cmd_operator, operator=name)
 
-    integrate = sub.add_parser("integrate", help="integrate a form over a surface")
-    integrate.add_argument("--form", required=True)
-    integrate.add_argument("--surface", required=True)
-    integrate.set_defaults(handler=cmd_integrate)
-
-    stokes = sub.add_parser("stokes", help="boundary term against interior derivative")
-    stokes.add_argument("--form", required=True)
-    stokes.add_argument("--surface", required=True)
-    stokes.set_defaults(handler=cmd_stokes)
-
-    flux = sub.add_parser("flux", help="five-vector flux, both routes")
-    flux.add_argument("--form", required=True)
-    flux.add_argument("--surface", required=True)
-    flux.set_defaults(handler=cmd_flux)
+    for name, text in (
+        ("integrate", "integrate a form over a surface"),
+        ("stokes", "boundary term against interior derivative"),
+        ("flux", "five-vector flux, both routes"),
+    ):
+        op = sub.add_parser(name, help=text)
+        op.add_argument("--form", required=True)
+        op.add_argument("--surface", required=True)
+        op.set_defaults(handler=cmd_integral)
 
     el = sub.add_parser("el", help="Euler-Lagrange report for fields")
     el.add_argument("--lagrangian", required=True)
@@ -98,8 +93,8 @@ def _output(path: str | None, default=None):
 def cmd_operator(args: argparse.Namespace) -> int:
     form = fio.load_form(args.form)
     if args.operator == "d":
-        if not fc.e_part(form).is_zero:
-            raise ValueError("d needs a form without label-5 components")
+        if form.rank > 4 or not fc.e_part(form).is_zero:
+            raise fio.FormatError(f"{args.form}: d takes forms of rank at most 4 without label-5 components")
         result = fc.lift(ca.d4(fc.project(form)))
     elif args.operator == "bd":
         result = ca.bd(form)
@@ -119,35 +114,22 @@ def cmd_operator(args: argparse.Namespace) -> int:
 
 
 def _load_pullback(args: argparse.Namespace) -> tuple[fc.FiveForm, ParamSurface]:
-    """The form and surface of an integral command, its frame minors and each
-    coefficient's pullback within the budget."""
-    form = fio.load_form(args.form)
-    V = fio.load_surface(args.surface)
-    fio.check_frame_minor(V.map, V.dim, args.surface)
-    for key, coeff in form.coeffs.items():
-        fio.check_pullback(coeff, V.map, V.dim, f"{args.form}: coeffs[{''.join(map(str, key))!r}]")
+    """The form and surface of an integral command, within the budgets of
+    ``io.check_integral``."""
+    form, V = fio.load_form(args.form), fio.load_surface(args.surface)
+    fio.check_integral(form, V, args.form, args.surface)
     return form, V
 
 
-def cmd_integrate(args: argparse.Namespace) -> int:
+def cmd_integral(args: argparse.Namespace) -> int:
     from fvx import integration as ig
 
     form, V = _load_pullback(args)
-    print(ig.integrate(form, V))
-    return 0
-
-
-def cmd_stokes(args: argparse.Namespace) -> int:
-    from fvx import integration as ig
-
-    form, V = _load_pullback(args)
-    return _print_sides(("boundary", "interior"), *ig.stokes_sides(form, V))
-
-
-def cmd_flux(args: argparse.Namespace) -> int:
-    from fvx import integration as ig
-
-    form, V = _load_pullback(args)
+    if args.command == "integrate":
+        print(ig.integrate(form, V))
+        return 0
+    if args.command == "stokes":
+        return _print_sides(("boundary", "interior"), *ig.stokes_sides(form, V))
     return _print_sides(("boundary+interior", "derivative route"), *ig.flux_sides(form, V))
 
 

@@ -232,24 +232,29 @@ def metric_from_dict(data: Any) -> MetricConfig:
         raise FormatError(f"cfg: {exc}") from None
 
 
-# The most terms a pullback may need before a command refuses it (exit 2).
-# Pulling back expands powers of the maps, so a short file can ask for
-# millions of terms: x0^200 on the affine map l1 + l2 + 1 needs 20,301 and
-# took seconds, x0^400 half a minute.
+# The budgets of an integral command, checked before any work (exit 2).  An
+# integrand is a coefficient's pullback times a frame minor, each of at most
+# PULLBACK_TERM_BUDGET terms: x0^200 on the map l1 + l2 + 1 pulls back to
+# 20,301 and took seconds.  Their product costs up to s * t monomial products
+# for s and t terms (Johnson, ACM SIGSAM Bull. 8(3), 1974), at most
+# INTEGRAL_PRODUCT_BUDGET summed over the components.  On four dense degree-5
+# maps, as a child (2 CPUs, CPython 3.11.7), x0 (610,470 products) integrates
+# in 0.9 s; x0^2 (4,849,845) took 2.9 s and x0^3 (18,779,220) 13 s.
 PULLBACK_TERM_BUDGET = 10_000
+INTEGRAL_PRODUCT_BUDGET = 1_000_000
 
 
 def _shape(p: Poly) -> tuple[int, int]:
     return len(p.num), max(map(sum, p.terms), default=0)  # terms, degree
 
 
-def check_pullback(p: Poly, maps: Sequence[Poly], nvars: int, where: str) -> None:
-    """Refuse p when its pullback along ``maps`` (polynomials in ``nvars``
-    variables) may need more than PULLBACK_TERM_BUDGET terms.  Per monomial,
-    a power e of a map with t terms and degree deg has at most C(e + t - 1,
-    t - 1) terms (multisets of its terms) and at most C(e * deg + nvars,
-    nvars) (monomials of bounded degree); the estimate is the sum over the
-    monomials of the product over the variables."""
+def check_pullback(p: Poly, maps: Sequence[Poly], nvars: int, where: str) -> int:
+    """The number of terms the pullback of p along ``maps`` (polynomials in
+    ``nvars`` variables) may need; above PULLBACK_TERM_BUDGET, a FormatError.
+    Per monomial, a power e of a map with t terms and degree deg has at most
+    C(e + t - 1, t - 1) terms (multisets of its terms) and at most
+    C(e * deg + nvars, nvars) (monomials of bounded degree); the estimate is
+    the sum over the monomials of the product over the variables."""
     shape = list(map(_shape, maps))
     terms = 0
     for expo in p.terms:
@@ -260,22 +265,33 @@ def check_pullback(p: Poly, maps: Sequence[Poly], nvars: int, where: str) -> Non
         terms += count
     if terms > PULLBACK_TERM_BUDGET:
         raise FormatError(f"{where}: pullback needs about {terms} terms, above {PULLBACK_TERM_BUDGET}")
+    return terms
 
 
-def check_frame_minor(maps: Sequence[Poly], dim: int, where: str) -> None:
-    """Refuse a surface whose frame minors (determinants of ``dim`` rows of the
-    tangent frame) may need more than PULLBACK_TERM_BUDGET terms.  A row holds
-    a map's partials, of degree deg - 1 with at most t terms, or the parameter
-    values, of degree 1 with one term.  Rows of degrees D_i and t_i terms give
-    at most C(sum D_i + dim, dim) terms and at most dim! * prod t_i; the
-    estimate is the largest over the sets of rows of the smaller bound."""
-    rows = [(max(deg - 1, 0), t) for t, deg in map(_shape, maps)] + [(1, 1)]
-    terms = max(
+def check_integral(form: FiveForm, V: ParamSurface, form_path: str, surface_path: str) -> int:
+    """The monomial products that integrating ``form`` over ``V`` may need:
+    each coefficient's pullback bound (check_pullback) times the frame-minor
+    bound, summed over every component, kept or dropped.  A minor is the
+    determinant of ``dim`` tangent-frame rows: a map's partials, of degree
+    deg - 1 with at most t terms, or the parameter values, of degree 1 with
+    one term.  Rows of degrees D_i and t_i terms give at most
+    C(sum D_i + dim, dim) terms and at most dim! * prod t_i; the minor's bound
+    is the largest over the sets of rows of the smaller bound."""
+    dim, rows = V.dim, [(max(deg - 1, 0), t) for t, deg in map(_shape, V.map)] + [(1, 1)]
+    minor = max(
         min(math.comb(sum(d for d, _ in chosen) + dim, dim), math.factorial(dim) * math.prod(t for _, t in chosen))
         for chosen in itertools.combinations(rows, dim)
     )
-    if terms > PULLBACK_TERM_BUDGET:
-        raise FormatError(f"{where}: frame minor needs about {terms} terms, above {PULLBACK_TERM_BUDGET}")
+    if minor > PULLBACK_TERM_BUDGET:
+        raise FormatError(f"{surface_path}: frame minor needs about {minor} terms, above {PULLBACK_TERM_BUDGET}")
+    names = {key: f"{form_path}: coeffs[{''.join(map(str, key))!r}]" for key in form.coeffs}
+    pulled = {key: check_pullback(coeff, V.map, V.dim, names[key]) for key, coeff in form.coeffs.items()}
+    products = minor * sum(pulled.values())
+    if products > INTEGRAL_PRODUCT_BUDGET:
+        worst = names[max(pulled, key=pulled.get)]  # the largest pullback
+        message = f"integral needs about {products} products, above {INTEGRAL_PRODUCT_BUDGET}"
+        raise FormatError(f"{worst} on {surface_path}: {message}")
+    return products
 
 
 def parse_json(text: str, where: str) -> Any:

@@ -50,18 +50,15 @@ def _sign_flipped(fn):
 
 
 @contextlib.contextmanager
-def apply_mutation(name: str):
-    """Patch the named operator for the duration of the block.
+def rebound(original, replacement):
+    """Rebind every module-level name of ``original`` in every loaded fvx
+    module to ``replacement`` for the duration of the block, and yield the
+    ``(namespace, name)`` pairs patched.
 
     fvx modules import operators by name (``from fvx.calculus import d5``),
-    so the patch rebinds every module-level name of the operator in every
-    loaded fvx module; patching only the defining module would leave the
-    calls made through the other names unmutated.
+    so patching only the defining module would leave the calls made through
+    the other names unpatched.
     """
-    if name not in REGISTRY:
-        raise ValueError(f"unknown mutation {name!r}")
-    mutation = REGISTRY[name]
-    original = getattr(mutation.module, mutation.attribute)
     bindings = [
         (namespace, attr)
         for module_name, module in list(sys.modules.items())
@@ -70,11 +67,22 @@ def apply_mutation(name: str):
         for attr, value in namespace.items()
         if value is original
     ]
-    mutated = _sign_flipped(original)
     for namespace, attr in bindings:
-        namespace[attr] = mutated
+        namespace[attr] = replacement
     try:
-        yield mutation
+        yield bindings
     finally:
         for namespace, attr in bindings:
             namespace[attr] = original
+
+
+@contextlib.contextmanager
+def apply_mutation(name: str):
+    """Patch the named operator with its negation, at every binding, for the
+    duration of the block."""
+    if name not in REGISTRY:
+        raise ValueError(f"unknown mutation {name!r}")
+    mutation = REGISTRY[name]
+    original = getattr(mutation.module, mutation.attribute)
+    with rebound(original, _sign_flipped(original)):
+        yield mutation

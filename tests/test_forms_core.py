@@ -1,14 +1,11 @@
 """Wedge algebra, pairings, label-5 bookkeeping, and array antisymmetrization."""
 
-import contextlib
 import itertools
 import math
 import random
 import re
-import sys
 from collections import Counter
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -38,6 +35,7 @@ from fvx import calculus as ca
 from fvx import forms_core as fc
 from fvx import lagrange as lg
 from fvx import metric_dual as md
+from fvx import mutations as mu
 from fvx import suites as su
 from fvx.polyfield import Poly
 from fvx.suites import conforming_array
@@ -388,16 +386,11 @@ SIGN_ROUTE_KILLS = {
 
 @pytest.mark.parametrize("name", SIGN_ROUTE_KILLS)
 def test_sign_route_kill_rows(name):
-    # Patched by hand at every binding: a mutation's negated result cannot
-    # negate the signs inside a zip.
+    # Patched at every binding with a route of its own: a mutation's negated
+    # result cannot negate the signs inside a zip.
     flipped, kills = SIGN_ROUTE_KILLS[name]
-    original = getattr(fc, name)
-    fvx_modules = [m for key, m in list(sys.modules.items()) if key == "fvx" or key.startswith("fvx.")]
-    bindings = [(m, attr) for m in fvx_modules for attr, value in vars(m).items() if value is original]
-    assert (fc, name) in bindings and (md, name) in bindings
-    with contextlib.ExitStack() as stack:
-        for module, attr in bindings:
-            stack.enter_context(mock.patch.object(module, attr, flipped))
+    with mu.rebound(getattr(fc, name), flipped) as patched:
+        assert {(ns["__name__"], attr) for ns, attr in patched} >= {(fc.__name__, name), (md.__name__, name)}
         report = su.run_suite(su.SuiteConfig(seed=0, suites=("duality", "appendix", "lagrange")))
     assert Counter(r.identity for r in report.failures) == kills
 

@@ -19,13 +19,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fvx
+from fvx import integration as ig
 from fvx import io as fio
 from fvx import mutations as mu
 from fvx import suites as su
 from fvx.cli import main
 from fvx.forms_core import FiveForm
 from fvx.metric_dual import MetricConfig
-from fvx.polyfield import parse_poly
+from fvx.polyfield import COORD_NAMES, parse_poly
 
 from children import run_python
 
@@ -448,6 +449,14 @@ def test_d_rejects_label_five_components(capsys):
     assert "without label-5 components" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("coeffs", [{}, {"01235": "x0"}], ids=["no-coefficients", "label-five"])
+def test_d_refuses_rank_five_naming_the_file(tmp_path, capsys, coeffs):
+    form = tmp_path / "x.form"
+    form.write_text(json.dumps({"rank": 5, "coeffs": coeffs}))
+    assert main(["d", "--form", str(form)]) == 2
+    assert capsys.readouterr().err == f"fvx: {form}: d takes forms of rank at most 4 without label-5 components\n"
+
+
 def test_d_of_closed_form_is_zero(capsys):
     assert main(["d", "--form", str(DEMO / "radial.form")]) == 0
     assert "(zero)" in capsys.readouterr().out
@@ -728,6 +737,78 @@ def test_frame_minor_within_budget_integrates(tmp_path, capsys, form, surface, v
     (tmp_path / "x.surf").write_text(json.dumps(surface))
     assert main(["integrate", "--form", str(tmp_path / "x.form"), "--surface", str(tmp_path / "x.surf")]) == 0
     assert capsys.readouterr().out == f"{value}\n"
+
+
+# The product of a pullback and a frame minor of s and t terms costs up to
+# s * t monomial products.  On dense_surface(5) the minor bound is C(20, 4) =
+# 4,845 and x0^e pulls back to at most C(5e + 4, 4) terms: 1,001 at e = 2 and
+# 3,876 at e = 3, each under the term budget, but the products are above
+# 1,000,000.  These ran 2.9-25 s as children without the product budget.
+@pytest.mark.parametrize("e", [2, 3])
+@pytest.mark.parametrize("command, key", [("integrate", "0123"), ("flux", "0123"), ("stokes", "012")])
+def test_dense_integral_product_exits_two_before_any_work(tmp_path, command, key, e):
+    form, surface = tmp_path / "x.form", tmp_path / "x.surf"
+    form.write_text(json.dumps({"rank": len(key), "coeffs": {key: f"x0^{e}"}}))
+    surface.write_text(json.dumps(dense_surface(5)))
+    start = time.monotonic()
+    result = run_python("-m", "fvx.cli", command, "--form", str(form), "--surface", str(surface))
+    assert time.monotonic() - start < 1
+    assert result.returncode == 2
+    products = math.comb(5 * e + 4, 4) * math.comb(20, 4)
+    message = f"integral needs about {products} products, above {fio.INTEGRAL_PRODUCT_BUDGET}"
+    assert result.stderr == f"fvx: {form}: coeffs[{key!r}] on {surface}: {message}\n"
+
+
+def test_a_factor_above_its_budget_keeps_its_message(tmp_path):
+    # x0^4 pulls back to C(24, 4) = 10,626 terms, which is refused as a
+    # pullback before its product with the minor is counted.
+    form = FiveForm(4, {(0, 1, 2, 3): parse_poly("x0^4", COORD_NAMES)})
+    with pytest.raises(fio.FormatError, match=r"^x.form: coeffs\['0123'\]: pullback needs about 10626 terms"):
+        fio.check_integral(form, fio.surface_from_dict(dense_surface(5)), "x.form", "x.surf")
+
+
+def integrate_products(form: FiveForm, V) -> int:
+    """The monomial products `integrate` makes: each kept coefficient's
+    pullback times its frame minor on all the columns."""
+    frame_rows = ig._completed_rows if form.rank == V.dim + 1 else ig._plain_rows
+    total = 0
+    for key, coeff in form.coeffs.items():
+        labels = frame_rows(key)
+        if labels is not None:
+            minor = ig._poly_det([[V.map[a].partial(k) for k in range(V.dim)] for a in labels], V.dim)
+            total += len(coeff.compose(list(V.map)).num) * len(minor.num)
+    return total
+
+
+def integral_cases():
+    """Forms of matching rank on the demo surfaces, then 50 seeded draws."""
+    rng = random.Random(0)
+    for surface in sorted(DEMO.glob("*.surf")):
+        V = fio.load_surface(str(surface))
+        forms = [fio.load_form(str(path)) for path in sorted(DEMO.glob("*.form"))]
+        forms += [su.rand_form(rng, rank, 3) for rank in (V.dim, V.dim + 1) for _ in range(3)]
+        yield from ((form, V) for form in forms if form.rank in (V.dim, V.dim + 1))
+    for seed in range(50):
+        rng = random.Random(seed)
+        dim = rng.randint(0, 4)
+        yield su.rand_form(rng, rng.choice((dim, dim + 1)), 3), su.rand_surface(rng, dim, 3)
+
+
+def test_integral_estimate_bounds_the_products_integrate_makes():
+    counts = [
+        (fio.check_integral(form, V, "x.form", "x.surf"), integrate_products(form, V)) for form, V in integral_cases()
+    ]
+    assert all(estimate >= actual for estimate, actual in counts)
+    assert sum(actual > 0 for _, actual in counts) >= 25
+
+
+def test_integral_estimate_is_exact_on_a_dense_surface():
+    form = FiveForm(4, {(0, 1, 2, 3): parse_poly("x0^2", COORD_NAMES)})
+    V = fio.surface_from_dict(dense_surface(5))
+    message = r"^x.form: coeffs\['0123'\] on x.surf: integral needs about 4849845 products"
+    with pytest.raises(fio.FormatError, match=message):
+        fio.check_integral(form, V, "x.form", "x.surf")
+    assert integrate_products(form, V) == 4_849_845
 
 
 # -- command line: field equations -------------------------------------------------------
