@@ -125,12 +125,16 @@ def cmd_integral(args: argparse.Namespace) -> int:
     from fvx import integration as ig
 
     form, V = _load_pullback(args)
-    if args.command == "integrate":
-        print(ig.integrate(form, V))
-        return 0
-    if args.command == "stokes":
-        return _print_sides(("boundary", "interior"), *ig.stokes_sides(form, V))
-    return _print_sides(("boundary+interior", "derivative route"), *ig.flux_sides(form, V))
+    try:
+        if args.command == "integrate":
+            print(ig.integrate(form, V))
+            return 0
+        if args.command == "stokes":
+            return _print_sides(("boundary", "interior"), *ig.stokes_sides(form, V))
+        return _print_sides(("boundary+interior", "derivative route"), *ig.flux_sides(form, V))
+    except ValueError as exc:
+        # A rank mismatch or an exponent overflow names no file of its own.
+        raise ValueError(f"{args.form} on {args.surface}: {exc}") from None
 
 
 def _print_sides(labels: tuple[str, str], lhs, rhs) -> int:

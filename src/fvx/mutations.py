@@ -1,11 +1,12 @@
 """Deliberate single-sign corruptions of core operators.
 
-Each mutation temporarily replaces one operator with its negation.  Running
-the checker under a mutation must produce at least one failure; the
-``caught_by`` field names a suite identity whose two routes disagree once
-that particular sign is wrong.  Identities that are insensitive to a
-uniform sign (nilpotency, Leibniz rules, involutions) cannot catch these,
-which is why the registry records a specific sensitive witness.
+Each mutation temporarily replaces one operator, a module function or a class
+member, with a corrupted copy: by default its negation.  Running the checker
+under a mutation must produce at least one failure; the ``caught_by`` field
+names a suite identity whose two routes disagree once that particular sign is
+wrong.  Identities that are insensitive to a uniform sign (nilpotency, Leibniz
+rules, involutions) cannot catch these, which is why the registry records a
+specific sensitive witness.
 """
 
 from __future__ import annotations
@@ -13,17 +14,28 @@ from __future__ import annotations
 import contextlib
 import sys
 from fractions import Fraction
-from types import ModuleType
 
 from fvx import calculus, forms_core, integration, lagrange, metric_dual
-from fvx.polyfield import Record
+from fvx.polyfield import Poly, Record
+
+
+def _sign_flipped(fn):
+    def mutated(*args, **kwargs):
+        return fn(*args, **kwargs) * Fraction(-1)
+
+    return mutated
+
+
+def _signs_flipped(fn):
+    """Negate the sign of each ``(sign, perm)`` pair that ``fn`` yields."""
+    return lambda *args: ((-sign, perm) for sign, perm in fn(*args))
 
 
 class Mutation(Record):
-    __slots__ = ("name", "module", "attribute", "caught_by")
+    __slots__ = ("name", "owner", "attribute", "caught_by", "corrupt")
 
-    def __init__(self, name: str, module: ModuleType, attribute: str, caught_by: tuple[str, str]):
-        self._set(name, module, attribute, caught_by)
+    def __init__(self, name: str, owner: object, attribute: str, caught_by: tuple[str, str], corrupt=_sign_flipped):
+        self._set(name, owner, attribute, caught_by, corrupt)
 
 
 MUTATIONS: tuple[Mutation, ...] = (
@@ -37,52 +49,51 @@ MUTATIONS: tuple[Mutation, ...] = (
     Mutation("epsilon-sign", metric_dual, "epsilon_lower", ("duality", "epsilon-reference")),
     Mutation("dual-sign", metric_dual, "dual", ("duality", "wedge-dual-pairing")),
     Mutation("el-sign", lagrange, "el_residual", ("lagrange", "bd-lambda-residual")),
+    Mutation("partial-sign", Poly, "partial", ("calculus", "basis-derivative")),
+    Mutation("restrict-sign", Poly, "restrict", ("stokes", "boundary-interior-plain")),
+    Mutation("compose-sign", Poly, "compose", ("stokes", "reparametrization-invariance")),
+    Mutation("perm-sign", forms_core, "permutation_sign", ("duality", "epsilon-reference")),
+    Mutation(
+        "signed-perm-sign", forms_core, "signed_permutations", ("appendix", "divergence-contraction-5"), _signs_flipped
+    ),
 )
+# No face-sign: OrientedFace.sign's one reader multiplies the integral of a
+# restricted face integrand, so flipping it is the same mutant as restrict-sign.
 
 REGISTRY = {mutation.name: mutation for mutation in MUTATIONS}
 
 
-def _sign_flipped(fn):
-    def mutated(*args, **kwargs):
-        return fn(*args, **kwargs) * Fraction(-1)
-
-    return mutated
-
-
 @contextlib.contextmanager
 def rebound(original, replacement):
-    """Rebind every module-level name of ``original`` in every loaded fvx
-    module to ``replacement`` for the duration of the block, and yield the
-    ``(namespace, name)`` pairs patched.
+    """Rebind ``original`` to ``replacement`` wherever it is bound, in every
+    loaded fvx module and in every class those modules define, for the
+    duration of the block, and yield the ``(owner, name)`` pairs patched.
 
     fvx modules import operators by name (``from fvx.calculus import d5``),
     so patching only the defining module would leave the calls made through
-    the other names unpatched.
+    the other names unpatched; a class may bind one method under several
+    names (``__radd__ = __add__``).
     """
-    bindings = [
-        (namespace, attr)
-        for module_name, module in list(sys.modules.items())
-        if module_name == "fvx" or module_name.startswith("fvx.")
-        for namespace in (vars(module),)
-        for attr, value in namespace.items()
-        if value is original
-    ]
-    for namespace, attr in bindings:
-        namespace[attr] = replacement
+    modules = [module for name, module in list(sys.modules.items()) if name == "fvx" or name.startswith("fvx.")]
+    classes = [v for m in modules for v in vars(m).values() if isinstance(v, type) and v.__module__ == m.__name__]
+    owners = modules + classes
+    bindings = [(owner, attr) for owner in owners for attr, value in vars(owner).items() if value is original]
+    for owner, attr in bindings:
+        setattr(owner, attr, replacement)
     try:
         yield bindings
     finally:
-        for namespace, attr in bindings:
-            namespace[attr] = original
+        for owner, attr in bindings:
+            setattr(owner, attr, original)
 
 
 @contextlib.contextmanager
 def apply_mutation(name: str):
-    """Patch the named operator with its negation, at every binding, for the
+    """Patch the named operator with its corruption, at every binding, for the
     duration of the block."""
     if name not in REGISTRY:
         raise ValueError(f"unknown mutation {name!r}")
     mutation = REGISTRY[name]
-    original = getattr(mutation.module, mutation.attribute)
-    with rebound(original, _sign_flipped(original)):
+    original = getattr(mutation.owner, mutation.attribute)
+    with rebound(original, mutation.corrupt(original)):
         yield mutation

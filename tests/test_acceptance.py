@@ -446,7 +446,7 @@ def test_criterion_11_end_to_end(capsys):
             suite, _ = mutation.caught_by
             with mu.apply_mutation(mutation.name):
                 report = su.run_suite(su.SuiteConfig(seed=0, trials=25, suites=(suite,)))
-            if report.passed:
+            if mutation.caught_by not in {(r.suite, r.identity) for r in report.failures}:
                 return False
         return True
 

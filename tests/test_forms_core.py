@@ -357,16 +357,6 @@ def test_signed_permutations_follow_the_enumeration_order(n):
         assert list(signed_permutations(items)) == expected
 
 
-# The patches below rebind the names in fvx's modules only, so these two
-# still reach the originals through this module's own names.
-def _flipped_signed_permutations(items):
-    return ((-sign, perm) for sign, perm in signed_permutations(items))
-
-
-def _flipped_permutation_sign(seq):
-    return -permutation_sign(seq)
-
-
 # The sign routes' kill rows at seed 0 over the suites that read signs: the
 # identities that fail, with their failing instance counts, when one route's
 # signs are negated.  The two routes are independent, so each row is caught
@@ -374,23 +364,20 @@ def _flipped_permutation_sign(seq):
 # compare S with T, whose permutation_sign flips cancel.
 SIGN_ROUTE_KILLS = {
     "signed_permutations": (
-        _flipped_signed_permutations,
+        "signed-perm-sign",
         {"epsilon-reference": 25, "divergence-contraction-4": 19, "divergence-contraction-5": 23},
     ),
-    "permutation_sign": (
-        _flipped_permutation_sign,
-        {"epsilon-reference": 21, "bd-lambda-residual": 7, "three-way-equivalence": 1},
-    ),
+    "permutation_sign": ("perm-sign", {"epsilon-reference": 21, "bd-lambda-residual": 7, "three-way-equivalence": 1}),
 }
 
 
 @pytest.mark.parametrize("name", SIGN_ROUTE_KILLS)
 def test_sign_route_kill_rows(name):
-    # Patched at every binding with a route of its own: a mutation's negated
-    # result cannot negate the signs inside a zip.
-    flipped, kills = SIGN_ROUTE_KILLS[name]
-    with mu.rebound(getattr(fc, name), flipped) as patched:
-        assert {(ns["__name__"], attr) for ns, attr in patched} >= {(fc.__name__, name), (md.__name__, name)}
+    mutation, kills = SIGN_ROUTE_KILLS[name]
+    original = getattr(fc, name)
+    with mu.apply_mutation(mutation):
+        # Patched at every binding, metric_dual's by-name import too.
+        assert getattr(fc, name) is getattr(md, name) is not original
         report = su.run_suite(su.SuiteConfig(seed=0, suites=("duality", "appendix", "lagrange")))
     assert Counter(r.identity for r in report.failures) == kills
 

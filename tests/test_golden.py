@@ -97,6 +97,11 @@ MUTATION_DIGESTS = {
     'epsilon-sign': 'e2a2cffc16b4fc2e6d2ef11e6afcb6023cab2ebbbf5458722e3a86fbf19b5387',
     'dual-sign': '7630123194a38237623b3bbb7351d6f32cf06b3fbd0bd52352d29ef761d2e386',
     'el-sign': 'c70812a0afecd5348faf28b3afc491dc84415d7bca2119a2f6f692486133221a',
+    'partial-sign': '4c9882644bb1a5fdbab4b916d0b5581fe3006f1d35ed16b8fae52fe5ca916dd6',
+    'restrict-sign': 'fe5287e6a31f7e7859bec1ebcd72ca1ac882cbd8c17ea22953d9e06a488d28a9',
+    'compose-sign': '0faf37e83c6443279685d6392f4e7d34c479249b4b1db10c9c48ae1932f3f23b',
+    'perm-sign': 'b6ac2741beab4fad7d5c1804cee92a0de11f01d670002cce4d7742cefee6729f',
+    'signed-perm-sign': '6c8841d8c43f92509601c09bbc07bbb310a1261b166d621c83bf15816c5f91d6',
 }
 
 
@@ -195,8 +200,8 @@ DEMO_OUTPUT = {
     'flux --form demo/mixed.form --surface demo/square.surf': (0, 'boundary+interior: 1/4\nderivative route: 1/4\nEQUAL\n', ''),
     'el --lagrangian demo/free_scalar.lag --fields demo/wave_solution.json': (0, 'field 0:\n  residual: 0\n  current/source match: yes\n  closed-form check: yes\n  probe flux: 0\nsolution\n', ''),
     'el --lagrangian demo/free_scalar.lag --fields demo/not_solution.json': (1, 'field 0:\n  residual: 2\n  current/source match: no\n  closed-form check: no\n  probe flux: 2\nnot a solution\n', ''),
-    'integrate --form demo/shear.form --surface demo/cube4.surf': (2, '', 'fvx: rank must equal surface dimension\n'),
-    'stokes --form demo/shear.form --surface demo/cube4.surf': (2, '', 'fvx: rank incompatible with boundary flux\n'),
+    'integrate --form demo/shear.form --surface demo/cube4.surf': (2, '', 'fvx: demo/shear.form on demo/cube4.surf: rank must equal surface dimension\n'),
+    'stokes --form demo/shear.form --surface demo/cube4.surf': (2, '', 'fvx: demo/shear.form on demo/cube4.surf: rank incompatible with boundary flux\n'),
 }
 
 

@@ -3,7 +3,6 @@
 import itertools
 import random
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -129,17 +128,10 @@ def test_face_map_is_the_restricted_map():
         assert W.map == tuple(comp.compose(subs) for comp in V.map)
 
 
-def _sign_flipped(method):
-    def flipped(self, *args):
-        return -method(self, *args)
-
-    return flipped
-
-
 def test_broken_restrict_fails_the_boundary_identities():
     # Every face integrand goes through Poly.restrict, so its sign must reach
     # the boundary side of the Stokes, flux and by-parts identities.
-    with mock.patch.object(Poly, "restrict", _sign_flipped(Poly.restrict)):
+    with apply_mutation("restrict-sign"):
         report = run_suite(SuiteConfig(seed=0, trials=5, suites=("stokes", "flux")))
     assert {(r.suite, r.identity) for r in report.failures} == {
         ("stokes", "four-vector-stokes"),
@@ -155,7 +147,7 @@ def test_broken_restrict_fails_the_boundary_identities():
 def test_broken_compose_fails_reparametrization_invariance():
     # Both Stokes sides pull back through compose, so a uniform sign cancels
     # there; the reparametrized integral compares one pullback with another.
-    with mock.patch.object(Poly, "compose", _sign_flipped(Poly.compose)):
+    with apply_mutation("compose-sign"):
         report = run_suite(SuiteConfig(seed=0, trials=5, suites=("stokes",)))
     assert ("stokes", "reparametrization-invariance") in {(r.suite, r.identity) for r in report.failures}
 

@@ -26,7 +26,7 @@ from fvx import suites as su
 from fvx.cli import main
 from fvx.forms_core import FiveForm
 from fvx.metric_dual import MetricConfig
-from fvx.polyfield import COORD_NAMES, parse_poly
+from fvx.polyfield import COORD_NAMES, Poly, parse_poly
 
 from children import run_python
 
@@ -346,17 +346,52 @@ def test_mutation_is_caught_by_its_witness(name, suite, identity):
 
 
 def test_mutation_reaches_every_binding():
-    # A module that imported the operator by name must see the patch too.
+    # A module that imported the operator by name must see the patch too, and
+    # so must a class member under each name its class binds it to.
     modules = [fvx] + [
         importlib.import_module(f"fvx.{info.name}") for info in pkgutil.iter_modules(fvx.__path__)
     ]
+    classes = [c for m in modules for c in vars(m).values() if isinstance(c, type) and c.__module__ == m.__name__]
     for mutation in mu.MUTATIONS:
-        original = getattr(mutation.module, mutation.attribute)
-        bound = [(m, a) for m in modules for a, v in vars(m).items() if v is original]
+        original = getattr(mutation.owner, mutation.attribute)
+        bound = [(o, a) for o in modules + classes for a, v in vars(o).items() if v is original]
+        assert (mutation.owner, mutation.attribute) in bound, mutation.name
         with mu.apply_mutation(mutation.name):
-            stale = [f"{m.__name__}.{a}" for m, a in bound if getattr(m, a) is original]
+            stale = [f"{o.__name__}.{a}" for o, a in bound if vars(o)[a] is original]
         assert not stale, f"{mutation.name} misses {stale}"
-        assert all(getattr(m, a) is original for m, a in bound)
+        assert all(vars(o)[a] is original for o, a in bound)
+
+
+def test_class_member_patch_is_restored_when_the_block_raises():
+    original = Poly.partial
+    with pytest.raises(RuntimeError, match="inside"):
+        with mu.apply_mutation("partial-sign"):
+            assert Poly.partial is not original
+            raise RuntimeError("inside")
+    assert Poly.partial is original
+
+
+def test_nested_mutations_restore_the_original():
+    x = Poly.variable(0, 1)
+    original = Poly.restrict
+    with mu.apply_mutation("restrict-sign"):
+        assert x.restrict(0, 2) == -2
+        with mu.apply_mutation("restrict-sign"):
+            assert x.restrict(0, 2) == 2
+        assert x.restrict(0, 2) == -2
+    assert Poly.restrict is original
+    assert x.restrict(0, 2) == 2
+
+
+def test_rebound_rebinds_every_alias_in_a_class():
+    original = Poly.__add__
+    assert Poly.__radd__ is original
+    x = Poly.variable(0, 1)
+    with mu.rebound(original, lambda self, other: "patched") as bindings:
+        assert {attr for owner, attr in bindings if owner is Poly} == {"__add__", "__radd__"}
+        assert x + 1 == 1 + x == "patched"
+    assert Poly.__add__ is Poly.__radd__ is original
+    assert (x + 1).evaluate([2]) == (1 + x).evaluate([2]) == 3
 
 
 def test_mutation_restores_the_operator():
@@ -757,6 +792,18 @@ def test_dense_integral_product_exits_two_before_any_work(tmp_path, command, key
     products = math.comb(5 * e + 4, 4) * math.comb(20, 4)
     message = f"integral needs about {products} products, above {fio.INTEGRAL_PRODUCT_BUDGET}"
     assert result.stderr == f"fvx: {form}: coeffs[{key!r}] on {surface}: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["integrate", "flux"])
+def test_exponent_overflow_names_both_files(tmp_path, command):
+    # Within every budget, but the pullback of x0^20000 along l1^2 has an
+    # exponent of 40,000, above what a packed monomial holds.
+    form, surface = tmp_path / "x.form", tmp_path / "x.surf"
+    form.write_text(json.dumps({"rank": 1, "coeffs": {"0": "x0^20000"}}))
+    surface.write_text(json.dumps({"dim": 1, "map": ["l1^2", "0", "0", "0"], "box": [[0, 1]]}))
+    result = run_python("-m", "fvx.cli", command, "--form", str(form), "--surface", str(surface))
+    assert result.returncode == 2
+    assert result.stderr == f"fvx: {form} on {surface}: exponent overflow: a product has an exponent above 32767\n"
 
 
 def test_a_factor_above_its_budget_keeps_its_message(tmp_path):

@@ -23,7 +23,7 @@ from fvx.forms_core import FiveForm, FourForm, IndexedArray, MultiVector
 from fvx.integration import OrientedFace, ParamSurface
 from fvx.lagrange import ELReport, FieldSet, LagrangianSpec
 from fvx.metric_dual import DEFAULT_CFG, MetricConfig
-from fvx.mutations import Mutation
+from fvx.mutations import REGISTRY, Mutation
 from fvx.polyfield import Poly, Record
 from fvx.suites import SUITE_NAMES, Identity, InstanceRecord, Report, SuiteConfig
 
@@ -90,8 +90,8 @@ CASES = [
     (Identity, ("wedge-unit", _make, _sides), ("wedge-zero", _make, _sides), None, "", True),
     (
         Mutation,
-        ("wedge-sign", forms_core, "wedge", ("algebra", "wedge-unit")),
-        ("wedge-sign", forms_core, "wedge", ("algebra", "wedge-zero")),
+        ("wedge-sign", forms_core, "wedge", ("algebra", "wedge-unit"), REGISTRY["wedge-sign"].corrupt),
+        ("wedge-sign", forms_core, "wedge", ("algebra", "wedge-zero"), REGISTRY["wedge-sign"].corrupt),
         None,
         "",
         True,
