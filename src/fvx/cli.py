@@ -117,7 +117,7 @@ def _load_pullback(args: argparse.Namespace) -> tuple[fc.FiveForm, ParamSurface]
     """The form and surface of an integral command, within the budgets of
     ``io.check_integral``."""
     form, V = fio.load_form(args.form), fio.load_surface(args.surface)
-    fio.check_integral(form, V, args.form, args.surface)
+    fio.check_integral(form, V, args.form, args.surface, args.command)
     return form, V
 
 

@@ -27,8 +27,11 @@ singular cube the sum of its restricted faces; Spivak, *Calculus on
 Manifolds*, ch. 4).  Both faces of a parameter read their integrand off one
 polynomial, and since the restricted polynomial is the canonical ``Poly`` of
 the face's own pullback, every face value is the same ``Fraction`` as
-``integrate(form, face.surface())`` gives.  ``OrientedFace.surface`` is that
-face-by-face reference route; the tests compare the two.
+``integrate(form, face.surface())`` gives.  The two faces of a parameter are
+paired: one ``integrate_box`` call takes the difference of their restricted
+integrands over the box they share, which is the signed sum of the two face
+integrals by linearity.  ``OrientedFace.surface`` is the face-by-face
+reference route; the tests compare the two.
 """
 
 from __future__ import annotations
@@ -197,6 +200,38 @@ def _completed_rows(key: tuple) -> tuple | None:
     return key[:-1] if key[-1] == 5 else None
 
 
+def _volume(form: FiveForm, V: ParamSurface) -> tuple:
+    """The frame rows and column sets of ``integrate``'s pullback: frame-completed
+    at rank dim + 1, plain otherwise, on all the columns."""
+    return _completed_rows if form.rank == V.dim + 1 else _plain_rows, [range(V.dim)]
+
+
+def _boundary(form: FiveForm, V: ParamSurface) -> tuple:
+    """The frame rows and column sets of ``boundary_flux``'s pullback:
+    frame-completed at rank dim, plain otherwise, on the columns of each
+    parameter's faces."""
+    columns = [[c for c in range(V.dim) if c != k] for k in range(V.dim)]
+    return _completed_rows if form.rank == V.dim else _plain_rows, columns
+
+
+def pullbacks(route: str, form: FiveForm, V: ParamSurface) -> list[tuple]:
+    """The ``_pullback_integrands`` calls that ``integrate``, ``stokes_sides``
+    (route ``stokes``) or ``flux_sides`` (route ``flux``) make on ``form`` and
+    ``V``, each as (form, frame_rows, column sets): the cost model of
+    ``io.check_integral`` reads them.  None where the rank does not fit, as
+    the route then raises before any work."""
+    m, rank = V.dim, form.rank
+    if route == "integrate":
+        return [(form, *_volume(form, V))] if rank in (m, m + 1) else []
+    if route == "stokes" and m and rank in (m - 1, m):
+        volumes = [d5(form)]
+    elif route == "flux" and m and rank == m:
+        volumes = [form, bd(form)]
+    else:
+        return []
+    return [(form, *_boundary(form, V))] + [(f, *_volume(f, V)) for f in volumes]
+
+
 def integrate_m(form: FiveForm, V: ParamSurface) -> Fraction:
     """Integral of a rank-m form over an m-surface; label-5 components drop."""
     if not isinstance(form, FiveForm):
@@ -249,18 +284,21 @@ def boundary_flux(form: FiveForm, V: ParamSurface) -> Fraction:
     Restriction commutes with pulling back, so the integrand of each face
     fixing parameter k is the integrand on V with Jacobian column k left
     out, restricted to the face's bound: one pullback for both faces of k.
+    The two faces of k share their box and have opposite signs, so by
+    linearity one box integral of the high face's integrand minus the low
+    face's, times the high face's sign, is their sum.
     """
     if V.dim < 1:
         raise ValueError("surface has no boundary")
     if form.rank not in (V.dim - 1, V.dim):
         raise ValueError("rank incompatible with boundary flux")
-    frame_rows = _completed_rows if form.rank == V.dim else _plain_rows
-    columns = [[c for c in range(V.dim) if c != k] for k in range(V.dim)]
-    integrands = _pullback_integrands(form, V, frame_rows, columns)
+    integrands = _pullback_integrands(form, V, *_boundary(form, V))
     total = Fraction(0)
-    for face in faces(V):
-        restricted = integrands[face.fixed].restrict(face.fixed, face.value)
-        total += face.sign * integrate_box(restricted, face.box)
+    pairs = faces(V)
+    for low, high in zip(pairs[::2], pairs[1::2]):
+        k, integrand = high.fixed, integrands[high.fixed]
+        paired = integrand.restrict(k, high.value) - integrand.restrict(k, low.value)
+        total += high.sign * integrate_box(paired, high.box)
     return total
 
 

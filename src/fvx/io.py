@@ -235,17 +235,34 @@ def metric_from_dict(data: Any) -> MetricConfig:
 # The budgets of an integral command, checked before any work (exit 2).  An
 # integrand is a coefficient's pullback times a frame minor, each of at most
 # PULLBACK_TERM_BUDGET terms: x0^200 on the map l1 + l2 + 1 pulls back to
-# 20,301 and took seconds.  Their product costs up to s * t monomial products
-# for s and t terms (Johnson, ACM SIGSAM Bull. 8(3), 1974), at most
-# INTEGRAL_PRODUCT_BUDGET summed over the components.  On four dense degree-5
-# maps, as a child (2 CPUs, CPython 3.11.7), x0 (610,470 products) integrates
-# in 0.9 s; x0^2 (4,849,845) took 2.9 s and x0^3 (18,779,220) 13 s.
+# 20,301 and took seconds.  A product of polynomials of s and t terms costs up
+# to s * t monomial products (Johnson, ACM SIGSAM Bull. 8(3), 1974); building
+# the minors by cofactors and multiplying each by its pullback may cost
+# INTEGRAL_PRODUCT_BUDGET products over the integrals of one command.  As
+# children (2 CPUs, CPython 3.11.7), the three commands run at about 0.35 s
+# per million products after a 0.15 s start, so the budget admits about
+# 0.85 s: `flux` of the volume form on four dense degree-5 maps (1,978,650
+# products) runs in 0.8 s, while `integrate` of it where three of the maps
+# have degree 6 (2,714,607) took 1.1 s and `flux` of x0^2 on four dense
+# degree-4 maps (2,208,080) 1.1 s.
 PULLBACK_TERM_BUDGET = 10_000
-INTEGRAL_PRODUCT_BUDGET = 1_000_000
+INTEGRAL_PRODUCT_BUDGET = 2_000_000
 
 
 def _shape(p: Poly) -> tuple[int, int]:
     return len(p.num), max(map(sum, p.terms), default=0)  # terms, degree
+
+
+def _pullback_terms(p: Poly, shape: Sequence[tuple[int, int]], nvars: int) -> int:
+    """check_pullback's estimate for p along maps of these (terms, degree)."""
+    terms = 0
+    for expo in p.terms:
+        count = 1
+        for e, (t, deg) in zip(expo, shape):
+            if e:
+                count *= min(math.comb(e + t - 1, e), math.comb(e * deg + nvars, nvars))
+        terms += count
+    return terms
 
 
 def check_pullback(p: Poly, maps: Sequence[Poly], nvars: int, where: str) -> int:
@@ -255,38 +272,62 @@ def check_pullback(p: Poly, maps: Sequence[Poly], nvars: int, where: str) -> int
     C(e + t - 1, t - 1) terms (multisets of its terms) and at most
     C(e * deg + nvars, nvars) (monomials of bounded degree); the estimate is
     the sum over the monomials of the product over the variables."""
-    shape = list(map(_shape, maps))
-    terms = 0
-    for expo in p.terms:
-        count = 1
-        for e, (t, deg) in zip(expo, shape):
-            if e:
-                count *= min(math.comb(e + t - 1, e), math.comb(e * deg + nvars, nvars))
-        terms += count
+    terms = _pullback_terms(p, list(map(_shape, maps)), nvars)
     if terms > PULLBACK_TERM_BUDGET:
         raise FormatError(f"{where}: pullback needs about {terms} terms, above {PULLBACK_TERM_BUDGET}")
     return terms
 
 
-def check_integral(form: FiveForm, V: ParamSurface, form_path: str, surface_path: str) -> int:
-    """The monomial products that integrating ``form`` over ``V`` may need:
-    each coefficient's pullback bound (check_pullback) times the frame-minor
-    bound, summed over every component, kept or dropped.  A minor is the
-    determinant of ``dim`` tangent-frame rows: a map's partials, of degree
-    deg - 1 with at most t terms, or the parameter values, of degree 1 with
-    one term.  Rows of degrees D_i and t_i terms give at most
-    C(sum D_i + dim, dim) terms and at most dim! * prod t_i; the minor's bound
-    is the largest over the sets of rows of the smaller bound."""
-    dim, rows = V.dim, [(max(deg - 1, 0), t) for t, deg in map(_shape, V.map)] + [(1, 1)]
-    minor = max(
-        min(math.comb(sum(d for d, _ in chosen) + dim, dim), math.factorial(dim) * math.prod(t for _, t in chosen))
-        for chosen in itertools.combinations(rows, dim)
+def _minor_terms(rows: Sequence[tuple[int, int]], dim: int) -> int:
+    """The terms of a minor over ``rows`` of (degree, terms) in ``dim``
+    parameters: at most C(sum of degrees + dim, dim) and at most k! times the
+    product of the term counts for k rows."""
+    by_degree = math.comb(sum(d for d, _ in rows) + dim, dim)
+    return min(by_degree, math.factorial(len(rows)) * math.prod(t for _, t in rows))
+
+
+def _cofactor_products(rows: Sequence[tuple[int, int]], dim: int) -> int:
+    """The monomial products ``integration._poly_det`` makes on ``rows``: the
+    minor on each set of rows multiplies each of its rows' entries by the
+    minor on the other rows of the set."""
+    return sum(
+        t * _minor_terms(chosen[:i] + chosen[i + 1 :], dim)
+        for k in range(1, len(rows) + 1)
+        for chosen in itertools.combinations(rows, k)
+        for i, (_, t) in enumerate(chosen)
     )
+
+
+def check_integral(form: FiveForm, V: ParamSurface, form_path: str, surface_path: str, route: str) -> int:
+    """The monomial products that the integrals of ``route`` (``integrate``,
+    ``stokes`` or ``flux``) may need on ``form`` over ``V``.  Per pullback
+    that ``integration.pullbacks`` lists, per component it keeps and per
+    column set: building the frame minor by cofactors, plus the
+    coefficient's pullback bound (check_pullback) times the minor's term
+    bound.  A minor is the determinant of tangent-frame rows: a map's
+    partials, of degree deg - 1 with at most t terms and at most
+    C(deg - 1 + dim, dim), or the parameter values, of degree 1 with one
+    term.  Every coefficient of ``form`` must be within the pullback budget,
+    and every minor of ``dim`` rows within the term budget, kept or not."""
+    from fvx import integration as ig
+
+    dim, shape = V.dim, list(map(_shape, V.map))
+    partials = [(max(deg - 1, 0), t) for t, deg in shape]
+    rows = dict(enumerate((d, min(t, math.comb(d + dim, dim))) for d, t in partials))
+    rows[5] = (1, 1)
+    minor = max(_minor_terms(chosen, dim) for chosen in itertools.combinations(rows.values(), dim))
     if minor > PULLBACK_TERM_BUDGET:
         raise FormatError(f"{surface_path}: frame minor needs about {minor} terms, above {PULLBACK_TERM_BUDGET}")
     names = {key: f"{form_path}: coeffs[{''.join(map(str, key))!r}]" for key in form.coeffs}
     pulled = {key: check_pullback(coeff, V.map, V.dim, names[key]) for key, coeff in form.coeffs.items()}
-    products = minor * sum(pulled.values())
+    products = 0
+    for integrated, frame_rows, column_sets in ig.pullbacks(route, form, V):
+        for key, coeff in integrated.coeffs.items():
+            labels = frame_rows(key)
+            if labels is not None:
+                chosen = [rows[axis] for axis in labels]
+                terms = _pullback_terms(coeff, shape, dim) * _minor_terms(chosen, dim)
+                products += len(column_sets) * (_cofactor_products(chosen, dim) + terms)
     if products > INTEGRAL_PRODUCT_BUDGET:
         worst = names[max(pulled, key=pulled.get)]  # the largest pullback
         message = f"integral needs about {products} products, above {INTEGRAL_PRODUCT_BUDGET}"

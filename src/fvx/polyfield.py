@@ -34,7 +34,9 @@ and one constant.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache, reduce
 from math import gcd, lcm
+from operator import or_
 from typing import Mapping, Sequence
 
 Exponent = tuple[int, ...]
@@ -52,6 +54,12 @@ def _pack(expo: Exponent) -> int:
 
 def _unpack(monomial: int, nvars: int) -> Exponent:
     return tuple((monomial >> _BITS * i) & MAX_EXPONENT for i in range(nvars))
+
+
+@cache
+def _guard_bits(nvars: int) -> int:
+    """The guard bit of every field of an ``nvars``-variable monomial."""
+    return ((1 << _BITS * nvars) - 1) // 0xFFFF * 0x8000
 
 
 def _ratio(value: RationalLike) -> tuple[int, int]:
@@ -170,15 +178,19 @@ class Poly(Record):
 
     @classmethod
     def zero(cls, nvars: int) -> "Poly":
+        """The zero polynomial: one instance per ``nvars``, shared by every caller."""
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
-        return cls._new(nvars, 1, {})
+        return _constant(nvars, 0)
 
     @classmethod
     def const(cls, value: RationalLike, nvars: int) -> "Poly":
+        """The constant polynomial; 0 and 1 are the shared ``_constant`` instances."""
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
         top, bottom = _ratio(value)
+        if bottom == 1 and top in (0, 1):
+            return _constant(nvars, top)
         return cls._new(nvars, bottom, {0: top})
 
     @classmethod
@@ -198,18 +210,24 @@ class Poly(Record):
             raise TypeError(f"cannot combine Poly with {type(other).__name__}")
         return Poly.const(other, self.nvars)
 
-    def __add__(self, other: "Poly | RationalLike") -> "Poly":
-        other = self._coerce(other)
+    def _combine(self, other: "Poly | RationalLike", sign: int) -> "Poly":
+        """``self + sign * other`` for ``sign`` = 1 or -1, over the lcm of the
+        two denominators."""
+        if type(other) is not Poly or other.nvars != self.nvars:
+            other = self._coerce(other)
         if not other.num:
             return self
         if not self.num:
-            return other
+            return other if sign > 0 else -other
         g = gcd(self.den, other.den)
-        scale_self, scale_other = other.den // g, self.den // g
+        scale_self, scale_other = other.den // g, sign * (self.den // g)
         merged = {m: c * scale_self for m, c in self.num.items()}
         for m, c in other.num.items():
             merged[m] = merged.get(m, 0) + c * scale_other
         return Poly._new(self.nvars, self.den * scale_self, merged)
+
+    def __add__(self, other: "Poly | RationalLike") -> "Poly":
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
@@ -222,7 +240,7 @@ class Poly(Record):
         return poly
 
     def __sub__(self, other: "Poly | RationalLike") -> "Poly":
-        return self + (-self._coerce(other))
+        return self._combine(other, -1)
 
     def __rsub__(self, other: "Poly | RationalLike") -> "Poly":
         return self._coerce(other) - self
@@ -245,8 +263,7 @@ class Poly(Record):
                 m = ma + mb
                 product[m] = get(m, 0) + ca * cb
         # A field that overflowed has carried into its guard bit.
-        guard = ((1 << _BITS * self.nvars) - 1) // 0xFFFF * 0x8000
-        if any(m & guard for m in product):
+        if reduce(or_, product, 0) & _guard_bits(self.nvars):
             raise ValueError(f"exponent overflow: a product has an exponent above {MAX_EXPONENT}")
         return Poly._new(self.nvars, self.den * other.den, product)
 
@@ -332,7 +349,7 @@ class Poly(Record):
         # Cache powers of each substituted polynomial; exponents repeat a lot.
         # pows[axis][k - 1] is maps[axis] ** k.
         pows: list[list[Poly]] = [[m] for m in maps]
-        one = Poly._new(target, 1, {0: 1})
+        one = _constant(target, 1)
         products: list[tuple[int, Poly]] = []
         for m, c in self.num.items():
             term = one
@@ -369,6 +386,14 @@ class Poly(Record):
     def __repr__(self) -> str:
         names = default_names(self.nvars)
         return f"Poly({format_poly(self, names)!r})"
+
+
+@cache
+def _constant(nvars: int, value: int) -> Poly:
+    """0 or 1 as one ``Poly`` per ``nvars``, shared by ``Poly.zero``,
+    ``Poly.const`` and ``compose``: nothing mutates a Poly's ``num`` after
+    ``_new``."""
+    return Poly._new(nvars, 1, {0: value})
 
 
 def integrate_box(p: Poly, box: Sequence[tuple[RationalLike, RationalLike]]) -> Fraction:

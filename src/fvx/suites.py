@@ -94,8 +94,23 @@ class Report(Record):
 # -- deterministic instance generation ----------------------------------------------
 
 
+def _below(getrandbits, n: int) -> int:
+    """``rng.randrange(n)`` for n > 0, leaving the rng in the same state:
+    CPython's ``Random._randbelow_with_getrandbits`` takes n.bit_length()
+    bits and redraws while the value is at least n.  ``rng.randint(a, b)``
+    is ``a + _below(getrandbits, b - a + 1)``.  One Python frame where
+    ``randint`` takes three."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def rand_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    """``Fraction(rng.randint(-9, 9), rng.randint(1, 9))``."""
+    bits = rng.getrandbits
+    return Fraction(_below(bits, 19) - 9, 1 + _below(bits, 9))
 
 
 def rand_poly(rng: random.Random, nvars: int, max_degree: int, max_terms: int = 3) -> Poly:
@@ -103,14 +118,18 @@ def rand_poly(rng: random.Random, nvars: int, max_degree: int, max_terms: int = 
     coefficient drawn as ``rand_fraction`` draws it; a later draw of a
     monomial replaces the earlier one.  Built in integers, past the checks
     of ``Poly(...)``: callers pass at most MAX_DEGREE, so no exponent can
-    leave its 16-bit field."""
+    leave its 16-bit field.  Each draw is the ``_below`` form of
+    ``randint(0, max_terms)``, ``randint(0, max_degree)``,
+    ``randrange(nvars)`` or a coefficient's ``randint``, so the stream is
+    that of those calls."""
+    bits = rng.getrandbits
     drawn: dict[int, tuple[int, int]] = {}
-    for _ in range(rng.randint(0, max_terms)):
+    for _ in range(_below(bits, max_terms + 1)):
         monomial = 0
-        for _ in range(rng.randint(0, max_degree)):
+        for _ in range(_below(bits, max_degree + 1)):
             if nvars:
-                monomial += 1 << _BITS * rng.randrange(nvars)
-        drawn[monomial] = rng.randint(-9, 9), rng.randint(1, 9)
+                monomial += 1 << _BITS * _below(bits, nvars)
+        drawn[monomial] = _below(bits, 19) - 9, 1 + _below(bits, 9)
     den = math.lcm(*(q for _, q in drawn.values()))
     return Poly._new(nvars, den, {m: p * (den // q) for m, (p, q) in drawn.items()})
 

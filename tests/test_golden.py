@@ -18,6 +18,7 @@ import itertools
 import os
 import random
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -70,6 +71,13 @@ def test_rand_poly_draws_are_unchanged():
         rng, reference = random.Random(seed), random.Random(seed)
         drawn = su.rand_poly(rng, nvars, max_degree, max_terms)
         assert drawn == rand_poly_reference(reference, nvars, max_degree, max_terms)
+        assert rng.getstate() == reference.getstate()
+
+
+def test_rand_fraction_draws_are_unchanged():
+    for seed in range(200):
+        rng, reference = random.Random(seed), random.Random(seed)
+        assert su.rand_fraction(rng) == Fraction(reference.randint(-9, 9), reference.randint(1, 9))
         assert rng.getstate() == reference.getstate()
 
 

@@ -211,24 +211,29 @@ def test_boundary_flux_pulls_back_once_per_surface(monkeypatch):
     cases = [(form, face_by_face(form, V)) for form in (plain, completed)]
     calls = {}
 
-    def count(cls, name):
-        method = getattr(cls, name)
+    def count(owner, name):
+        method = getattr(owner, name)
 
         def counted(*args):
             calls[name] += 1
             return method(*args)
 
-        monkeypatch.setattr(cls, name, counted)
+        calls[name] = 0
+        monkeypatch.setattr(owner, name, counted)
 
-    for cls, name in ((Poly, "compose"), (Poly, "partial"), (ig.OrientedFace, "surface")):
-        count(cls, name)
+    owners = ((Poly, "compose"), (Poly, "partial"), (ig.OrientedFace, "surface"), (Poly, "restrict"), (ig, "integrate_box"))
+    for owner, name in owners:
+        count(owner, name)
     for form, reference in cases:
-        calls.update(compose=0, partial=0, surface=0)
+        calls.update(dict.fromkeys(calls, 0))
         assert boundary_flux(form, V) == reference != 0
         # Two of the three components are kept, each pulled back once.
         assert calls["compose"] == 2
         assert calls["partial"] <= 4 * V.dim
         assert calls["surface"] == 0
+        # Both faces of a parameter are restricted, and integrated together.
+        assert calls["restrict"] == 2 * V.dim
+        assert calls["integrate_box"] == V.dim
 
 
 # -- Stokes, at rank dim - 1 and rank dim -----------------------------------------------

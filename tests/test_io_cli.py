@@ -777,11 +777,35 @@ def test_frame_minor_within_budget_integrates(tmp_path, capsys, form, surface, v
 # The product of a pullback and a frame minor of s and t terms costs up to
 # s * t monomial products.  On dense_surface(5) the minor bound is C(20, 4) =
 # 4,845 and x0^e pulls back to at most C(5e + 4, 4) terms: 1,001 at e = 2 and
-# 3,876 at e = 3, each under the term budget, but the products are above
-# 1,000,000.  These ran 2.9-25 s as children without the product budget.
-@pytest.mark.parametrize("e", [2, 3])
-@pytest.mark.parametrize("command, key", [("integrate", "0123"), ("flux", "0123"), ("stokes", "012")])
-def test_dense_integral_product_exits_two_before_any_work(tmp_path, command, key, e):
+# 3,876 at e = 3, each under the term budget, but the products are above the
+# budget.  These ran 2.9-25 s as children without the product budget.
+# Building a minor by cofactors costs, over the k-row sets of its n rows of
+# partials (70 terms each), k entries times a minor of C(4k, 4) terms.
+def dense_5_cofactors(n: int) -> int:
+    return sum(math.comb(n, k) * k * 70 * math.comb(4 * k, 4) for k in range(1, n + 1))
+
+
+DENSE_5_COFACTORS = dense_5_cofactors(4)
+
+
+# `integrate` builds one minor on four rows.  `flux` builds it twice: for the
+# form and for bd(form), whose 01235 component is the same x0^e; its boundary
+# drops the component.  `stokes` of a 012 component builds four minors on
+# three rows of C(16, 4) = 1,820 terms, one per parameter, and d5 of x0^e
+# dl012 is zero.
+@pytest.mark.parametrize(
+    "command, key, e, products",
+    [
+        ("integrate", "0123", 2, DENSE_5_COFACTORS + 1_001 * 4_845),
+        ("integrate", "0123", 3, DENSE_5_COFACTORS + 3_876 * 4_845),
+        ("flux", "0123", 2, 2 * (DENSE_5_COFACTORS + 1_001 * 4_845)),
+        ("flux", "0123", 3, 2 * (DENSE_5_COFACTORS + 3_876 * 4_845)),
+        ("stokes", "012", 2, 4 * (dense_5_cofactors(3) + 1_001 * 1_820)),
+        ("stokes", "012", 3, 4 * (dense_5_cofactors(3) + 3_876 * 1_820)),
+    ],
+    ids=["integrate-0123-2", "integrate-0123-3", "flux-0123-2", "flux-0123-3", "stokes-012-2", "stokes-012-3"],
+)
+def test_dense_integral_product_exits_two_before_any_work(tmp_path, command, key, e, products):
     form, surface = tmp_path / "x.form", tmp_path / "x.surf"
     form.write_text(json.dumps({"rank": len(key), "coeffs": {key: f"x0^{e}"}}))
     surface.write_text(json.dumps(dense_surface(5)))
@@ -789,9 +813,53 @@ def test_dense_integral_product_exits_two_before_any_work(tmp_path, command, key
     result = run_python("-m", "fvx.cli", command, "--form", str(form), "--surface", str(surface))
     assert time.monotonic() - start < 1
     assert result.returncode == 2
-    products = math.comb(5 * e + 4, 4) * math.comb(20, 4)
     message = f"integral needs about {products} products, above {fio.INTEGRAL_PRODUCT_BUDGET}"
     assert result.stderr == f"fvx: {form}: coeffs[{key!r}] on {surface}: {message}\n"
+
+
+def mixed_dense_surface() -> dict:
+    """Three maps of dense_surface(6) and the last of dense_surface(5): a
+    frame minor of C(23, 4) = 8,855 terms, under the term budget, whose
+    cofactors cost 2,705,752 products."""
+    return {"dim": 4, "map": dense_surface(6)["map"][:3] + dense_surface(5)["map"][3:], "box": [[0, 1]] * 4}
+
+
+# A command may make INTEGRAL_PRODUCT_BUDGET products over the integrals it
+# builds; above that it exits 2 in under a second.  Counted without the
+# budget, as children (2 CPUs, CPython 3.11.7): the volume form on the mixed
+# surface ran 1.1 s in `integrate` and 2.0 s in `flux`, x0 on dense_surface(5)
+# 1.2 s in `flux` and x0^2 on dense_surface(4) 1.1 s; the accepted cases run
+# in 0.7 s (integrate-x0), 0.8 s (flux-volume) and 0.1 s (stokes-volume, whose
+# integrals both drop the component).
+@pytest.mark.parametrize(
+    "command, key, coeff, surface, products, out",
+    [
+        ("integrate", "0123", "1", mixed_dense_surface(), 2_705_752 + 8_855, None),
+        ("flux", "0123", "1", mixed_dense_surface(), 2 * (2_705_752 + 8_855), None),
+        ("flux", "0123", "x0", dense_surface(5), 2 * (DENSE_5_COFACTORS + 126 * 4_845), None),
+        ("flux", "0123", "x0^2", dense_surface(4), 2 * (203_140 + 495 * 1_820), None),
+        ("integrate", "0123", "x0", dense_surface(5), DENSE_5_COFACTORS + 126 * 4_845, ""),
+        ("flux", "0123", "1", dense_surface(5), 2 * (DENSE_5_COFACTORS + 4_845), ""),
+        ("stokes", "0123", "1", dense_surface(5), 0, "boundary: 0\ninterior: 0\nEQUAL\n"),
+    ],
+    ids=["integrate-mixed", "flux-mixed", "flux-x0", "flux-x0-squared", "integrate-x0", "flux-volume", "stokes-volume"],
+)
+def test_integral_budget_counts_the_integrals_each_command_builds(tmp_path, command, key, coeff, surface, products, out):
+    form, surf = tmp_path / "x.form", tmp_path / "x.surf"
+    form.write_text(json.dumps({"rank": len(key), "coeffs": {key: coeff}}))
+    surf.write_text(json.dumps(surface))
+    start = time.monotonic()
+    result = run_python("-m", "fvx.cli", command, "--form", str(form), "--surface", str(surf))
+    if out is not None:
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.startswith(out)
+        loaded = fio.load_form(str(form)), fio.load_surface(str(surf))
+        assert fio.check_integral(*loaded, "x.form", "x.surf", command) == products <= fio.INTEGRAL_PRODUCT_BUDGET
+        return
+    assert time.monotonic() - start < 1
+    assert result.returncode == 2
+    message = f"integral needs about {products} products, above {fio.INTEGRAL_PRODUCT_BUDGET}"
+    assert result.stderr == f"fvx: {form}: coeffs[{key!r}] on {surf}: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["integrate", "flux"])
@@ -811,51 +879,107 @@ def test_a_factor_above_its_budget_keeps_its_message(tmp_path):
     # pullback before its product with the minor is counted.
     form = FiveForm(4, {(0, 1, 2, 3): parse_poly("x0^4", COORD_NAMES)})
     with pytest.raises(fio.FormatError, match=r"^x.form: coeffs\['0123'\]: pullback needs about 10626 terms"):
-        fio.check_integral(form, fio.surface_from_dict(dense_surface(5)), "x.form", "x.surf")
+        fio.check_integral(form, fio.surface_from_dict(dense_surface(5)), "x.form", "x.surf", "integrate")
+
+
+def counted_det(rows: list[list[Poly]], nvars: int) -> tuple[Poly, int]:
+    """``integration._poly_det`` of the rows, and the monomial products its
+    cofactor expansion makes, counted at ``Poly.__mul__``."""
+    mul, count = Poly.__mul__, [0]
+
+    def counted(a, b):
+        count[0] += len(a.num) * len(b.num) if isinstance(b, Poly) else 0
+        return mul(a, b)
+
+    with mu.rebound(mul, counted):
+        minor = ig._poly_det(rows, nvars)
+    return minor, count[0]
 
 
 def integrate_products(form: FiveForm, V) -> int:
-    """The monomial products `integrate` makes: each kept coefficient's
-    pullback times its frame minor on all the columns."""
+    """The monomial products `integrate` makes: for each kept coefficient,
+    building its frame minor on all the columns and multiplying the minor by
+    the coefficient's pullback."""
     frame_rows = ig._completed_rows if form.rank == V.dim + 1 else ig._plain_rows
     total = 0
     for key, coeff in form.coeffs.items():
         labels = frame_rows(key)
         if labels is not None:
-            minor = ig._poly_det([[V.map[a].partial(k) for k in range(V.dim)] for a in labels], V.dim)
-            total += len(coeff.compose(list(V.map)).num) * len(minor.num)
+            minor, build = counted_det([[V.map[a].partial(k) for k in range(V.dim)] for a in labels], V.dim)
+            total += build + len(coeff.compose(list(V.map)).num) * len(minor.num)
     return total
 
 
+def route_products(route: str, form: FiveForm, V) -> int:
+    """The monomial products the integrals of ``route`` make, counted at
+    ``Poly.__mul__`` outside ``compose`` (the pullback, which the term
+    budget bounds); none when the route refuses the rank."""
+    mul, compose, count, composing = Poly.__mul__, Poly.compose, [0], [0]
+
+    def counted_mul(a, b):
+        if isinstance(b, Poly) and not composing[0]:
+            count[0] += len(a.num) * len(b.num)
+        return mul(a, b)
+
+    def uncounted_compose(p, maps):
+        composing[0] += 1
+        try:
+            return compose(p, maps)
+        finally:
+            composing[0] -= 1
+
+    sides = {"integrate": ig.integrate, "stokes": ig.stokes_sides, "flux": ig.flux_sides}[route]
+    with mu.rebound(mul, counted_mul), mu.rebound(compose, uncounted_compose):
+        try:
+            sides(form, V)
+        except ValueError:  # a rank that does not fit, refused before any work
+            assert count[0] == 0
+    return count[0]
+
+
 def integral_cases():
-    """Forms of matching rank on the demo surfaces, then 50 seeded draws."""
+    """Forms of ranks dim - 1 to dim + 1 on the demo surfaces, then 50 seeded draws."""
     rng = random.Random(0)
     for surface in sorted(DEMO.glob("*.surf")):
         V = fio.load_surface(str(surface))
         forms = [fio.load_form(str(path)) for path in sorted(DEMO.glob("*.form"))]
-        forms += [su.rand_form(rng, rank, 3) for rank in (V.dim, V.dim + 1) for _ in range(3)]
-        yield from ((form, V) for form in forms if form.rank in (V.dim, V.dim + 1))
+        ranks = [rank for rank in (V.dim - 1, V.dim, V.dim + 1) if rank >= 0]
+        forms += [su.rand_form(rng, rank, 3) for rank in ranks for _ in range(3)]
+        yield from ((form, V) for form in forms if form.rank in ranks)
     for seed in range(50):
         rng = random.Random(seed)
         dim = rng.randint(0, 4)
-        yield su.rand_form(rng, rng.choice((dim, dim + 1)), 3), su.rand_surface(rng, dim, 3)
+        yield su.rand_form(rng, rng.choice((max(dim - 1, 0), dim, dim + 1)), 3), su.rand_surface(rng, dim, 3)
+
+
+def assert_estimate_bounds_the_products(route: str):
+    counts = [
+        (fio.check_integral(form, V, "x.form", "x.surf", route), route_products(route, form, V))
+        for form, V in integral_cases()
+    ]
+    assert all(estimate >= actual for estimate, actual in counts)
+    assert sum(actual > 0 for _, actual in counts) >= 20
 
 
 def test_integral_estimate_bounds_the_products_integrate_makes():
-    counts = [
-        (fio.check_integral(form, V, "x.form", "x.surf"), integrate_products(form, V)) for form, V in integral_cases()
-    ]
-    assert all(estimate >= actual for estimate, actual in counts)
-    assert sum(actual > 0 for _, actual in counts) >= 25
+    assert_estimate_bounds_the_products("integrate")
+
+
+@pytest.mark.parametrize("route", ["stokes", "flux"])
+def test_integral_estimate_bounds_the_products_stokes_and_flux_make(route):
+    assert_estimate_bounds_the_products(route)
 
 
 def test_integral_estimate_is_exact_on_a_dense_surface():
+    # The pullback times the minor is exact (4,849,845); the cofactor count
+    # is 984,480 against 983,360 made.
     form = FiveForm(4, {(0, 1, 2, 3): parse_poly("x0^2", COORD_NAMES)})
     V = fio.surface_from_dict(dense_surface(5))
-    message = r"^x.form: coeffs\['0123'\] on x.surf: integral needs about 4849845 products"
+    message = r"^x.form: coeffs\['0123'\] on x.surf: integral needs about 5834325 products"
     with pytest.raises(fio.FormatError, match=message):
-        fio.check_integral(form, V, "x.form", "x.surf")
-    assert integrate_products(form, V) == 4_849_845
+        fio.check_integral(form, V, "x.form", "x.surf", "integrate")
+    assert DENSE_5_COFACTORS == 984_480
+    assert integrate_products(form, V) == 4_849_845 + 983_360
 
 
 # -- command line: field equations -------------------------------------------------------

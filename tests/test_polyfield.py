@@ -17,6 +17,7 @@ from fvx.polyfield import (
     param_names,
     parse_poly,
 )
+from fvx.suites import SuiteConfig, run_suite
 
 from formgen import P
 
@@ -219,6 +220,13 @@ def test_constructors_check_nvars():
         with pytest.raises(ValueError, match="nonnegative"):
             make(-1)
     assert Poly.const(0, 3) == Poly.zero(3) and not Poly.const(0, 3).terms
+
+
+def test_zero_is_one_shared_instance_that_stays_zero():
+    zero = Poly.zero(4)
+    assert zero is Poly.zero(4) and zero is not Poly.zero(3)
+    assert run_suite(SuiteConfig(seed=0)).passed
+    assert (zero.den, zero.num) == (1, {})
 
 
 scalars = st.one_of(st.integers(-3, 3), rationals)
