@@ -73,8 +73,9 @@ def _ratio(value: RationalLike) -> tuple[int, int]:
 class Record:
     """Immutable record, the base of every fvx value: a subclass declares its own fields once,
     in ``__slots__`` (``()`` for none), and ``_fields`` lists its parent's and then its own.
-    ``__init__`` checks and stores with ``_set``, a trusted ``_new`` with ``_store``.  ``==``,
-    hash, repr and copies go by the fields; a copy or unpickled record is rebuilt by ``__init__``."""
+    ``__init__`` checks and stores with ``_set``, a trusted ``_new`` with ``_store`` (``Poly``
+    checks in ``__new__`` and builds through ``_new``).  ``==``, hash, repr and copies go by the
+    fields; a copy or unpickled record is rebuilt by ``__init__``."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -119,11 +120,16 @@ class Poly(Record):
     is equality of ``nvars``, ``den`` and ``num``.  ``terms`` is the read
     view ``{exponent tuple: Fraction}``.  A ``Record`` whose ``==`` also
     takes an int or a Fraction; a copy is rebuilt through ``_new``.
+
+    There is one zero polynomial per ``nvars``, ``Poly.zero(nvars)``: every
+    operation, and ``Poly(...)`` itself, returns it for a zero result.
     """
 
     __slots__ = ("nvars", "den", "num")
 
-    def __init__(self, nvars: int, terms: Mapping[Exponent, RationalLike] | None = None):
+    def __new__(cls, nvars: int, terms: Mapping[Exponent, RationalLike] | None = None) -> "Poly":
+        """Check every exponent and coefficient and build the canonical Poly
+        here rather than in ``__init__``, so that a zero is the shared one."""
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
         coeffs: dict[int, Fraction] = {}
@@ -140,20 +146,27 @@ class Poly(Record):
                 key = _pack(expo)
                 coeffs[key] = coeffs.get(key, 0) + value
         den = lcm(*(c.denominator for c in coeffs.values()))
-        canonical = Poly._new(nvars, den, {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()})
-        self._set(nvars, canonical.den, canonical.num)
+        return Poly._new(nvars, den, {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()})
+
+    def __init__(self, nvars: int, terms: Mapping[Exponent, RationalLike] | None = None):
+        """Nothing is left to store: ``__new__`` built the value.  The method
+        stays so that traces (``perfbench``) still count each constructor call."""
 
     @classmethod
     def _new(cls, nvars: int, den: int, num: dict[int, int]) -> "Poly":
         """The canonical Poly of int numerators over a positive ``den``.
 
-        Zero numerators are dropped and the content is divided out.  The
-        monomials must already be packed and in range: Poly arithmetic
-        calls this on what it computed itself, and input from outside goes
-        through ``Poly(...)``, which checks everything.
+        Zero numerators are dropped and the content is divided out; when no
+        numerator is left, the result is the shared ``Poly.zero(nvars)``,
+        with no gcd and no new object.  The monomials must already be packed
+        and in range: Poly arithmetic calls this on what it computed itself,
+        and input from outside goes through ``Poly(...)``, which checks
+        everything.
         """
         if 0 in num.values():
             num = {m: c for m, c in num.items() if c}
+        if not num:
+            return _constant(nvars, 0)
         if den != 1:
             g = gcd(den, *num.values())
             if g != 1:
@@ -178,7 +191,8 @@ class Poly(Record):
 
     @classmethod
     def zero(cls, nvars: int) -> "Poly":
-        """The zero polynomial: one instance per ``nvars``, shared by every caller."""
+        """The zero polynomial: one instance per ``nvars``, which every Poly
+        operation returns for a zero result."""
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
         return _constant(nvars, 0)
@@ -232,6 +246,8 @@ class Poly(Record):
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
+        if not self.num:
+            return self
         # Negation keeps the form canonical: the same denominator and content.
         poly = object.__new__(Poly)
         _store(poly, "nvars", self.nvars)
@@ -252,9 +268,13 @@ class Poly(Record):
             top, bottom = other.numerator, other.denominator
             if bottom == 1 and (top == 1 or top == -1):
                 return self if top == 1 else -self
+            if not (top and self.num):
+                return _constant(self.nvars, 0)
             return Poly._new(self.nvars, self.den * bottom, {m: c * top for m, c in self.num.items()})
         if other.nvars != self.nvars:
             raise ValueError("polynomials over different variable counts")
+        if not (self.num and other.num):
+            return _constant(self.nvars, 0)
         product: dict[int, int] = {}
         get = product.get
         right = other.num.items()
@@ -297,6 +317,8 @@ class Poly(Record):
         """Formal partial derivative along one variable."""
         if not 0 <= axis < self.nvars:
             raise ValueError(f"axis {axis} out of range for {self.nvars} variables")
+        if not self.num:
+            return _constant(self.nvars, 0)
         shift = _BITS * axis
         unit = 1 << shift
         out: dict[int, int] = {}
@@ -325,6 +347,8 @@ class Poly(Record):
         if not 0 <= axis < self.nvars:
             raise ValueError(f"axis {axis} out of range for {self.nvars} variables")
         p, q = _ratio(value)
+        if not self.num:
+            return _constant(self.nvars - 1, 0)
         shift = _BITS * axis
         low = (1 << shift) - 1
         # value^k = p^k q^(top-k) / q^top: every term over the one denominator q^top.
@@ -346,6 +370,8 @@ class Poly(Record):
             target = maps[0].nvars
             if any(m.nvars != target for m in maps):
                 raise ValueError("substitution polynomials over different variable counts")
+        if not self.num:
+            return _constant(target, 0)
         # Cache powers of each substituted polynomial; exponents repeat a lot.
         # pows[axis][k - 1] is maps[axis] ** k.
         pows: list[list[Poly]] = [[m] for m in maps]
@@ -379,6 +405,8 @@ class Poly(Record):
         """
         if power < 0:
             raise ValueError("power must be nonnegative")
+        if not self.num:
+            return _constant(self.nvars, 0)
         divisors = {m: power + sum(_unpack(m, self.nvars)) + 1 for m in self.num}
         den = lcm(*divisors.values())
         return Poly._new(self.nvars, self.den * den, {m: c * (den // divisors[m]) for m, c in self.num.items()})
@@ -391,9 +419,12 @@ class Poly(Record):
 @cache
 def _constant(nvars: int, value: int) -> Poly:
     """0 or 1 as one ``Poly`` per ``nvars``, shared by ``Poly.zero``,
-    ``Poly.const`` and ``compose``: nothing mutates a Poly's ``num`` after
-    ``_new``."""
-    return Poly._new(nvars, 1, {0: value})
+    ``Poly.const``, ``compose`` and every zero result: nothing mutates a
+    Poly's ``num`` after ``_new``.  Stored directly, already canonical,
+    since ``_new`` itself returns the zero built here."""
+    poly = object.__new__(Poly)
+    poly._set(nvars, 1, {0: value} if value else {})
+    return poly
 
 
 def integrate_box(p: Poly, box: Sequence[tuple[RationalLike, RationalLike]]) -> Fraction:
@@ -408,6 +439,8 @@ def integrate_box(p: Poly, box: Sequence[tuple[RationalLike, RationalLike]]) -> 
         raise ValueError("box must have one interval per variable")
     bounds = [(_ratio(low), _ratio(high)) for low, high in box]
     num, den = p.num, p.den
+    if not num:
+        return Fraction(0)
     for axis in reversed(range(p.nvars)):
         (low, low_den), (high, high_den) = bounds[axis]
         # The interval is [a, b] / base; the integral of x^k over it is

@@ -3,8 +3,9 @@
 A passing jsonl record carries no computed values, so a change that shifts
 the random stream or a computed number can leave every report byte-identical.
 These digests pin what the reports do not: every instance the suites draw,
-the shrunk counterexamples of the mutation runs, the exact integral values
-and the demo command output.
+both sides of every comparison the identities make, the shrunk
+counterexamples of the mutation runs, the exact integral values and the
+demo command output.
 
 To print the current digests (after a change that is meant to alter them):
 
@@ -64,6 +65,27 @@ INSTANCE_DIGESTS = {
 def test_instance_stream_is_unchanged():
     for seed, expected in INSTANCE_DIGESTS.items():
         assert instance_digest(seed) == expected, f"seed {seed}"
+
+
+def sides_digest(seed: int = 0, trials: int = 5) -> str:
+    """Hash of both sides of every pair that every identity compares, in draw order."""
+    lines = []
+
+    def every_side(ident, rng, cfg):
+        for lhs, rhs in ident.sides(ident.make(rng, cfg), cfg):
+            lines.extend((su._serialize(lhs), su._serialize(rhs)))
+        return True, None
+
+    with mock.patch.object(su, "run_single", every_side):
+        su.run_suite(su.SuiteConfig(seed=seed, trials=trials))
+    return _sha("\n".join(lines))
+
+
+SIDES_DIGEST = '150a07526fd9d6ad195e3b10193a24febd2788178a21df08e335a329250f9abc'
+
+
+def test_identity_sides_are_unchanged():
+    assert sides_digest() == SIDES_DIGEST
 
 
 def test_rand_poly_draws_are_unchanged():
@@ -221,6 +243,7 @@ def test_demo_output_is_unchanged():
 
 if __name__ == "__main__":
     print("INSTANCE_DIGESTS =", {seed: instance_digest(seed) for seed in range(5)})
+    print("SIDES_DIGEST =", repr(sides_digest()))
     print("MUTATION_DIGESTS =", {m.name: mutation_digest(m.name) for m in mu.MUTATIONS})
     print("INTEGRAL_DIGEST =", repr(_sha("\n".join(integral_values()))))
     print("DEMO_OUTPUT =", {command: demo_run(command) for command in DEMO_COMMANDS})

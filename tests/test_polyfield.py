@@ -236,13 +236,19 @@ scalars = st.one_of(st.integers(-3, 3), rationals)
 def test_arithmetic_results_are_canonical(p, q, k, a, power):
     # Arithmetic builds its results without re-validating them; each must
     # still be the canonical Poly that the checking constructor would give.
+    # A zero result is the one shared zero of its variable count.
     subs = [p, q, Poly.const(k, 4), Poly.variable(a, 4)]
-    results = (
-        p + q, p - q, p - p, (p + q) - q, -p, p * q, p * k, k * p, p * 0, p.partial(a), k - p,
-        Poly.const(k, 4), Poly.zero(4), p.restrict(a, k), p.compose(subs), (p - p).compose(subs),
-        p.scale_integrate(power), Poly.variable(a, 4), Poly.variable(0, 1),
+    zeros = (
+        p - p, p * 0, Poly.zero(4) * q, (p - p).compose(subs), Poly.const(0, 4), Poly(4, {(1, 0, 0, 0): 0}),
+        Poly.variable(a, 4).partial((a + 1) % 4), Poly.zero(4).restrict(a, k), -Poly.zero(4),
+    )
+    assert all(not zero for zero in zeros)
+    results = zeros + (
+        p + q, p - q, (p + q) - q, -p, p * q, p * k, k * p, p.partial(a), k - p, Poly.const(k, 4), Poly.zero(4),
+        p.restrict(a, k), p.compose(subs), p.scale_integrate(power), Poly.variable(a, 4), Poly.variable(0, 1),
     )
     for result in results:
+        assert result or (result is Poly.zero(result.nvars) and result.den == 1)
         assert result.den > 0
         assert gcd(result.den, *result.num.values()) == 1
         assert all(type(c) is int and c != 0 for c in result.num.values())
@@ -251,6 +257,24 @@ def test_arithmetic_results_are_canonical(p, q, k, a, power):
             assert type(coeff) is Fraction and coeff != 0
             assert len(expo) == result.nvars and all(e >= 0 for e in expo)
         assert result == Poly(result.nvars, result.terms)
+
+
+def test_zero_exits_keep_every_check():
+    # Each operation returns the shared zero early, but only after checking its arguments.
+    zero = Poly.zero(2)
+    for call in (
+        lambda: zero.partial(2),
+        lambda: zero.restrict(2, 0),
+        lambda: zero.restrict(0, "x"),
+        lambda: zero.compose([Poly.zero(1)]),
+        lambda: zero.compose([Poly.zero(1), Poly.zero(3)]),
+        lambda: zero * Poly.zero(3),
+        lambda: zero.scale_integrate(-1),
+        lambda: integrate_box(zero, [(0, 1)]),
+        lambda: integrate_box(zero, [(0, 1), (0, "x")]),
+    ):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_exponent_bound_at_the_constructor():
