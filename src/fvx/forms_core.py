@@ -16,15 +16,17 @@ inside it.
 
 IndexedArray is a separate container for the antisymmetrization identities,
 where arrays are indexed by arbitrary tuples rather than sorted subsets; like
-the forms, it stores only nonzero entries.
+the forms, it stores only nonzero entries, and like ``Poly`` it keeps them as
+int numerators over one common denominator.
 
 Validation sits at the edge.  The public constructors (``FiveForm(...)``,
 ``FourForm(...)``, ``MultiVector(...)``, ``IndexedArray(...)``) check and
 coerce every key and value they are given.  The results of fvx's own
 operators go through the private ``_new`` class methods instead, which only
-drop zero entries: a key built from valid keys (merged, stripped of its
-label 5, or complemented) is valid by construction, and every value is
-already an exact ``Poly`` or ``Fraction``.
+drop zero entries (``IndexedArray._new`` also divides out the content of
+its numerators): a key built from valid keys (merged, stripped of its label
+5, or complemented) is valid by construction, and every value is already an
+exact ``Poly``, or an int numerator over an array's denominator.
 
 Forms, multivectors and arrays are ``polyfield.Record`` values: immutable,
 equal when of one class with equal fields, printed, copied and pickled by the
@@ -282,16 +284,17 @@ def s_from_t(t: FiveForm) -> FiveForm:
 
 # -- sparse indexed arrays ----------------------------------------------------
 
-# Every entry an array does not store reads as this one (immutable) zero.
-_ZERO = Fraction(0)
-
 
 class IndexedArray(Record):
-    """Rational array over tuples from a fixed finite index set.  Only the
-    nonzero entries are stored; ``array[idx]`` is the one read path and
-    gives 0 for any tuple that is not stored."""
+    """Rational array over tuples from a fixed finite index set, stored as
+    ``Poly`` stores its coefficients: ``num`` maps the key of each nonzero
+    entry to an int numerator over the positive int ``den``.  The form is
+    canonical: no numerator is 0, ``gcd(den, *num.values())`` is 1 and the
+    empty array has ``den == 1``, so equal arrays have equal fields.
+    ``values`` is the read view ``{key: Fraction}``; ``array[idx]`` is the
+    checked read of one entry and gives 0 for any tuple that is not stored."""
 
-    __slots__ = ("arity", "index_set", "values")
+    __slots__ = ("arity", "index_set", "den", "num")
 
     def __init__(
         self,
@@ -305,24 +308,46 @@ class IndexedArray(Record):
         if len(set(index_set)) != len(index_set):
             raise ValueError("index set has repeats")
         table = {tuple(key): Fraction(value) for key, value in (values or {}).items()}
-        self._set(arity, index_set, {key: value for key, value in table.items() if value})
+        den = math.lcm(*(value.denominator for value in table.values()))
+        num = {key: value.numerator * (den // value.denominator) for key, value in table.items() if value}
+        self._set(arity, index_set, den, num)
         for key in table:
             self._checked(key)
 
     @classmethod
-    def _new(cls, arity: int, index_set: tuple[int, ...], values: Mapping[IndexKey, Fraction]) -> "IndexedArray":
-        """The array of ``values`` less its zero entries, unchecked.
+    def _new(cls, arity: int, index_set: tuple[int, ...], den: int, num: Mapping[IndexKey, int]) -> "IndexedArray":
+        """The canonical array of int numerators over a positive ``den``,
+        unchecked: zero numerators are dropped and the content divided out.
 
-        The index set must be a tuple without repeats, every key a tuple of
-        ``arity`` of its labels and every value a Fraction: fvx's operators
-        call this on tables they built over a fixed index set, and input
-        from outside goes through ``IndexedArray(...)``.
+        The index set must be a tuple without repeats and every key a tuple
+        of ``arity`` of its labels: fvx's operators call this on tables they
+        built over a fixed index set, and input from outside goes through
+        ``IndexedArray(...)``.
         """
+        if 0 in num.values():
+            num = {key: c for key, c in num.items() if c}
+        if not num:
+            den = 1
+        elif den != 1:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                num = {key: c // g for key, c in num.items()}
         array = object.__new__(cls)
         _store(array, "arity", arity)
         _store(array, "index_set", index_set)
-        _store(array, "values", {key: value for key, value in values.items() if value})
+        _store(array, "den", den)
+        _store(array, "num", num)
         return array
+
+    def __reduce__(self) -> tuple:
+        return IndexedArray._new, (self.arity, self.index_set, self.den, self.num)
+
+    @property
+    def values(self) -> dict[IndexKey, Fraction]:
+        """Read view: ``{key: nonzero Fraction}``."""
+        den = self.den
+        return {key: Fraction(c, den) for key, c in self.num.items()}
 
     def _checked(self, idx: Iterable[int]) -> IndexKey:
         idx = tuple(idx)
@@ -339,13 +364,17 @@ class IndexedArray(Record):
         return cls(arity, index_set, values)
 
     def __getitem__(self, idx: Iterable[int]) -> Fraction:
-        return self.values.get(self._checked(idx), _ZERO)
+        return Fraction(self.num.get(self._checked(idx), 0), self.den)
 
     __hash__ = None  # type: ignore[assignment]
 
     # ``epsilon_upper`` and the epsilon-sign mutation scale epsilon tables through ``*``.
     def __mul__(self, factor: RationalLike) -> "IndexedArray":
-        return IndexedArray._new(self.arity, self.index_set, {k: v * factor for k, v in self.values.items()})
+        if not isinstance(factor, (int, Fraction)):
+            return NotImplemented
+        top = factor.numerator
+        num = {k: c * top for k, c in self.num.items()}
+        return IndexedArray._new(self.arity, self.index_set, self.den * factor.denominator, num)
 
 
 def transposition_identity_check(array: IndexedArray, m: int) -> bool:
@@ -365,24 +394,23 @@ def transposition_identity_check(array: IndexedArray, m: int) -> bool:
         raise ValueError("array arity must be m+1")
     if len(array.index_set) != m:
         raise ValueError("slots must range over exactly m values")
-    # Scale every entry to an integer by the common denominator; then
-    # S[i, tail] == factor * total reads value * den == num * total exactly.
-    scale = math.lcm(*(v.denominator for v in array.values.values()))
-    scaled = {k: v.numerator * (scale // v.denominator) for k, v in array.values.items()}
+    # The numerators share one denominator, so S[i, tail] == factor * total
+    # reads numerator * factor.den == factor.num * total exactly.
+    num = array.num
     # Antisymmetry via adjacent transpositions: every nonzero entry must be
     # negated by each swap, which chains to the full permutation statement.
-    for idx, value in scaled.items():
+    for idx, value in num.items():
         for k in range(1, m):
             swapped = idx[:k] + (idx[k + 1], idx[k]) + idx[k + 2 :]
-            if scaled.get(swapped, 0) != -value:
+            if num.get(swapped, 0) != -value:
                 raise ValueError("array is not antisymmetric in its last m slots")
     factor = Fraction(m * (-1) ** (m + 1), math.factorial(m))
     # Entries with a repeated tail vanish on both sides; only distinct tails
     # can carry weight.
     signed = list(signed_permutations(array.index_set))
     for i in array.index_set:
-        total = sum(sign * scaled.get(perm + (i,), 0) for sign, perm in signed)
+        total = sum(sign * num.get(perm + (i,), 0) for sign, perm in signed)
         for sign, tail in signed:
-            if scaled.get((i,) + tail, 0) * factor.denominator != factor.numerator * sign * total:
+            if num.get((i,) + tail, 0) * factor.denominator != factor.numerator * sign * total:
                 return False
     return True

@@ -46,6 +46,14 @@ from fvx.polyfield import Poly, RationalLike, Record, integrate_box
 Interval = tuple[Fraction, Fraction]
 
 
+def _fraction(value: RationalLike) -> Fraction:
+    """``value`` as a Fraction.  A Fraction is returned as it is: ``Fraction(q)``
+    would rebuild it past the ``numbers.Rational`` check, and bounds that are
+    already exact (draws, reparametrizations, the shrinker's rebuilds) are
+    the common case."""
+    return value if type(value) is Fraction else Fraction(value)
+
+
 class ParamSurface(Record):
     """Polynomial map from a rational box into the patch.
 
@@ -64,7 +72,7 @@ class ParamSurface(Record):
         for comp in map:
             if not isinstance(comp, Poly) or comp.nvars != dim:
                 raise ValueError("map components must be polynomials in the parameters")
-        box = tuple((Fraction(a), Fraction(b)) for a, b in box)
+        box = tuple((_fraction(a), _fraction(b)) for a, b in box)
         if len(box) != dim:
             raise ValueError("box needs one interval per parameter")
         for a, b in box:

@@ -61,8 +61,16 @@ class MetricConfig(Record):
         raise ValueError(f"no basis label {label}")
 
     def weight(self, key: Sequence[int]) -> Fraction:
-        """Product of the diagonal metric entries h over the labels of key."""
-        return math.prod(map(self.h, key), start=Fraction(1))
+        """Product of the diagonal metric entries h over the labels of key:
+        the coordinate signs multiplied as ints, times one power of xi."""
+        sign, power = 1, 0
+        for label in key:
+            entry = self.h(label)  # refuses a label outside the five
+            if label == 5:
+                power += 1
+            else:
+                sign *= entry
+        return Fraction(sign * self.xi.numerator**power, self.xi.denominator**power)
 
     @property
     def sign_xi(self) -> int:
@@ -99,10 +107,10 @@ def _complement(key: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
 def epsilon_lower(cfg: MetricConfig = DEFAULT_CFG) -> IndexedArray:
     """Totally antisymmetric array with eps_{01235} = eta * |det h|^(1/2)."""
     scale = cfg.eta * cfg.kappa
+    top = scale.numerator
     # Only the 120 permutations of the labels are nonzero.
-    negated = -scale
-    values = {idx: scale if sign > 0 else negated for sign, idx in signed_permutations(FIVE_AXES)}
-    return IndexedArray._new(5, FIVE_AXES, values)
+    num = {idx: top if sign > 0 else -top for sign, idx in signed_permutations(FIVE_AXES)}
+    return IndexedArray._new(5, FIVE_AXES, scale.denominator, num)
 
 
 def epsilon_upper(lower: IndexedArray, cfg: MetricConfig) -> IndexedArray:
@@ -134,13 +142,16 @@ def contraction_sides(
     upper[A + C] * lower[B + C] over every label tuple C, and -(5-m)! *
     sign(xi) * delta(A, B), where m = len(A) and upper/lower are the raised
     and lowered alternating tensors of cfg.  Only the stored (nonzero)
-    entries of upper that start with A contribute to the sum."""
+    entries of upper that start with A contribute to the sum, which adds
+    int numerators and divides by the two denominators once."""
     A, B, m = tuple(A), tuple(B), len(A)
-    total = Fraction(0)
-    for key, value in upper.values.items():
+    total = 0
+    lower_num = lower.num
+    for key, c in upper.num.items():
         if key[:m] == A:
-            total += value * lower.values.get(B + key[m:], 0)
-    return total, -math.factorial(5 - m) * cfg.sign_xi * permutation_delta(A, B)
+            total += c * lower_num.get(B + key[m:], 0)
+    expected = -math.factorial(5 - m) * cfg.sign_xi * permutation_delta(A, B)
+    return Fraction(total, upper.den * lower.den), expected
 
 
 # -- the two lowering maps and the dual ----------------------------------------

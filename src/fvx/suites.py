@@ -808,8 +808,10 @@ def conforming_array(weights: Sequence[Fraction]) -> IndexedArray:
     transposition identity is stated."""
     m = len(weights)
     signed = list(fc.signed_permutations(range(m)))
-    values = {(i,) + perm: w if sign > 0 else -w for i, w in enumerate(weights) for sign, perm in signed}
-    return IndexedArray._new(m + 1, tuple(range(m)), values)
+    den = math.lcm(*(w.denominator for w in weights))
+    scaled = [w.numerator * (den // w.denominator) for w in weights]
+    num = {(i,) + perm: n if sign > 0 else -n for i, n in enumerate(scaled) for sign, perm in signed}
+    return IndexedArray._new(m + 1, tuple(range(m)), den, num)
 
 
 def _make_transposition(rng, cfg):

@@ -231,6 +231,69 @@ def test_indexed_array_stores_only_nonzero_entries():
             IndexedArray(2, [0, 1], {bad: 0})
 
 
+def assert_canonical_array(array: IndexedArray) -> None:
+    """The stored form of an array: int numerators, none of them 0, over a
+    positive int denominator that shares no factor with all of them, and a
+    denominator of 1 when nothing is stored."""
+    assert type(array.den) is int and array.den > 0
+    assert all(type(c) is int and c for c in array.num.values())
+    assert math.gcd(array.den, *array.num.values()) == 1
+    assert array.num or array.den == 1
+    assert array == IndexedArray(array.arity, array.index_set, array.values)
+
+
+_LABELS = (0, 1, 5)
+_tables = st.dictionaries(
+    st.tuples(st.sampled_from(_LABELS), st.sampled_from(_LABELS)),
+    st.one_of(st.integers(-5, 5), st.fractions(-9, 9, max_denominator=12)),
+    max_size=9,
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_tables)
+@example({})
+@example({(0, 1): 0, (1, 0): Fraction(0)})
+def test_indexed_array_reads_agree_with_a_fraction_reference(table):
+    arr = IndexedArray(2, _LABELS, table)
+    reference = {key: Fraction(value) for key, value in table.items() if value}
+    assert_canonical_array(arr)
+    assert arr.values == reference
+    assert all(type(value) is Fraction for value in arr.values.values())
+    for idx in itertools.product(_LABELS, repeat=2):
+        assert type(arr[idx]) is Fraction and arr[idx] == reference.get(idx, 0)
+
+
+@pytest.mark.parametrize("factor", [0, Fraction(-1), Fraction(3, 4)], ids=["zero", "minus-one", "three-quarters"])
+def test_indexed_array_scales_exactly(factor):
+    arr = IndexedArray(2, _LABELS, {(0, 1): Fraction(1, 2), (1, 0): Fraction(-2, 3), (5, 5): 4})
+    product = arr * factor
+    assert_canonical_array(product)
+    assert product.values == {key: value * factor for key, value in arr.values.items() if factor}
+    assert (product.arity, product.index_set) == (arr.arity, arr.index_set)
+
+
+def test_indexed_array_refuses_an_inexact_factor():
+    # As for Poly, only an int or a Fraction scales an array: a float would be
+    # stored as it is and end exactness.
+    arr = IndexedArray(2, [0, 1], {(0, 1): Fraction(1, 2)})
+    assert arr.__mul__(0.5) is NotImplemented
+    for factor in (0.5, "2", None):
+        with pytest.raises(TypeError):
+            arr * factor
+    with pytest.raises(TypeError):
+        0.5 * arr
+
+
+@pytest.mark.parametrize("cfg", [md.DEFAULT_CFG, md.MetricConfig(xi=Fraction(1, 4)), md.MetricConfig(xi=Fraction(-9, 4))])
+def test_epsilon_tables_are_canonical(cfg):
+    lower = md.epsilon_lower(cfg)
+    upper = md.epsilon_upper(lower, cfg)
+    for table in (lower, upper, lower * Fraction(-1), lower * 0):
+        assert_canonical_array(table)
+    assert lower.den == cfg.kappa.denominator and upper.den == (cfg.kappa / cfg.det_h).denominator
+
+
 def antisymmetrize(array: IndexedArray, positions) -> IndexedArray:
     """Average over signed permutations of the named slots, listed in
     increasing order."""
@@ -291,8 +354,22 @@ def test_transposition_identity_zero_array():
         assert transposition_identity_check(IndexedArray(m + 1, range(m), {}), m)
 
 
-# Weights with mixed denominators and zeros; the check scales the array to
-# integers by the common denominator, so both must come out exact.
+def test_transposition_identity_on_non_integer_weights():
+    # The check compares the stored numerators, which share one denominator.
+    for m in range(2, 6):
+        weights = [Fraction(2 * k + 1, 3 * k + 2) for k in range(m)]
+        arr = conforming_array(weights)
+        assert arr.den == math.lcm(*(w.denominator for w in weights)) > 1
+        assert transposition_identity_check(arr, m)
+        assert transposition_identity_check(arr * Fraction(-5, 7), m)
+        values = arr.values
+        values[(0,) * (m + 1)] = Fraction(1, 11)
+        with pytest.raises(ValueError, match="not antisymmetric"):
+            transposition_identity_check(IndexedArray(m + 1, range(m), values), m)
+
+
+# Weights with mixed denominators and zeros; the array keeps them as integers
+# over their common denominator, so both must come out exact.
 _weight_lists = st.integers(2, 5).flatmap(
     lambda m: st.lists(
         st.one_of(st.just(Fraction(0)), st.fractions(-9, 9, max_denominator=12)),
@@ -307,6 +384,16 @@ _weight_lists = st.integers(2, 5).flatmap(
 def test_transposition_identity_accepts_mixed_denominators(weights):
     m = len(weights)
     assert transposition_identity_check(conforming_array(weights), m)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_weight_lists)
+@example([Fraction(0), Fraction(0)])
+def test_conforming_arrays_are_canonical(weights):
+    arr = conforming_array(weights)
+    assert_canonical_array(arr)
+    for k, w in enumerate(weights):
+        assert arr[(k,) + tuple(range(len(weights)))] == w
 
 
 @settings(max_examples=20, deadline=None)

@@ -55,6 +55,20 @@ def unit_cube(dim):
     return surf(dim, texts, [(0, 1)] * dim)
 
 
+def test_surface_bounds_become_fractions():
+    # A Fraction bound is kept as it is; an int or a rational string is
+    # converted, and the box must still be a list of intervals a < b.
+    low, high = Fraction(-1, 3), Fraction(2)
+    maps = UNIT_SQUARE.map
+    box = ParamSurface(2, maps, [(low, high), (0, "5/2")]).box
+    assert box[0][0] is low and box[0][1] is high
+    assert box[1] == (0, Fraction(5, 2)) and all(type(v) is Fraction for v in box[1])
+    with pytest.raises(ValueError, match="a < b"):
+        ParamSurface(2, maps, [(high, low), (0, 1)])
+    with pytest.raises(ValueError, match="a < b"):
+        ParamSurface(2, maps, [(0, 1), (1, Fraction(1))])
+
+
 # -- plain integrals ---------------------------------------------------------------
 
 

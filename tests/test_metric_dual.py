@@ -147,6 +147,24 @@ def test_epsilon_contraction_identity(m, cfg):
         assert total == expected, (A, B)
 
 
+QUARTER_XI = [MetricConfig(xi=Fraction(1, 4)), MetricConfig(g=(-1, 1, 1, 1), xi=Fraction(-1, 4), eta=-1)]
+
+
+@pytest.mark.parametrize("cfg", QUARTER_XI, ids=["xi=1/4", "xi=-1/4"])
+def test_contraction_sides_match_a_fraction_sum(cfg):
+    # contraction_sides adds int numerators; the reference adds the Fraction
+    # entries of the read views, so the two denominators are really divided.
+    lower = epsilon_lower(cfg)
+    upper = epsilon_upper(lower, cfg)
+    assert lower.den == 2 and upper.den == 1
+    up, low = upper.values, lower.values
+    for m in range(6):
+        for A, B in contraction_pairs(m):
+            expected = sum((v * low.get(B + key[m:], 0) for key, v in up.items() if key[:m] == A), Fraction(0))
+            total, _ = contraction_sides(A, B, upper, lower, cfg)
+            assert type(total) is Fraction and total == expected, (A, B)
+
+
 def test_epsilon_contraction_spot_check():
     # One entry at m = 2, against the explicit sum over the three free labels.
     cfg = LORENTZ
@@ -318,6 +336,19 @@ def test_metric_config_validation():
         MetricConfig(eta=0)
     with pytest.raises(ValueError, match="non-rational normalization"):
         MetricConfig(xi=Fraction(3, 4))
+
+
+@pytest.mark.parametrize("cfg", [LORENTZ, MetricConfig(g=(-1, 1, -1, 1), xi=Fraction(-9, 4))], ids=["lorentz", "mixed"])
+def test_weight_is_the_product_of_h(cfg):
+    for rank in range(6):
+        for key in itertools.permutations(FIVE_AXES, rank):
+            expected = Fraction(1)
+            for label in key:
+                expected *= cfg.h(label)
+            assert type(cfg.weight(key)) is Fraction and cfg.weight(key) == expected, key
+    for bad in [(4,), (0, 7), (-1,)]:
+        with pytest.raises(ValueError, match=f"no basis label {bad[-1]}"):
+            cfg.weight(bad)
 
 
 def test_duality_suite_guards_the_shared_weight():
