@@ -133,22 +133,25 @@ def _poly_det(rows: list[list[Poly]], nvars: int) -> Poly:
     trailing columns on a set of rows is computed once per row set (a
     bitmask), and zero entries and zero minors are skipped; see Gentleman &
     Johnson, ACM TOMS 2(3), 1976."""
-    n = len(rows)
-    minors = {0: Poly.const(1, nvars)}
+    return _minor(rows, (1 << len(rows)) - 1, {0: Poly.const(1, nvars)}, nvars)
 
-    def minor(mask: int) -> Poly:
-        if mask not in minors:
-            col, total, sign = n - bin(mask).count("1"), Poly.zero(nvars), 1
-            for r in (r for r in range(n) if mask >> r & 1):
-                rest = mask ^ (1 << r)
-                if rows[r][col] and minor(rest):
-                    term = rows[r][col] * minors[rest]
-                    total = total + term if sign > 0 else total - term
-                sign = -sign
-            minors[mask] = total
-        return minors[mask]
 
-    return minor((1 << n) - 1)
+def _minor(rows: list[list[Poly]], mask: int, minors: dict[int, Poly], nvars: int) -> Poly:
+    """The minor of ``rows`` on the row set ``mask`` and as many trailing
+    columns, kept in ``minors``.  A module function rather than a closure:
+    a closure that calls itself is a reference cycle, which would keep every
+    minor alive until the cyclic collector runs."""
+    if mask not in minors:
+        n = len(rows)
+        col, total, sign = n - bin(mask).count("1"), Poly.zero(nvars), 1
+        for r in (r for r in range(n) if mask >> r & 1):
+            rest = mask ^ (1 << r)
+            if rows[r][col] and _minor(rows, rest, minors, nvars):
+                term = rows[r][col] * minors[rest]
+                total = total + term if sign > 0 else total - term
+            sign = -sign
+        minors[mask] = total
+    return minors[mask]
 
 
 # -- the two integral types ------------------------------------------------------

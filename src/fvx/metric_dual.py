@@ -38,7 +38,7 @@ class MetricConfig(Record):
 
     def __init__(self, g=(1, -1, -1, -1), xi=-1, sigma=1, eta=1):
         g = tuple(g)
-        if len(g) != 4 or any(s not in (1, -1) for s in g):
+        if len(g) != 4 or any(type(s) is not int or s not in (1, -1) for s in g):
             raise ValueError("g must be four signs")
         xi = Fraction(xi)
         if not xi:
@@ -46,7 +46,7 @@ class MetricConfig(Record):
         sigma = Fraction(sigma)
         if sigma <= 0:
             raise ValueError("sigma must be positive")
-        if eta not in (1, -1):
+        if type(eta) is not int or eta not in (1, -1):
             raise ValueError("eta must be +1 or -1")
         self._set(g, xi, sigma, eta)
         # kappa raises when |det h| is not a rational square: refuse such a

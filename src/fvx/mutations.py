@@ -37,6 +37,22 @@ class Mutation(Record):
     def __init__(self, name: str, owner: object, attribute: str, caught_by: tuple[str, str], corrupt=_sign_flipped):
         self._set(name, owner, attribute, caught_by, corrupt)
 
+    @contextlib.contextmanager
+    def applied(self):
+        """Patch the operator with its corruption, at every binding, for the
+        duration of the block.  The corruption is rebuilt by the member's
+        kind: a property around its corrupted getter, a classmethod or
+        staticmethod around its corrupted function."""
+        original = vars(self.owner)[self.attribute]
+        if isinstance(original, property):
+            replacement = property(self.corrupt(original.fget), doc=original.__doc__)
+        elif isinstance(original, (classmethod, staticmethod)):
+            replacement = type(original)(self.corrupt(original.__func__))
+        else:
+            replacement = self.corrupt(original)
+        with rebound(original, replacement):
+            yield self
+
 
 MUTATIONS: tuple[Mutation, ...] = (
     Mutation("wedge-sign", forms_core, "wedge", ("algebra", "wedge-unit")),
@@ -87,13 +103,9 @@ def rebound(original, replacement):
             setattr(owner, attr, original)
 
 
-@contextlib.contextmanager
 def apply_mutation(name: str):
-    """Patch the named operator with its corruption, at every binding, for the
-    duration of the block."""
+    """The registered mutation ``name``, applied for the duration of a
+    ``with`` block."""
     if name not in REGISTRY:
         raise ValueError(f"unknown mutation {name!r}")
-    mutation = REGISTRY[name]
-    original = getattr(mutation.owner, mutation.attribute)
-    with rebound(original, mutation.corrupt(original)):
-        yield mutation
+    return REGISTRY[name].applied()

@@ -1,5 +1,6 @@
 """Surface integrals, boundary orientation and the Stokes identities."""
 
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -432,6 +433,18 @@ def test_poly_det_matches_leibniz(n):
     for _ in range(60):
         rows = random_minor_matrix(rng, n)
         assert ig._poly_det(rows, n) == leibniz_det(rows, n)
+
+
+def test_the_check_path_leaves_no_reference_cycles():
+    # A cycle would hold its objects, minors among them, until the cyclic
+    # collector ran; a recursive closure in _poly_det was one.
+    gc.collect()
+    gc.disable()
+    try:
+        run_suite(SuiteConfig(seed=0, trials=5))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_dropped_components_build_no_jacobian_row(monkeypatch):

@@ -159,8 +159,11 @@ def test_contraction_sides_match_a_fraction_sum(cfg):
     assert lower.den == 2 and upper.den == 1
     up, low = upper.values, lower.values
     for m in range(6):
+        by_prefix: dict[tuple, list] = {}
+        for key, v in up.items():
+            by_prefix.setdefault(key[:m], []).append((key[m:], v))
         for A, B in contraction_pairs(m):
-            expected = sum((v * low.get(B + key[m:], 0) for key, v in up.items() if key[:m] == A), Fraction(0))
+            expected = sum((v * low.get(B + rest, 0) for rest, v in by_prefix.get(A, ())), Fraction(0))
             total, _ = contraction_sides(A, B, upper, lower, cfg)
             assert type(total) is Fraction and total == expected, (A, B)
 
@@ -336,6 +339,15 @@ def test_metric_config_validation():
         MetricConfig(eta=0)
     with pytest.raises(ValueError, match="non-rational normalization"):
         MetricConfig(xi=Fraction(3, 4))
+
+
+@pytest.mark.parametrize("sign", [1.0, True])
+def test_metric_config_refuses_a_sign_that_is_not_an_int(sign):
+    # 1.0 == 1 and True == 1, so only the type tells these from the int sign.
+    with pytest.raises(ValueError, match="g must be four signs"):
+        MetricConfig(g=(sign, -1, -1, -1))
+    with pytest.raises(ValueError, match=r"eta must be \+1 or -1"):
+        MetricConfig(eta=sign)
 
 
 @pytest.mark.parametrize("cfg", [LORENTZ, MetricConfig(g=(-1, 1, -1, 1), xi=Fraction(-9, 4))], ids=["lorentz", "mixed"])
