@@ -12,7 +12,6 @@ import json
 import sys
 from typing import TYPE_CHECKING
 
-from fvx import calculus as ca
 from fvx import forms_core as fc
 from fvx import io as fio
 from fvx.polyfield import COORD_NAMES, Poly, format_poly
@@ -20,8 +19,9 @@ from fvx.polyfield import COORD_NAMES, Poly, format_poly
 if TYPE_CHECKING:
     from fvx.integration import ParamSurface
 
-# Each command imports the layers it runs, integration, lagrange, metric_dual,
-# suites and mutations, inside its handler, so that `fvx bd` loads none of them.
+# Each command imports the layers it runs, calculus, integration, lagrange,
+# metric_dual, suites and mutations, inside its handler, so that `fvx bd` loads
+# none but calculus and `fvx check` only what its selected suites call.
 # The imports bind modules, never names, so that a patch of an operator is seen.
 
 
@@ -91,6 +91,8 @@ def _output(path: str | None, default=None):
 
 
 def cmd_operator(args: argparse.Namespace) -> int:
+    from fvx import calculus as ca
+
     form = fio.load_form(args.form)
     if args.operator == "d":
         if form.rank > 4 or not fc.e_part(form).is_zero:
@@ -178,10 +180,9 @@ def cmd_el(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    from fvx import metric_dual as md
     from fvx import suites as su
 
-    metric = fio.load_metric(args.config) if args.config else md.DEFAULT_CFG
+    metric = fio.load_metric(args.config) if args.config else None
     cfg = su.SuiteConfig(
         seed=args.seed,
         trials=args.trials,

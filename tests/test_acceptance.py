@@ -24,8 +24,6 @@ from fvx.integration import ParamSurface
 from fvx.metric_dual import MetricConfig
 from fvx.polyfield import Poly, parse_poly
 from fvx.suites import (
-    conforming_array,
-    divergence_sides,
     rand_fields,
     rand_form,
     rand_fraction,
@@ -33,6 +31,7 @@ from fvx.suites import (
     rand_poly,
     rand_surface,
 )
+from fvx.suites.appendix import conforming_array, divergence_sides
 
 from children import child_env, run_python
 from formgen import P, contraction_pairs

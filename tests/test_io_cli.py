@@ -310,7 +310,7 @@ def test_counterexamples_are_deterministic_for_a_seed():
 def test_jsonl_has_one_record_per_instance():
     cfg = su.SuiteConfig(seed=1, trials=3, suites=("algebra", "flux"))
     lines = su.emit_report(su.run_suite(cfg), "jsonl").splitlines()
-    expected = 3 * (len(su.IDENTITIES["algebra"]) + len(su.IDENTITIES["flux"]))
+    expected = 3 * (len(su.identities("algebra")) + len(su.identities("flux")))
     assert len(lines) == expected
     record = json.loads(lines[0])
     assert set(record) == {"suite", "identity", "instance", "pass", "counterexample"}
@@ -353,9 +353,9 @@ def test_mutation_reaches_every_binding():
     ]
     classes = [c for m in modules for c in vars(m).values() if isinstance(c, type) and c.__module__ == m.__name__]
     for mutation in mu.MUTATIONS:
-        original = getattr(mutation.owner, mutation.attribute)
+        original = getattr(mutation.target, mutation.attribute)
         bound = [(o, a) for o in modules + classes for a, v in vars(o).items() if v is original]
-        assert (mutation.owner, mutation.attribute) in bound, mutation.name
+        assert (mutation.target, mutation.attribute) in bound, mutation.name
         with mu.apply_mutation(mutation.name):
             stale = [f"{o.__name__}.{a}" for o, a in bound if vars(o)[a] is original]
         assert not stale, f"{mutation.name} misses {stale}"
@@ -410,7 +410,7 @@ def test_clean_run_passes_every_identity():
     report = su.run_suite(su.SuiteConfig(seed=2, trials=2))
     assert report.passed
     identities = {(r.suite, r.identity) for r in report.records}
-    assert len(identities) == sum(len(v) for v in su.IDENTITIES.values())
+    assert len(identities) == sum(len(su.identities(suite)) for suite in su.SUITE_NAMES)
 
 
 # -- command line: check -----------------------------------------------------------
@@ -439,7 +439,7 @@ def test_check_jsonl_to_file(tmp_path, capsys):
     assert rc == 0
     assert capsys.readouterr().out == ""
     lines = out.read_text().splitlines()
-    assert len(lines) == 2 * len(su.IDENTITIES["algebra"])
+    assert len(lines) == 2 * len(su.identities("algebra"))
     assert all(json.loads(line)["pass"] for line in lines)
 
 
@@ -1220,11 +1220,13 @@ def test_module_runs_as_script():
 
 # Each command imports only the layers it runs: a fresh process without cached
 # bytecode compiles every module it imports, which is most of a short command.
-# CORE is what every command loads; `check` loads mutations only under --mutate.
+# CORE is what every command loads. `check` loads the modules of its selected
+# suites and the layers they call, whether the run fails or not, and mutations
+# only under --mutate.
 # No command loads dataclasses or inspect: the records of fvx derive from
 # polyfield.Record, since importing dataclasses (with inspect, ast and dis) and
 # generating the methods of eleven records cost a child 14-20 ms.
-CORE = {"fvx", "fvx.cli", "fvx.io", "fvx.polyfield", "fvx.forms_core", "fvx.calculus"}
+CORE = {"fvx", "fvx.cli", "fvx.io", "fvx.polyfield", "fvx.forms_core"}
 LOADED = """
 import contextlib, io, sys
 from fvx.cli import main
@@ -1233,23 +1235,47 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(" ".join(sorted(name for name in sys.modules if name.split(".")[0] == "fvx")))
 print(" ".join(name for name in ("dataclasses", "inspect") if name in sys.modules))
 """
+# The layers each suite's module calls.
+SUITE_LAYERS = {
+    "algebra": set(),
+    "calculus": {"calculus"},
+    "stokes": {"calculus", "integration"},
+    "flux": {"calculus", "integration"},
+    "duality": {"metric_dual"},
+    "lagrange": {"calculus", "integration", "lagrange"},
+    "appendix": {"calculus"},
+}
 
 
 @pytest.mark.parametrize(
     "argv, layers",
     [
-        (("bd", "--form", "const1.form"), set()),
-        (("bdstar", "--form", "mixed.form"), set()),
-        (("d", "--form", "radial.form"), set()),
-        (("dual", "--form", "j.form", "--config", "lorentz.cfg"), {"metric_dual"}),
-        (("integrate", "--form", "mixed.form", "--surface", "square.surf"), {"integration"}),
-        (("stokes", "--form", "shear.form", "--surface", "square.surf"), {"integration"}),
-        (("flux", "--form", "mixed.form", "--surface", "square.surf"), {"integration"}),
-        (("el", "--lagrangian", "free_scalar.lag", "--fields", "wave_solution.json"), {"integration", "lagrange"}),
-        (("check", "--suite", "algebra", "--trials", "1"), {"integration", "lagrange", "metric_dual", "suites"}),
+        (("bd", "--form", "const1.form"), {"calculus"}),
+        (("bdstar", "--form", "mixed.form"), {"calculus"}),
+        (("d", "--form", "radial.form"), {"calculus"}),
+        (("dual", "--form", "j.form", "--config", "lorentz.cfg"), {"calculus", "metric_dual"}),
+        (("integrate", "--form", "mixed.form", "--surface", "square.surf"), {"calculus", "integration"}),
+        (("stokes", "--form", "shear.form", "--surface", "square.surf"), {"calculus", "integration"}),
+        (("flux", "--form", "mixed.form", "--surface", "square.surf"), {"calculus", "integration"}),
+        (
+            ("el", "--lagrangian", "free_scalar.lag", "--fields", "wave_solution.json"),
+            {"calculus", "integration", "lagrange"},
+        ),
+    ]
+    + [
+        (("check", "--suite", suite, "--trials", "1"), {"suites", f"suites.{suite}"} | layers)
+        for suite, layers in SUITE_LAYERS.items()
+    ]
+    + [
+        # A failing run shrinks and serializes its counterexamples, and still
+        # loads no layer its suite does not call.
         (
             ("check", "--mutate", "wedge-sign", "--suite", "algebra", "--trials", "1"),
-            {"integration", "lagrange", "metric_dual", "suites", "mutations"},
+            {"suites", "suites.algebra", "mutations"},
+        ),
+        (
+            ("check", "--trials", "1"),
+            set().union(*SUITE_LAYERS.values()) | {"suites"} | {f"suites.{suite}" for suite in SUITE_LAYERS},
         ),
     ],
 )

@@ -4,12 +4,13 @@ import random
 
 import pytest
 
-from fvx import forms_core
 from fvx import integration as ig
 from fvx import metric_dual as md
 from fvx import mutations as mu
 from fvx import suites as su
 from fvx.polyfield import Poly
+
+from children import run_python
 
 
 def _stokes_report(patch) -> str:
@@ -18,7 +19,7 @@ def _stokes_report(patch) -> str:
 
 
 def test_a_property_mutation_negates_the_getter():
-    face_sign = mu.Mutation("face-sign", ig.OrientedFace, "sign", ("stokes", "boundary-interior-plain"))
+    face_sign = mu.Mutation("face-sign", "integration.OrientedFace", "sign", ("stokes", "boundary-interior-plain"))
     plane = (Poly.variable(0, 2), Poly.variable(1, 2), Poly.zero(2), Poly.zero(2))
     square = ig.ParamSurface(2, plane, ((0, 1), (0, 1)))
     original, signs = vars(ig.OrientedFace)["sign"], [face.sign for face in ig.faces(square)]
@@ -35,7 +36,7 @@ def test_a_property_mutation_negates_the_getter():
 
 def test_a_property_of_a_metric_mutation_negates_it():
     det_h = md.DEFAULT_CFG.det_h
-    with mu.Mutation("det-sign", md.MetricConfig, "det_h", ("duality", "epsilon-reference")).applied():
+    with mu.Mutation("det-sign", "metric_dual.MetricConfig", "det_h", ("duality", "epsilon-reference")).applied():
         assert md.DEFAULT_CFG.det_h == -det_h
         assert md.MetricConfig(xi=-4).det_h == -4 * det_h
     assert md.DEFAULT_CFG.det_h == det_h
@@ -44,7 +45,7 @@ def test_a_property_of_a_metric_mutation_negates_it():
 def test_a_classmethod_mutation_is_rebuilt_and_restored_after_a_raise():
     original = vars(Poly)["variable"]
     with pytest.raises(RuntimeError, match="inside"):
-        with mu.Mutation("variable-sign", Poly, "variable", ("calculus", "basis-derivative")).applied():
+        with mu.Mutation("variable-sign", "polyfield.Poly", "variable", ("calculus", "basis-derivative")).applied():
             assert isinstance(vars(Poly)["variable"], classmethod)
             assert Poly.variable(0, 1).evaluate([3]) == -3
             raise RuntimeError("inside")
@@ -84,7 +85,7 @@ def witness_catches(mutation: mu.Mutation, seed: int, trials: int = 10) -> tuple
     rng = random.Random(f"{seed}:{suite}")
     differ = raised = 0
     with mutation.applied():
-        for ident in su.IDENTITIES[suite]:
+        for ident in su.identities(suite):
             for _ in range(trials):
                 inst = ident.make(rng, cfg)
                 if ident.name != witness:
@@ -114,5 +115,27 @@ def test_a_raise_is_counted_apart_from_a_catch():
 
         return crashed
 
-    mutation = mu.Mutation("wedge-crash", forms_core, "wedge", ("algebra", "wedge-unit"), crash)
+    mutation = mu.Mutation("wedge-crash", "forms_core", "wedge", ("algebra", "wedge-unit"), crash)
     assert witness_catches(mutation, 0, trials=3) == (0, 3)
+
+
+# A suite module first imported under a patch binds the patched operator by
+# name (``from fvx.integration import five_flux`` in ``fvx.lagrange``); the
+# patch must restore that binding too.
+LATE_IMPORT = """
+import sys
+from fvx import mutations as mu
+from fvx import suites as su
+assert "fvx.lagrange" not in sys.modules
+cfg = su.SuiteConfig(seed=0, trials=5, suites=("lagrange",))
+with mu.apply_mutation("flux-sign"):
+    su.run_suite(cfg)
+from fvx import integration, lagrange
+print(lagrange.five_flux is integration.five_flux, su.run_suite(cfg).passed)
+"""
+
+
+def test_a_binding_made_inside_a_patch_is_restored():
+    result = run_python("-c", LATE_IMPORT)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["True", "True"]

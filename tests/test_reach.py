@@ -1,6 +1,7 @@
 """Every top-level function and class of ``src/fvx`` is reached by fvx itself.
 
-A definition counts as reached when an fvx module other than ``__init__.py``,
+A definition counts as reached when an fvx module other than the package's
+``__init__.py`` (``fvx.suites`` is a package of its own, and counts),
 or a script under ``scripts/``, names it outside the definition's own body:
 as a name, an attribute (``md.dual``) or a string equal to the name
 (``suites`` looks operators up by name when it runs, so that a mutation
@@ -44,6 +45,7 @@ from fvx.suites import SuiteConfig, run_suite
 from test_golden import DEMO_COMMANDS
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE_INIT = ROOT / "src" / "fvx" / "__init__.py"
 
 
 def _names(tree: ast.AST) -> Counter:
@@ -68,9 +70,9 @@ def _hook(node: ast.AST) -> bool:
 
 
 def unreached() -> set[str]:
-    trees = {path: ast.parse(path.read_text()) for path in (ROOT / "src" / "fvx").glob("*.py")}
+    trees = {path: ast.parse(path.read_text()) for path in (ROOT / "src" / "fvx").rglob("*.py")}
     scripts = [ast.parse(path.read_text()) for path in (ROOT / "scripts").glob("*.py")]
-    used = sum((_names(tree) for path, tree in trees.items() if path.name != "__init__.py"), Counter())
+    used = sum((_names(tree) for path, tree in trees.items() if path != PACKAGE_INIT), Counter())
     used += sum(map(_names, scripts), Counter())
     kinds = (ast.FunctionDef, ast.ClassDef)
     defs = [node for tree in trees.values() for node in tree.body if isinstance(node, kinds) and not _hook(node)]
@@ -194,8 +196,8 @@ def test_members_are_matched_by_class():
 
 
 def test_every_member_is_reached_outside_the_tests():
-    trees = {path: ast.parse(path.read_text()) for path in (ROOT / "src" / "fvx").glob("*.py")}
-    using = [tree for path, tree in trees.items() if path.name != "__init__.py"]
+    trees = {path: ast.parse(path.read_text()) for path in (ROOT / "src" / "fvx").rglob("*.py")}
+    using = [tree for path, tree in trees.items() if path != PACKAGE_INIT]
     using += [ast.parse(path.read_text()) for path in (ROOT / "scripts").glob("*.py")]
     assert unreached_members(list(trees.values()), using) == set(KEPT_MEMBERS)
 
@@ -260,8 +262,8 @@ def test_unused_imports_are_found():
 
 
 def test_every_import_is_used():
-    for path in sorted((ROOT / "src" / "fvx").glob("*.py")):
-        assert unused_imports(ast.parse(path.read_text())) == [], path.name
+    for path in sorted((ROOT / "src" / "fvx").rglob("*.py")):
+        assert unused_imports(ast.parse(path.read_text())) == [], path.relative_to(ROOT)
 
 
 _HOOKS = ("__setattr__", "__delattr__")
@@ -312,7 +314,7 @@ def test_hand_rolled_immutability_is_found():
 
 
 def test_every_value_is_immutable_through_record():
-    trees = [ast.parse(path.read_text()) for path in sorted((ROOT / "src" / "fvx").glob("*.py"))]
+    trees = [ast.parse(path.read_text()) for path in sorted((ROOT / "src" / "fvx").rglob("*.py"))]
     assert hand_rolled_immutability(trees) == []
 
 

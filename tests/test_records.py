@@ -90,8 +90,8 @@ CASES = [
     (Identity, ("wedge-unit", _make, _sides), ("wedge-zero", _make, _sides), None, "", True),
     (
         Mutation,
-        ("wedge-sign", forms_core, "wedge", ("algebra", "wedge-unit"), REGISTRY["wedge-sign"].corrupt),
-        ("wedge-sign", forms_core, "wedge", ("algebra", "wedge-zero"), REGISTRY["wedge-sign"].corrupt),
+        ("wedge-sign", "forms_core", "wedge", ("algebra", "wedge-unit"), REGISTRY["wedge-sign"].corrupt),
+        ("wedge-sign", "forms_core", "wedge", ("algebra", "wedge-zero"), REGISTRY["wedge-sign"].corrupt),
         None,
         "",
         True,
@@ -133,7 +133,7 @@ def test_record(cls, args, other, bad, message, hashable):
 
 
 def test_record_defaults_and_repr():
-    assert SuiteConfig() == SuiteConfig(0, 25, 3, DEFAULT_CFG, SUITE_NAMES)
+    assert SuiteConfig() == SuiteConfig(0, 25, 3, None, SUITE_NAMES)
     assert MetricConfig() == MetricConfig((1, -1, -1, -1), Fraction(-1), Fraction(1), 1) == DEFAULT_CFG
     assert InstanceRecord("algebra", "wedge-unit", 0, True) == RECORD
     # Field conversions: lists become tuples, rationals become Fractions.
