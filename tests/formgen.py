@@ -1,7 +1,15 @@
 """Shared hypothesis strategies for random exact polynomials, forms, surfaces,
-and the basis elements and index pairs that several test modules build."""
+and the basis elements and index pairs that several test modules build.
 
+This module is the one home of the tests' random values.  Each strategy is
+built once, from a finite exact table where it can be: Hypothesis then draws
+an index into the table instead of building and validating a new strategy
+per draw, and shrinks toward the table's first entry.
+"""
+
+import functools
 import itertools
+import random
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -10,6 +18,7 @@ from fvx.forms_core import COORD_AXES, FIVE_AXES, FiveForm, FourForm, MultiVecto
 from fvx.integration import ParamSurface
 from fvx.lagrange import FieldSet, LagrangianSpec
 from fvx.polyfield import COORD_NAMES, Poly, parse_poly
+from fvx.suites import SUITE_NAMES, identities
 
 
 def P(text: str) -> Poly:
@@ -54,12 +63,52 @@ def rand_poly_reference(rng, nvars: int, max_degree: int, max_terms: int = 3) ->
     return Poly(nvars, terms)
 
 
-rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
-exponents = st.tuples(*(st.integers(0, 2) for _ in range(4)))
-small_polys = st.builds(
-    lambda terms: Poly(4, terms),
-    st.dictionaries(exponents, rationals, max_size=2),
+def suite_draws(cfg):
+    """Every instance ``run_suite(cfg)`` draws, as ``(suite, identity,
+    instance)`` in its order: one ``Random(f"{seed}:{suite}")`` per selected
+    suite, then the suite's identities in order, then the trials."""
+    for suite in SUITE_NAMES:
+        if suite in cfg.suites:
+            rng = random.Random(f"{cfg.seed}:{suite}")
+            for ident in identities(suite):
+                for _ in range(cfg.trials):
+                    yield suite, ident, ident.make(rng, cfg)
+
+
+# Every fraction in [-9, 9] with denominator at most 9, the value set of
+# st.fractions(-9, 9, max_denominator=9), simplest first: the integers
+# 0, 1, -1, ..., 9, -9, then the halves, the thirds, and so on.
+RATIONALS = tuple(
+    sorted(
+        {Fraction(p, q) for q in range(1, 10) for p in range(-9 * q, 9 * q + 1)},
+        key=lambda f: (f.denominator, abs(f), f < 0),
+    )
 )
+rationals = st.sampled_from(RATIONALS)
+
+
+@functools.cache
+def exponent_table(nvars, max_exponent):
+    """Every exponent tuple of ``nvars`` entries in 0..max_exponent, by total
+    degree: the zero tuple first."""
+    return tuple(sorted(itertools.product(range(max_exponent + 1), repeat=nvars), key=sum))
+
+
+@functools.cache
+def exponents(nvars, max_exponent):
+    return st.sampled_from(exponent_table(nvars, max_exponent))
+
+
+@functools.cache
+def polys(nvars, max_exponent, max_terms, min_terms=0):
+    """Polynomials in ``nvars`` variables with ``min_terms`` to ``max_terms``
+    terms, each exponent at most ``max_exponent``, coefficients from RATIONALS."""
+    terms = st.dictionaries(exponents(nvars, max_exponent), rationals, min_size=min_terms, max_size=max_terms)
+    return st.builds(lambda terms: Poly(nvars, terms), terms)
+
+
+small_polys = polys(4, 2, 2)
+coord_polys = polys(4, 3, 4)
 
 
 def _keyed(draw, cls, axes, rank):
@@ -94,6 +143,7 @@ def form_pairs_within_rank(draw, limit=5):
     return draw(five_forms(rank=ra)), draw(five_forms(rank=rb))
 
 
+@functools.cache
 def param_polys(m, max_deg=2, max_terms=2):
     expos = st.tuples(*(st.integers(0, max_deg) for _ in range(m))).filter(
         lambda e: sum(e) <= max_deg

@@ -21,14 +21,13 @@ import random
 import tempfile
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 from fvx import integration as ig
 from fvx import mutations as mu
 from fvx import suites as su
 from fvx.cli import main
 
-from formgen import rand_poly_reference
+from formgen import rand_poly_reference, suite_draws
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -42,15 +41,8 @@ def _sha(text: str) -> str:
 
 def instance_digest(seed: int, trials: int = 25) -> str:
     """Hash of every instance that ``run_suite`` draws, in draw order."""
-    lines = []
-
-    def draw_only(ident, rng, cfg):
-        lines.append(su.describe_instance(ident.make(rng, cfg)))
-        return True, None
-
-    with mock.patch.object(su, "run_single", draw_only):
-        su.run_suite(su.SuiteConfig(seed=seed, trials=trials))
-    return _sha("\n".join(lines))
+    draws = suite_draws(su.SuiteConfig(seed=seed, trials=trials))
+    return _sha("\n".join(su.describe_instance(inst) for _, _, inst in draws))
 
 
 INSTANCE_DIGESTS = {
@@ -69,15 +61,11 @@ def test_instance_stream_is_unchanged():
 
 def sides_digest(seed: int = 0, trials: int = 5) -> str:
     """Hash of both sides of every pair that every identity compares, in draw order."""
+    cfg = su.SuiteConfig(seed=seed, trials=trials)
     lines = []
-
-    def every_side(ident, rng, cfg):
-        for lhs, rhs in ident.sides(ident.make(rng, cfg), cfg):
+    for _, ident, inst in suite_draws(cfg):
+        for lhs, rhs in ident.sides(inst, cfg):
             lines.extend((su._serialize(lhs), su._serialize(rhs)))
-        return True, None
-
-    with mock.patch.object(su, "run_single", every_side):
-        su.run_suite(su.SuiteConfig(seed=seed, trials=trials))
     return _sha("\n".join(lines))
 
 

@@ -1,7 +1,5 @@
 """Mutations of every member kind, and the floors under each witness's catches."""
 
-import random
-
 import pytest
 
 from fvx import integration as ig
@@ -11,6 +9,7 @@ from fvx import suites as su
 from fvx.polyfield import Poly
 
 from children import run_python
+from formgen import suite_draws
 
 
 def _stokes_report(patch) -> str:
@@ -82,18 +81,15 @@ def witness_catches(mutation: mu.Mutation, seed: int, trials: int = 10) -> tuple
     draws it.  A raise is no catch: it shows only that the code ran."""
     suite, witness = mutation.caught_by
     cfg = su.SuiteConfig(seed=seed, trials=trials, suites=(suite,))
-    rng = random.Random(f"{seed}:{suite}")
     differ = raised = 0
     with mutation.applied():
-        for ident in su.identities(suite):
-            for _ in range(trials):
-                inst = ident.make(rng, cfg)
-                if ident.name != witness:
-                    continue
-                try:
-                    differ += not ident.holds(inst, cfg)
-                except Exception:
-                    raised += 1
+        for _, ident, inst in suite_draws(cfg):
+            if ident.name != witness:
+                continue
+            try:
+                differ += not ident.holds(inst, cfg)
+            except Exception:
+                raised += 1
     return differ, raised
 
 

@@ -19,17 +19,12 @@ from fvx.polyfield import (
 )
 from fvx.suites import SuiteConfig, run_suite
 
-from formgen import P
+from formgen import P, coord_polys, exponents, polys, rationals
 
 
-rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
-exponents = st.tuples(*(st.integers(0, 3) for _ in range(4)))
-polys = st.builds(
-    lambda terms: Poly(4, terms),
-    st.dictionaries(exponents, rationals, max_size=4),
-)
 points = st.tuples(*(rationals for _ in range(4)))
 axes = st.integers(0, 3)
+scalars = st.one_of(st.integers(-3, 3), rationals)
 
 
 # -- frozen examples --------------------------------------------------------
@@ -120,63 +115,56 @@ def test_scale_integrate_with_power():
 # -- ring and calculus properties -------------------------------------------
 
 
-@given(polys, polys)
+@given(coord_polys, coord_polys)
 def test_add_commutes(p, q):
     assert p + q == q + p
 
 
-@given(polys, polys, polys)
+@given(coord_polys, coord_polys, coord_polys)
 def test_add_associates(p, q, r):
     assert (p + q) + r == p + (q + r)
 
 
-@given(polys, polys)
+@given(coord_polys, coord_polys)
 def test_mul_commutes(p, q):
     assert p * q == q * p
 
 
-@given(polys, polys, polys)
+@given(coord_polys, coord_polys, coord_polys)
 def test_mul_associates(p, q, r):
     assert (p * q) * r == p * (q * r)
 
 
-@given(polys, polys, polys)
+@given(coord_polys, coord_polys, coord_polys)
 def test_mul_distributes(p, q, r):
     assert p * (q + r) == p * q + p * r
 
 
-@given(polys)
+@given(coord_polys)
 def test_additive_identity_and_inverse(p):
     zero = Poly.zero(4)
     assert p + zero == p
     assert p + (-p) == zero
 
 
-@given(polys, axes, axes)
+@given(coord_polys, axes, axes)
 def test_mixed_partials_commute(p, a, b):
     assert p.partial(a).partial(b) == p.partial(b).partial(a)
 
 
-@given(polys, polys, axes)
+@given(coord_polys, coord_polys, axes)
 def test_partial_leibniz(p, q, a):
     assert (p * q).partial(a) == p.partial(a) * q + p * q.partial(a)
 
 
-@given(polys, points)
+@given(coord_polys, points)
 def test_evaluate_is_ring_map(p, point):
     q = P("x0 - 2 x2")
     assert (p * q).evaluate(point) == p.evaluate(point) * q.evaluate(point)
     assert (p + q).evaluate(point) == p.evaluate(point) + q.evaluate(point)
 
 
-@given(
-    polys,
-    st.tuples(*(st.builds(
-        lambda terms: Poly(2, terms),
-        st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), rationals, max_size=3),
-    ) for _ in range(4))),
-    st.tuples(rationals, rationals),
-)
+@given(coord_polys, st.tuples(*(polys(2, 2, 3) for _ in range(4))), st.tuples(rationals, rationals))
 def test_compose_commutes_with_evaluate(p, maps, lam):
     image = tuple(m.evaluate(lam) for m in maps)
     assert p.compose(list(maps)).evaluate(lam) == p.evaluate(image)
@@ -185,9 +173,7 @@ def test_compose_commutes_with_evaluate(p, maps, lam):
 @st.composite
 def restrictions(draw):
     n = draw(st.integers(1, 4))
-    expo = st.tuples(*(st.integers(0, 3) for _ in range(n)))
-    p = Poly(n, draw(st.dictionaries(expo, rationals, max_size=5)))
-    return p, draw(st.integers(0, n - 1)), draw(st.one_of(st.integers(-3, 3), rationals))
+    return draw(polys(n, 3, 5)), draw(st.integers(0, n - 1)), draw(scalars)
 
 
 @given(restrictions())
@@ -229,10 +215,7 @@ def test_zero_is_one_shared_instance_that_stays_zero():
     assert (zero.den, zero.num) == (1, {})
 
 
-scalars = st.one_of(st.integers(-3, 3), rationals)
-
-
-@given(polys, polys, scalars, axes, st.integers(0, 3))
+@given(coord_polys, coord_polys, scalars, axes, st.integers(0, 3))
 def test_arithmetic_results_are_canonical(p, q, k, a, power):
     # Arithmetic builds its results without re-validating them; each must
     # still be the canonical Poly that the checking constructor would give.
@@ -327,7 +310,7 @@ def test_hot_arithmetic_builds_no_fraction():
     assert results[-4] == P("-1/2 x0^2 x1 + 3/4 x2 - 5/6")
 
 
-@given(polys)
+@given(coord_polys)
 def test_format_parse_roundtrip(p):
     assert parse_poly(format_poly(p, COORD_NAMES), COORD_NAMES) == p
 
@@ -429,7 +412,7 @@ def test_parse_is_linear_in_the_number_of_terms():
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.booleans(), rationals, exponents), min_size=1, max_size=8))
+@given(st.lists(st.tuples(st.booleans(), rationals, exponents(4, 3)), min_size=1, max_size=8))
 def test_parse_equals_the_term_by_term_sum(terms):
     chunks = [
         f"{'-' if negative else '+'} {abs(coeff)} " + " ".join(f"{n}^{e}" for n, e in zip(COORD_NAMES, expo))

@@ -16,7 +16,6 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -28,7 +27,7 @@ from fvx.suites import Identity, SuiteConfig
 from fvx.suites import appendix as appendix_suite
 from fvx.suites import flux as flux_suite
 
-from formgen import P, small_polys
+from formgen import P, small_polys, suite_draws
 
 # The nilpotency identities state a zero right side; their count says how
 # often the left side is zero too, which is no defect.
@@ -93,27 +92,20 @@ def is_zero(value) -> bool:
 def vacuity_census(seed: int = 0, trials: int = 25) -> dict[str, int]:
     """Per identity, the number of instances ``run_suite`` draws at which
     every pair the identity yields is zero on both sides."""
+    cfg = SuiteConfig(seed=seed, trials=trials)
     counts: dict[str, int] = {}
-
-    def census(ident, rng, cfg):
-        pairs = list(ident.sides(ident.make(rng, cfg), cfg))
-        vacuous = all(is_zero(lhs) and is_zero(rhs) for lhs, rhs in pairs)
+    for _, ident, inst in suite_draws(cfg):
+        vacuous = all(is_zero(lhs) and is_zero(rhs) for lhs, rhs in ident.sides(inst, cfg))
         counts[ident.name] = counts.get(ident.name, 0) + vacuous
-        return True, None
-
-    with mock.patch.object(su, "run_single", census):
-        su.run_suite(SuiteConfig(seed=seed, trials=trials))
     return counts
 
 
 def test_every_identity_yields_a_pair():
     cfg = SuiteConfig(trials=1)
-    for suite in su.SUITE_NAMES:
-        rng = random.Random(f"0:{suite}")
-        for ident in su.identities(suite):
-            pairs = list(ident.sides(ident.make(rng, cfg), cfg))
-            assert pairs, f"{suite}/{ident.name} yields no pair"
-            assert all(len(pair) == 2 for pair in pairs), f"{suite}/{ident.name}"
+    for suite, ident, inst in suite_draws(cfg):
+        pairs = list(ident.sides(inst, cfg))
+        assert pairs, f"{suite}/{ident.name} yields no pair"
+        assert all(len(pair) == 2 for pair in pairs), f"{suite}/{ident.name}"
 
 
 def test_a_differing_pair_ends_the_comparison():

@@ -11,17 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from fvx.polyfield import Poly, integrate_box
 
+from formgen import coord_polys, polys, rationals
+
 sympy = pytest.importorskip("sympy")
 
 X = sympy.symbols("x0:4")
 L = sympy.symbols("l0:2")
-rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
-
-
-def polys(nvars, max_degree=3, max_size=4, min_size=0):
-    expo = st.tuples(*(st.integers(0, max_degree) for _ in range(nvars)))
-    terms = st.dictionaries(expo, rationals, min_size=min_size, max_size=max_size)
-    return st.builds(lambda terms: Poly(nvars, terms), terms)
 
 
 def rational(value: Fraction) -> "sympy.Rational":
@@ -40,33 +35,33 @@ oracle = settings(max_examples=25, deadline=None)
 
 
 @oracle
-@given(polys(4), polys(4))
+@given(coord_polys, coord_polys)
 def test_product(p, q):
     assert same(p * q, X, as_sympy(p, X) * as_sympy(q, X))
 
 
 @oracle
-@given(polys(4, max_degree=2, max_size=3, min_size=1), st.tuples(*(polys(2, max_degree=2, max_size=2, min_size=1) for _ in range(4))))
+@given(polys(4, 2, 3, 1), st.tuples(*(polys(2, 2, 2, 1) for _ in range(4))))
 def test_compose(p, maps):
     image = {x: as_sympy(m, L) for x, m in zip(X, maps)}
     assert same(p.compose(list(maps)), L, as_sympy(p, X).subs(image, simultaneous=True))
 
 
 @oracle
-@given(polys(4), st.integers(0, 3))
+@given(coord_polys, st.integers(0, 3))
 def test_partial(p, axis):
     assert same(p.partial(axis), X, sympy.diff(as_sympy(p, X), X[axis]))
 
 
 @oracle
-@given(polys(4), st.integers(0, 3), rationals)
+@given(coord_polys, st.integers(0, 3), rationals)
 def test_restrict(p, axis, value):
     rest = X[:axis] + X[axis + 1 :]
     assert same(p.restrict(axis, value), rest, as_sympy(p, X).subs(X[axis], rational(value)))
 
 
 @oracle
-@given(polys(4), st.lists(st.tuples(rationals, rationals), min_size=4, max_size=4))
+@given(coord_polys, st.lists(st.tuples(rationals, rationals), min_size=4, max_size=4))
 def test_integrate_box(p, box):
     expr = as_sympy(p, X)
     for x, (a, b) in zip(X, box):
