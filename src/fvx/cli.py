@@ -166,7 +166,11 @@ def cmd_el(args: argparse.Namespace) -> int:
     if len(phi) != L.n_fields:
         raise fio.FormatError(f"{args.fields}: {len(phi)} fields, but {args.lagrangian} has N = {L.n_fields}")
     fio.check_pullback(L.density, lg.jet_maps(L, phi), 4, f"{args.lagrangian}: density")
-    report = lg.el_report(L, phi, None if args.box is None else _probe_box(args.box))
+    box = None if args.box is None else _probe_box(args.box)
+    try:
+        report = lg.el_report(L, phi, box)
+    except ValueError as exc:  # an exponent overflow names no file
+        raise ValueError(f"{args.lagrangian} on {args.fields}: {exc}") from None
     for ell in range(L.n_fields):
         current = lg.check_51(report.j_forms[ell], report.k_forms[ell])
         closed = lg.check_55(report.lambda_forms[ell])

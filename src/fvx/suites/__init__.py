@@ -308,8 +308,7 @@ class Identity(Record):
         return all(lhs == rhs for lhs, rhs in self.sides(inst, cfg))
 
 
-def run_single(ident: Identity, rng: random.Random, cfg: SuiteConfig) -> tuple[bool, str | None]:
-    inst = ident.make(rng, cfg)
+def run_single(ident: Identity, inst: dict, cfg: SuiteConfig) -> tuple[bool, str | None]:
     try:
         if ident.holds(inst, cfg):
             return True, None
@@ -384,16 +383,23 @@ def identities(suite: str) -> tuple[Identity, ...]:
     return importlib.import_module(f"fvx.suites.{suite}").IDENTITIES
 
 
-def run_suite(cfg: SuiteConfig) -> Report:
-    records = []
+def draws(cfg: SuiteConfig) -> Iterator[tuple[str, Identity, int, dict]]:
+    """Every instance a run checks, as ``(suite, identity, index, instance)``:
+    one ``Random(f"{seed}:{suite}")`` per selected suite, in ``SUITE_NAMES``
+    order, then the suite's identities in order, then the trials."""
     for suite in SUITE_NAMES:
-        if suite not in cfg.suites:
-            continue
-        rng = random.Random(f"{cfg.seed}:{suite}")
-        for ident in identities(suite):
-            for index in range(cfg.trials):
-                passed, counterexample = run_single(ident, rng, cfg)
-                records.append(InstanceRecord(suite, ident.name, index, passed, counterexample))
+        if suite in cfg.suites:
+            rng = random.Random(f"{cfg.seed}:{suite}")
+            for ident in identities(suite):
+                for index in range(cfg.trials):
+                    yield suite, ident, index, ident.make(rng, cfg)
+
+
+def run_suite(cfg: SuiteConfig) -> Report:
+    records = [
+        InstanceRecord(suite, ident.name, index, *run_single(ident, inst, cfg))
+        for suite, ident, index, inst in draws(cfg)
+    ]
     records.sort(key=lambda r: (SUITE_NAMES.index(r.suite), r.identity, r.index))
     return Report(tuple(records))
 

@@ -97,7 +97,7 @@ def _wedge_dual_pairing(i, cfg):
     yield fc.wedge(md.dual(s, metric), t), paired
 
 
-def _hodge4(W: FourForm, metric: MetricConfig) -> FourForm:
+def hodge4(W: FourForm, metric: MetricConfig) -> FourForm:
     """Four-label Hodge dual of a rank-2 form, straight from the index
     formula; the reference route for the label-5-free duality check."""
     out = {}
@@ -118,7 +118,7 @@ def _make_zfree(rng, cfg):
 def _zfree_hodge(i, cfg):
     metric = _metric_for_dual(cfg)
     w = i["w"]
-    yield md.dual2_zfree(w, metric), fc.lift(_hodge4(fc.project(w), metric))
+    yield md.dual2_zfree(w, metric), fc.lift(hodge4(fc.project(w), metric))
 
 
 IDENTITIES = (

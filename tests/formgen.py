@@ -9,7 +9,6 @@ per draw, and shrinks toward the table's first entry.
 
 import functools
 import itertools
-import random
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -18,7 +17,6 @@ from fvx.forms_core import COORD_AXES, FIVE_AXES, FiveForm, FourForm, MultiVecto
 from fvx.integration import ParamSurface
 from fvx.lagrange import FieldSet, LagrangianSpec
 from fvx.polyfield import COORD_NAMES, Poly, parse_poly
-from fvx.suites import SUITE_NAMES, identities
 
 
 def P(text: str) -> Poly:
@@ -61,18 +59,6 @@ def rand_poly_reference(rng, nvars: int, max_degree: int, max_terms: int = 3) ->
                 expo[rng.randrange(nvars)] += 1
         terms[tuple(expo)] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
     return Poly(nvars, terms)
-
-
-def suite_draws(cfg):
-    """Every instance ``run_suite(cfg)`` draws, as ``(suite, identity,
-    instance)`` in its order: one ``Random(f"{seed}:{suite}")`` per selected
-    suite, then the suite's identities in order, then the trials."""
-    for suite in SUITE_NAMES:
-        if suite in cfg.suites:
-            rng = random.Random(f"{cfg.seed}:{suite}")
-            for ident in identities(suite):
-                for _ in range(cfg.trials):
-                    yield suite, ident, ident.make(rng, cfg)
 
 
 # Every fraction in [-9, 9] with denominator at most 9, the value set of

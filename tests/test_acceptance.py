@@ -32,6 +32,7 @@ from fvx.suites import (
     rand_surface,
 )
 from fvx.suites.appendix import conforming_array, divergence_sides
+from fvx.suites.duality import hodge4
 
 from children import child_env, run_python
 from formgen import P, contraction_pairs
@@ -247,20 +248,6 @@ def test_criterion_06_poincare_constructions(capsys):
 # -- 7: duality ------------------------------------------------------------------------------------
 
 
-def _hodge4_oracle(W: FourForm, metric: MetricConfig) -> FourForm:
-    """Independent four-label Hodge dual for rank 2, straight from the
-    index formula with the diagonal metric."""
-    out = {}
-    for key in itertools.combinations(range(4), 2):
-        comp = W.coeff(key)
-        if comp.is_zero:
-            continue
-        rest = tuple(a for a in range(4) if a not in key)
-        sign = metric.eta * fc.permutation_sign(key + rest)
-        out[rest] = comp * (sign * Fraction(1, metric.g[key[0]] * metric.g[key[1]]))
-    return FourForm(2, out)
-
-
 def test_criterion_07_duality(capsys):
     def run():
         rng = random.Random("acceptance:7")
@@ -299,11 +286,11 @@ def test_criterion_07_duality(capsys):
                 return False
         for key in itertools.combinations(range(4), 2):
             basis = FiveForm(2, {key: Poly.const(1, 4)})
-            if md.dual2_zfree(basis, lorentz) != fc.lift(_hodge4_oracle(fc.project(basis), lorentz)):
+            if md.dual2_zfree(basis, lorentz) != fc.lift(hodge4(fc.project(basis), lorentz)):
                 return False
         for _ in range(50):
             w = rand_form(rng, 2, 3, axes=fc.COORD_AXES)
-            if md.dual2_zfree(w, lorentz) != fc.lift(_hodge4_oracle(fc.project(w), lorentz)):
+            if md.dual2_zfree(w, lorentz) != fc.lift(hodge4(fc.project(w), lorentz)):
                 return False
         return True
 

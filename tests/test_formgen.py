@@ -3,22 +3,18 @@
 ``formgen`` draws rationals and exponent tuples from finite exact tables,
 each built once.  These tests pin each table to the value set of the
 strategy it replaced, and an ``ast`` guard keeps every other test module from
-defining its own ``rationals``, ``exponents`` or ``polys`` again.
-``suite_draws``, the tests' one copy of ``run_suite``'s draw loop, is
-checked against ``run_suite`` itself.
+defining its own ``rationals``, ``exponents`` or ``polys`` again.  Another
+keeps the tests on ``fvx.suites.draws`` and ``duality.hodge4``, not copies.
 """
 
 import ast
 import itertools
-from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import formgen
 import test_polyfield
-from formgen import RATIONALS, exponent_table, suite_draws
-from fvx import mutations as mu
-from fvx.suites import SuiteConfig, run_suite
+from formgen import RATIONALS, exponent_table
 
 TESTS = Path(__file__).resolve().parent
 
@@ -96,25 +92,22 @@ def test_only_formgen_defines_the_value_strategies():
     assert value_strategy_copies() == []
 
 
-def _verdict(ident, inst, cfg) -> bool:
-    try:
-        return ident.holds(inst, cfg)
-    except Exception:
-        return False
+def check_loop_copies(modules: dict[str, str]) -> list[str]:
+    """Every call ``Random(f"{x}:{y}")``, which builds a suite's draw stream,
+    and every function whose name contains ``hodge4``, in the sources."""
+    found = []
+    for name, text in modules.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "Random":
+                parts = getattr(node.args[0], "values", []) if node.args else []
+                if [type(p) for p in parts] == [ast.FormattedValue, ast.Constant, ast.FormattedValue] and parts[1].value == ":":
+                    found.append(f"{name}:{node.lineno} builds a suite stream")
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and "hodge4" in node.name:
+                found.append(f"{name}:{node.lineno} defines {node.name}")
+    return found
 
 
-def test_suite_draws_are_the_instances_run_suite_checks():
-    # Under each mutation some instances of the identities it reaches fail
-    # and others pass, so an instance drawn out of step shows as a verdict
-    # out of place.
-    cfg = SuiteConfig(seed=0, trials=5)
-    for name in ("partial-sign", "restrict-sign", "perm-sign"):
-        with mu.apply_mutation(name):
-            expected = {(r.suite, r.identity, r.index): r.passed for r in run_suite(cfg).records}
-            drawn, seen = {}, Counter()
-            for suite, ident, inst in suite_draws(cfg):
-                key = (suite, ident.name)
-                drawn[key + (seen[key],)] = _verdict(ident, inst, cfg)
-                seen[key] += 1
-        assert drawn == expected, name
-        assert not all(expected.values()), name
+def test_no_test_module_copies_the_check_loop():
+    assert check_loop_copies({path.name: path.read_text() for path in sorted(TESTS.glob("*.py"))}) == []
+    probes = ('random.Random(f"{seed}:{suite}")', 'Random(f"{s}:{t}")', 'random.Random(f"faces:{dim}")', "def _hodge4_oracle(): pass")
+    assert check_loop_copies(dict(enumerate(probes))) == ["0:1 builds a suite stream", "1:1 builds a suite stream", "3:1 defines _hodge4_oracle"]

@@ -27,7 +27,7 @@ from fvx import mutations as mu
 from fvx import suites as su
 from fvx.cli import main
 
-from formgen import rand_poly_reference, suite_draws
+from formgen import rand_poly_reference
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -41,8 +41,8 @@ def _sha(text: str) -> str:
 
 def instance_digest(seed: int, trials: int = 25) -> str:
     """Hash of every instance that ``run_suite`` draws, in draw order."""
-    draws = suite_draws(su.SuiteConfig(seed=seed, trials=trials))
-    return _sha("\n".join(su.describe_instance(inst) for _, _, inst in draws))
+    draws = su.draws(su.SuiteConfig(seed=seed, trials=trials))
+    return _sha("\n".join(su.describe_instance(inst) for _, _, _, inst in draws))
 
 
 INSTANCE_DIGESTS = {
@@ -63,7 +63,7 @@ def sides_digest(seed: int = 0, trials: int = 5) -> str:
     """Hash of both sides of every pair that every identity compares, in draw order."""
     cfg = su.SuiteConfig(seed=seed, trials=trials)
     lines = []
-    for _, ident, inst in suite_draws(cfg):
+    for _, ident, _, inst in su.draws(cfg):
         for lhs, rhs in ident.sides(inst, cfg):
             lines.extend((su._serialize(lhs), su._serialize(rhs)))
     return _sha("\n".join(lines))

@@ -862,16 +862,23 @@ def test_integral_budget_counts_the_integrals_each_command_builds(tmp_path, comm
     assert result.stderr == f"fvx: {form}: coeffs[{key!r}] on {surf}: {message}\n"
 
 
-@pytest.mark.parametrize("command", ["integrate", "flux"])
+FORM_AND_SURFACE = (("--form", {"rank": 1, "coeffs": {"0": "x0^20000"}}), ("--surface", {"dim": 1, "map": ["l1^2", "0", "0", "0"], "box": [[0, 1]]}))
+LAGRANGIAN_AND_FIELDS = (("--lagrangian", {"N": 1, "density": "p0_0^20000"}), ("--fields", ["x0^3"]))
+
+
+@pytest.mark.parametrize("command", ["integrate", "flux", "el"])
 def test_exponent_overflow_names_both_files(tmp_path, command):
     # Within every budget, but the pullback of x0^20000 along l1^2 has an
-    # exponent of 40,000, above what a packed monomial holds.
-    form, surface = tmp_path / "x.form", tmp_path / "x.surf"
-    form.write_text(json.dumps({"rank": 1, "coeffs": {"0": "x0^20000"}}))
-    surface.write_text(json.dumps({"dim": 1, "map": ["l1^2", "0", "0", "0"], "box": [[0, 1]]}))
-    result = run_python("-m", "fvx.cli", command, "--form", str(form), "--surface", str(surface))
+    # exponent of 40,000, and p0_0^20000 at the field x0^3 one of 60,000:
+    # above what a packed monomial holds.
+    args = []
+    for flag, content in LAGRANGIAN_AND_FIELDS if command == "el" else FORM_AND_SURFACE:
+        path = tmp_path / flag[2:]
+        path.write_text(json.dumps(content))
+        args += [flag, str(path)]
+    result = run_python("-m", "fvx.cli", command, *args)
     assert result.returncode == 2
-    assert result.stderr == f"fvx: {form} on {surface}: exponent overflow: a product has an exponent above 32767\n"
+    assert result.stderr == f"fvx: {args[1]} on {args[3]}: exponent overflow: a product has an exponent above 32767\n"
 
 
 def test_a_factor_above_its_budget_keeps_its_message(tmp_path):

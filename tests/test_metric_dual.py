@@ -10,10 +10,8 @@ from hypothesis import given, settings, strategies as st
 from fvx.forms_core import (
     FIVE_AXES,
     FiveForm,
-    FourForm,
     MultiVector,
     basis_one_form,
-    contract,
     e_part,
     j_form,
     lift,
@@ -39,6 +37,7 @@ from fvx.metric_dual import (
 )
 from fvx.polyfield import Poly
 from fvx.suites import SuiteConfig, run_suite
+from fvx.suites.duality import hodge4
 
 from formgen import P, basis_vector, contraction_pairs, five_forms, small_polys
 
@@ -47,21 +46,6 @@ FLIPPED_XI = MetricConfig(xi=Fraction(1))
 SCALED_XI = MetricConfig(xi=Fraction(-4))
 NEGATIVE_ETA = MetricConfig(eta=-1)
 CFGS = [LORENTZ, FLIPPED_XI, SCALED_XI, NEGATIVE_ETA]
-
-
-def hodge4(W: FourForm, cfg: MetricConfig) -> FourForm:
-    """Independent four-label Hodge dual of a rank-2 form, written directly
-    from the index formula rather than through the five-label machinery."""
-    out = {}
-    for key in itertools.combinations(range(4), 2):
-        comp = W.coeff(key)
-        if comp.is_zero:
-            continue
-        rest = tuple(a for a in range(4) if a not in key)
-        sign = cfg.eta * permutation_sign(key + rest)
-        factor = Fraction(1, cfg.g[key[0]] * cfg.g[key[1]])
-        out[rest] = comp * (sign * factor)
-    return FourForm(2, out)
 
 
 # -- the alternating tensor ------------------------------------------------------

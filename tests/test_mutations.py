@@ -9,7 +9,6 @@ from fvx import suites as su
 from fvx.polyfield import Poly
 
 from children import run_python
-from formgen import suite_draws
 
 
 def _stokes_report(patch) -> str:
@@ -83,7 +82,7 @@ def witness_catches(mutation: mu.Mutation, seed: int, trials: int = 10) -> tuple
     cfg = su.SuiteConfig(seed=seed, trials=trials, suites=(suite,))
     differ = raised = 0
     with mutation.applied():
-        for _, ident, inst in suite_draws(cfg):
+        for _, ident, _, inst in su.draws(cfg):
             if ident.name != witness:
                 continue
             try:

@@ -15,8 +15,8 @@ another object (``args.surface``) does not keep ``OrientedFace.surface``.
 Dunder methods are exempt.  The few members kept without such a use are
 listed in ``KEPT_MEMBERS``, each with its reason.
 
-Every name a module imports is also used in that module, so a deletion cannot
-leave its imports behind.
+Every name a module of ``src/fvx``, ``tests/`` or ``scripts/`` imports is
+also used in that module, so a deletion cannot leave its imports behind.
 
 Dunder methods escape that name search, so the operator methods are checked
 at run time: each one a class of ``src/fvx`` defines is wrapped and counted
@@ -262,7 +262,8 @@ def test_unused_imports_are_found():
 
 
 def test_every_import_is_used():
-    for path in sorted((ROOT / "src" / "fvx").rglob("*.py")):
+    sources = [*(ROOT / "src" / "fvx").rglob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    for path in sorted(sources):
         assert unused_imports(ast.parse(path.read_text())) == [], path.relative_to(ROOT)
 
 

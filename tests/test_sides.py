@@ -27,7 +27,7 @@ from fvx.suites import Identity, SuiteConfig
 from fvx.suites import appendix as appendix_suite
 from fvx.suites import flux as flux_suite
 
-from formgen import P, small_polys, suite_draws
+from formgen import P, small_polys
 
 # The nilpotency identities state a zero right side; their count says how
 # often the left side is zero too, which is no defect.
@@ -94,7 +94,7 @@ def vacuity_census(seed: int = 0, trials: int = 25) -> dict[str, int]:
     every pair the identity yields is zero on both sides."""
     cfg = SuiteConfig(seed=seed, trials=trials)
     counts: dict[str, int] = {}
-    for _, ident, inst in suite_draws(cfg):
+    for _, ident, _, inst in su.draws(cfg):
         vacuous = all(is_zero(lhs) and is_zero(rhs) for lhs, rhs in ident.sides(inst, cfg))
         counts[ident.name] = counts.get(ident.name, 0) + vacuous
     return counts
@@ -102,7 +102,7 @@ def vacuity_census(seed: int = 0, trials: int = 25) -> dict[str, int]:
 
 def test_every_identity_yields_a_pair():
     cfg = SuiteConfig(trials=1)
-    for suite, ident, inst in suite_draws(cfg):
+    for suite, ident, _, inst in su.draws(cfg):
         pairs = list(ident.sides(inst, cfg))
         assert pairs, f"{suite}/{ident.name} yields no pair"
         assert all(len(pair) == 2 for pair in pairs), f"{suite}/{ident.name}"
@@ -121,7 +121,7 @@ def test_a_differing_pair_ends_the_comparison():
     stub = Identity("stub", lambda rng, cfg: {"p": p}, sides)
     cfg = SuiteConfig(trials=1)
     assert not stub.holds({"p": p}, cfg)
-    passed, counterexample = su.run_single(stub, random.Random(0), cfg)
+    passed, counterexample = su.run_single(stub, {"p": p}, cfg)
     assert not passed
     # Shrinking drops x1, then stops: without x0 the first pair is equal and
     # the second raises, which the shrinker counts as no longer failing.
