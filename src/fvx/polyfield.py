@@ -268,8 +268,6 @@ class Poly(Record):
             top, bottom = other.numerator, other.denominator
             if bottom == 1 and (top == 1 or top == -1):
                 return self if top == 1 else -self
-            if not (top and self.num):
-                return _constant(self.nvars, 0)
             return Poly._new(self.nvars, self.den * bottom, {m: c * top for m, c in self.num.items()})
         if other.nvars != self.nvars:
             raise ValueError("polynomials over different variable counts")
@@ -405,8 +403,6 @@ class Poly(Record):
         """
         if power < 0:
             raise ValueError("power must be nonnegative")
-        if not self.num:
-            return _constant(self.nvars, 0)
         divisors = {m: power + sum(_unpack(m, self.nvars)) + 1 for m in self.num}
         den = lcm(*divisors.values())
         return Poly._new(self.nvars, self.den * den, {m: c * (den // divisors[m]) for m, c in self.num.items()})

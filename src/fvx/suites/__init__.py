@@ -198,12 +198,13 @@ def rand_fields(rng: random.Random, n_fields: int, max_degree: int) -> FieldSet:
 # -- counterexample serialization and shrinking --------------------------------------
 
 
-# The records of integration and lagrange that instances hold are told by
-# class name: an isinstance test would load those layers in every run.
-_RECORD_JSON = {
-    "ParamSurface": fio.surface_to_dict,
-    "LagrangianSpec": fio.lagrangian_to_dict,
-    "FieldSet": fio.fields_to_list,
+# The records of integration and lagrange that instances hold, told by class
+# name (an isinstance test would load those layers in every run): each one's
+# io JSON view, its polys in shrink order, and its rebuild from a replacement list.
+_RECORDS = {
+    "ParamSurface": (fio.surface_to_dict, lambda s: s.map, lambda s, polys: type(s)(s.dim, tuple(polys), s.box)),
+    "LagrangianSpec": (fio.lagrangian_to_dict, lambda s: [s.density], lambda s, polys: type(s)(s.n_fields, polys[0])),
+    "FieldSet": (fio.fields_to_list, lambda s: s.fields, lambda s, polys: type(s)(tuple(polys))),
 }
 
 
@@ -213,8 +214,8 @@ def _serialize(value) -> str:
     if isinstance(value, Poly):
         names = COORD_NAMES if value.nvars == 4 else default_names(value.nvars)
         return format_poly(value, names)
-    if type(value).__name__ in _RECORD_JSON:
-        return json.dumps(_RECORD_JSON[type(value).__name__](value), sort_keys=True)
+    if type(value).__name__ in _RECORDS:
+        return json.dumps(_RECORDS[type(value).__name__][0](value), sort_keys=True)
     if isinstance(value, Fraction):
         return str(value)
     return repr(value)
@@ -224,26 +225,19 @@ def describe_instance(inst: Mapping[str, object]) -> str:
     return "; ".join(f"{k}={_serialize(inst[k])}" for k in sorted(inst))
 
 
-def _poly_without(p: Poly, monomial: int) -> Poly:
-    return Poly._new(p.nvars, p.den, {m: c for m, c in p.num.items() if m != monomial})
-
-
 def _parts(value) -> tuple[list[Poly], Callable[[list[Poly]], object] | None]:
     """The polynomials a value is built from, in shrink order, and the
-    function that rebuilds the value from a replacement list.  Records are
-    told by class name, as in ``_serialize``."""
+    function that rebuilds the value from a replacement list: a Poly is its
+    own one part, a form its coefficients by sorted key, and a record reads
+    ``_RECORDS``; any other value has none."""
     if isinstance(value, Poly):
         return [value], lambda polys: polys[0]
-    kind = type(value)
     if isinstance(value, fc._Alternating):
         keys = sorted(value.coeffs)
-        return [value.coeffs[k] for k in keys], lambda polys: kind._new(value.rank, dict(zip(keys, polys)))
-    if kind.__name__ == "ParamSurface":
-        return list(value.map), lambda polys: kind(value.dim, tuple(polys), value.box)
-    if kind.__name__ == "LagrangianSpec":
-        return [value.density], lambda polys: kind(value.n_fields, polys[0])
-    if kind.__name__ == "FieldSet":
-        return list(value.fields), lambda polys: kind(tuple(polys))
+        return [value.coeffs[k] for k in keys], lambda polys: type(value)._new(value.rank, dict(zip(keys, polys)))
+    if type(value).__name__ in _RECORDS:
+        _, parts, rebuild = _RECORDS[type(value).__name__]
+        return list(parts(value)), lambda polys: rebuild(value, polys)
     return [], None
 
 
@@ -259,35 +253,38 @@ def _monomials(inst: dict) -> list[tuple[str, int, int]]:
     ]
 
 
-def shrink_instance(inst: dict, still_fails: Callable[[dict], bool]) -> dict:
-    """Drop monomials from the instance while the failure persists, in sweeps.
+def _without(inst: dict, slot: str, n: int, monomial: int) -> dict:
+    """The instance without the one monomial that ``_monomials`` names."""
+    polys, rebuild = _parts(inst[slot])
+    p = polys[n]
+    polys[n] = Poly._new(p.nvars, p.den, {m: c for m, c in p.num.items() if m != monomial})
+    return {**inst, slot: rebuild(polys)}
 
-    A sweep tries each monomial once, in shrink order; after a drop it goes
-    on with the monomial that followed the dropped one.  Sweeps repeat until
-    one drops nothing, so dropping any one monomial of the result makes it
-    pass or raise: the result is 1-minimal (Zeller & Hildebrandt, IEEE TSE
-    28(2), 2002)."""
-    dropped = True
-    while dropped:
-        dropped = False
-        monomials, position = _monomials(inst), 0
-        while position < len(monomials):
-            slot, n, monomial = monomials[position]
-            polys, rebuild = _parts(inst[slot])
-            candidate = dict(inst)
-            try:
-                polys[n] = _poly_without(polys[n], monomial)
-                candidate[slot] = rebuild(polys)
-                bad = still_fails(candidate)
-            except Exception:
-                bad = False
-            if bad:
-                # A drop that empties a form's coefficient removes it and
-                # shifts the poly indices after it, so enumerate again; the
-                # monomial that followed the dropped one is now at `position`.
-                inst, monomials, dropped = candidate, _monomials(candidate), True
-            else:
-                position += 1
+
+def shrink_instance(inst: dict, still_fails: Callable[[dict], bool]) -> dict:
+    """Drop monomials from the instance while the failure persists, walking
+    the monomials in shrink order as a ring.
+
+    After a drop the walk goes on with the monomial that followed the
+    dropped one, wrapping past the last; it stops once every monomial of the
+    instance was kept in a row, so dropping any one monomial of the result
+    makes it pass or raise: the result is 1-minimal (Zeller & Hildebrandt,
+    IEEE TSE 28(2), 2002)."""
+    monomials, position, kept = _monomials(inst), 0, 0
+    while kept < len(monomials):
+        position %= len(monomials)
+        candidate = _without(inst, *monomials[position])
+        try:
+            bad = still_fails(candidate)
+        except Exception:
+            bad = False
+        if bad:
+            # A drop that empties a form's coefficient removes it and shifts
+            # the poly indices after it, so enumerate again; the monomial
+            # that followed the dropped one is now at `position`.
+            inst, monomials, kept = candidate, _monomials(candidate), 0
+        else:
+            position, kept = position + 1, kept + 1
     return inst
 
 
@@ -314,11 +311,7 @@ def run_single(ident: Identity, inst: dict, cfg: SuiteConfig) -> tuple[bool, str
             return True, None
     except Exception as exc:
         return False, f"{describe_instance(inst)} | raised {type(exc).__name__}: {exc}"
-
-    def still_fails(candidate: dict) -> bool:
-        return not ident.holds(candidate, cfg)
-
-    return False, describe_instance(shrink_instance(inst, still_fails))
+    return False, describe_instance(shrink_instance(inst, lambda candidate: not ident.holds(candidate, cfg)))
 
 
 _ONE = FiveForm.from_scalar(1)

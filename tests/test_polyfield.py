@@ -224,6 +224,7 @@ def test_arithmetic_results_are_canonical(p, q, k, a, power):
     zeros = (
         p - p, p * 0, Poly.zero(4) * q, (p - p).compose(subs), Poly.const(0, 4), Poly(4, {(1, 0, 0, 0): 0}),
         Poly.variable(a, 4).partial((a + 1) % 4), Poly.zero(4).restrict(a, k), -Poly.zero(4),
+        Poly.zero(4).scale_integrate(power), p * Fraction(0),
     )
     assert all(not zero for zero in zeros)
     results = zeros + (
