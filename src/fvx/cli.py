@@ -1,14 +1,22 @@
 """Command-line driver: evaluate operators on files, run identity suites.
 
 Exit codes: 0 when everything asked for holds, 1 when a check or suite
-fails, 2 for unusable input (parse errors, rank/dimension mismatches).
+fails, 2 for unusable input (parse errors, rank/dimension mismatches) and
+for a failed write to stdout.
+
+``run()`` is the process entry, of the ``fvx`` script and of ``python -m
+fvx.cli``: it calls ``main()``, flushes stdout and exits with main's code.
+``main(argv)`` returns the code and leaves the process alone, so tests and
+library callers run it in process.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -214,5 +222,27 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run() -> None:
+    """Run ``main()`` as a whole process and exit with its code.
+
+    An ``OSError`` that leaves ``main`` is an output error, since the input
+    loaders turn theirs into ``FormatError``: stdout could not be written or
+    flushed, and the process exits 2.  Once ``main`` is done, the heap is
+    frozen, so that the collections of the interpreter's shutdown skip every
+    object alive at exit; fvx defines no ``__del__`` and leaves no file open,
+    and ``atexit`` handlers still run.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"fvx: stdout: {exc.strerror or exc}", file=sys.stderr)
+        # Else the flush at shutdown fails again and sets exit code 120.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

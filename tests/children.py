@@ -21,8 +21,16 @@ def child_env() -> dict[str, str]:
     return env
 
 
-def run_python(*args: str, **kwargs) -> subprocess.CompletedProcess:
-    """``python *args`` with ``src`` on the path, text output captured."""
+def run_python(
+    *args: str, stdout=subprocess.PIPE, env: dict[str, str] | None = None, **kwargs
+) -> subprocess.CompletedProcess:
+    """``python *args`` with ``src`` on the path and ``env`` over the
+    environment; stderr, and stdout unless it is given, captured as text."""
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=child_env(), **kwargs
+        [sys.executable, *args],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**child_env(), **(env or {})},
+        **kwargs,
     )

@@ -2,11 +2,13 @@
 
 import contextlib
 import copy
+import gc
 import importlib
 import io
 import itertools
 import json
 import math
+import os
 import pkgutil
 import random
 import signal
@@ -1223,6 +1225,62 @@ def test_module_runs_as_script():
     result = run_python("-m", "fvx.cli", "check", "--suite", "algebra", "--trials", "2")
     assert result.returncode == 0
     assert "0 failures" in result.stdout
+
+
+# `python -m fvx.cli` and the installed script run `cli.run`: main, a flush
+# of stdout, a frozen heap and the exit.
+ENTRY_ARGV = {
+    "passing": (0, ["check", "--format", "jsonl", "--seed", "0"]),
+    "failing": (1, ["check", "--format", "jsonl", "--seed", "0", "--mutate", "bd-sign", "--suite", "calculus"]),
+    "refused": (2, ["integrate", "--form", str(DEMO / "shear.form"), "--surface", str(DEMO / "cube4.surf")]),
+}
+
+
+@pytest.mark.parametrize("code, argv", ENTRY_ARGV.values(), ids=ENTRY_ARGV)
+def test_the_process_prints_and_exits_as_main_returns(code, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == code
+    result = run_python("-m", "fvx.cli", *argv)
+    assert (result.returncode, result.stdout, result.stderr) == (code, out.getvalue(), err.getvalue())
+
+
+def test_main_leaves_the_heap_unfrozen(capsys):
+    frozen = gc.get_freeze_count()
+    assert main(["bd", "--form", str(DEMO / "const1.form")]) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+AT_EXIT = """
+import atexit, gc, sys
+from fvx.cli import run
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0, file=sys.stderr))
+run()
+"""
+
+
+def test_the_process_exits_with_a_frozen_heap_and_runs_atexit():
+    result = run_python("-c", AT_EXIT, "bd", "--form", str(DEMO / "const1.form"))
+    assert (result.returncode, result.stdout, result.stderr) == (0, "rank 1\n5: 1\n", "frozen at exit: True\n")
+
+
+def test_the_installed_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    with open(DEMO.parent / "pyproject.toml", "rb") as handle:
+        assert tomllib.load(handle)["project"]["scripts"] == {"fvx": "fvx.cli:run"}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv", [["bd", "--form", str(DEMO / "const1.form")], ["check", "--seed", "0"]], ids=["bd", "check"]
+)
+def test_a_failed_write_to_stdout_exits_two(argv, unbuffered):
+    # An empty PYTHONUNBUFFERED leaves stdout block-buffered, so the write
+    # fails at the flush; set, it fails at the first print.
+    with open("/dev/full", "w") as full:
+        result = run_python("-m", "fvx.cli", *argv, stdout=full, env={"PYTHONUNBUFFERED": unbuffered})
+    assert (result.returncode, result.stderr) == (2, "fvx: stdout: No space left on device\n")
 
 
 # Each command imports only the layers it runs: a fresh process without cached
