@@ -21,20 +21,29 @@ import sys
 from typing import TYPE_CHECKING
 
 from fvx import forms_core as fc
-from fvx import io as fio
 from fvx.polyfield import COORD_NAMES, Poly, format_poly
 
 if TYPE_CHECKING:
     from fvx.integration import ParamSurface
 
-# Each command imports the layers it runs, calculus, integration, lagrange,
+# Each command imports the layers it runs, io, calculus, integration, lagrange,
 # metric_dual, suites and mutations, inside its handler, so that `fvx bd` loads
-# none but calculus and `fvx check` only what its selected suites call.
+# none but io and calculus and `fvx check` only what its selected suites call,
+# and the file readers of io only under --config (each value's printer lives
+# with the value).
 # The imports bind modules, never names, so that a patch of an operator is seen.
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that a failed write of the help text raises
+    its ``OSError`` (argparse drops it), so that ``run()`` reports it."""
+
+    def print_help(self, file=None) -> None:
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fvx",
         description="Exact exterior calculus on five-vector forms over a flat patch.",
     )
@@ -95,37 +104,42 @@ def _output(path: str | None, default=None):
         with open(path, "w") as handle:
             yield handle
     except OSError as exc:
-        raise fio.FormatError(f"{path}: {exc.strerror or exc}") from None
+        raise ValueError(f"{path}: {exc.strerror or exc}") from None
 
 
 def cmd_operator(args: argparse.Namespace) -> int:
-    from fvx import calculus as ca
+    from fvx import io as fio
 
     form = fio.load_form(args.form)
-    if args.operator == "d":
-        if form.rank > 4 or not fc.e_part(form).is_zero:
-            raise fio.FormatError(f"{args.form}: d takes forms of rank at most 4 without label-5 components")
-        result = fc.lift(ca.d4(fc.project(form)))
-    elif args.operator == "bd":
-        result = ca.bd(form)
-    elif args.operator == "bdstar":
-        result = ca.bdstar(form)
-    else:
+    if args.operator == "dual":
         from fvx import metric_dual as md
 
         metric = fio.load_metric(args.config) if args.config else md.DEFAULT_CFG
         result = md.dual(form, metric)
+    else:
+        from fvx import calculus as ca
+
+        if args.operator == "d":
+            if form.rank > 4 or not fc.e_part(form).is_zero:
+                raise fio.FormatError(f"{args.form}: d takes forms of rank at most 4 without label-5 components")
+            result = fc.lift(ca.d4(fc.project(form)))
+        elif args.operator == "bd":
+            result = ca.bd(form)
+        else:
+            result = ca.bdstar(form)
     with _output(args.out) as handle:
         if handle is not None:
-            json.dump(fio.form_to_dict(result), handle, sort_keys=True, indent=2)
+            json.dump(fc.form_to_dict(result), handle, sort_keys=True, indent=2)
             handle.write("\n")
-    print(fio.form_to_text(result))
+    print(fc.form_to_text(result))
     return 0
 
 
 def _load_pullback(args: argparse.Namespace) -> tuple[fc.FiveForm, ParamSurface]:
     """The form and surface of an integral command, within the budgets of
     ``io.check_integral``."""
+    from fvx import io as fio
+
     form, V = fio.load_form(args.form), fio.load_surface(args.surface)
     fio.check_integral(form, V, args.form, args.surface, args.command)
     return form, V
@@ -157,6 +171,7 @@ def _print_sides(labels: tuple[str, str], lhs, rhs) -> int:
 
 def _probe_box(arg: str) -> ParamSurface:
     from fvx import integration as ig
+    from fvx import io as fio
 
     text = arg.strip()
     data = fio.parse_json(text, "box") if text.startswith("[") else fio.load_json(arg)
@@ -167,6 +182,7 @@ def _probe_box(arg: str) -> ParamSurface:
 
 
 def cmd_el(args: argparse.Namespace) -> int:
+    from fvx import io as fio
     from fvx import lagrange as lg
 
     L = fio.load_lagrangian(args.lagrangian)
@@ -194,7 +210,11 @@ def cmd_el(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     from fvx import suites as su
 
-    metric = fio.load_metric(args.config) if args.config else None
+    metric = None
+    if args.config:
+        from fvx import io as fio
+
+        metric = fio.load_metric(args.config)
     cfg = su.SuiteConfig(
         seed=args.seed,
         trials=args.trials,
@@ -217,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (fio.FormatError, ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:  # io.FormatError is a ValueError
         print(f"fvx: {exc}", file=sys.stderr)
         return 2
 
@@ -233,7 +253,10 @@ def run() -> None:
     and ``atexit`` handlers still run.
     """
     try:
-        code = main()
+        try:
+            code = main()
+        except SystemExit as exc:  # --help, or a usage error
+            code = 0 if exc.code is None else exc.code
         sys.stdout.flush()
     except OSError as exc:
         print(f"fvx: stdout: {exc.strerror or exc}", file=sys.stderr)

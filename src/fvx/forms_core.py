@@ -42,7 +42,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from fvx.polyfield import Poly, RationalLike, Record, _store
+from fvx.polyfield import COORD_NAMES, Poly, RationalLike, Record, _store, format_poly
 
 IndexKey = tuple[int, ...]
 
@@ -280,6 +280,27 @@ def s_from_t(t: FiveForm) -> FiveForm:
         raise ValueError("rank-0 form has no label-5 slot")
     out = {k[:-1]: v for k, v in t.coeffs.items() if k[-1] == 5}
     return FiveForm._new(t.rank - 1, out)
+
+
+def form_to_dict(form: _Alternating) -> dict:
+    """The JSON view that ``io.form_from_dict`` reads back: the rank, and each
+    coefficient's text under its key's digits ("015" for (0, 1, 5))."""
+    coeffs = {
+        "".join(str(a) for a in key): format_poly(form.coeffs[key], COORD_NAMES)
+        for key in sorted(form.coeffs)
+    }
+    return {"rank": form.rank, "coeffs": coeffs}
+
+
+def form_to_text(form: _Alternating) -> str:
+    """Human-readable component listing, one sorted key per line."""
+    lines = [f"rank {form.rank}"]
+    if form.is_zero:
+        lines.append("(zero)")
+    for key in sorted(form.coeffs):
+        label = "".join(str(a) for a in key) or "scalar"
+        lines.append(f"{label}: {format_poly(form.coeffs[key], COORD_NAMES)}")
+    return "\n".join(lines)
 
 
 # -- sparse indexed arrays ----------------------------------------------------

@@ -41,7 +41,7 @@ from typing import Sequence
 
 from fvx.calculus import bd, bdstar, d5
 from fvx.forms_core import FiveForm, wedge
-from fvx.polyfield import Poly, RationalLike, Record, integrate_box
+from fvx.polyfield import Poly, RationalLike, Record, format_poly, format_rational, integrate_box, param_names
 
 Interval = tuple[Fraction, Fraction]
 
@@ -79,6 +79,16 @@ class ParamSurface(Record):
             if not a < b:
                 raise ValueError("box intervals must satisfy a < b")
         self._set(dim, map, box)
+
+
+def surface_to_dict(V: ParamSurface) -> dict:
+    """The JSON view that ``io.surface_from_dict`` reads back."""
+    names = param_names(V.dim)
+    return {
+        "dim": V.dim,
+        "map": [format_poly(p, names) for p in V.map],
+        "box": [[format_rational(a), format_rational(b)] for a, b in V.box],
+    }
 
 
 class OrientedFace(Record):

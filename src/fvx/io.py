@@ -1,10 +1,14 @@
-"""Structured-text file formats for forms, surfaces, Lagrangians, metrics.
+"""Readers of the structured-text file formats for forms, surfaces,
+Lagrangians, fields and metrics, and the budgets of the integral commands.
 
 All payloads are JSON with polynomial values in the canonical text grammar.
 Index subsets are digit strings in increasing order ("015" for the key
 (0, 1, 5)); the digit 4 never appears.  Rational scalars may be written as
 JSON integers or as strings of ASCII digits like "-3/2" or "0.25".  Errors
 carry enough context to locate the offending entry.
+
+Each value's printer lives with the value (``forms_core.form_to_dict``, ...),
+so that ``fvx check`` without ``--config`` never loads this module.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from fvx.forms_core import FIVE_AXES, FiveForm
-from fvx.polyfield import COORD_NAMES, Poly, format_poly, param_names, parse_poly
+from fvx.polyfield import COORD_NAMES, Poly, param_names, parse_poly
 
 # The converters below import the layer whose objects they build, so that a
 # command that reads only forms loads none of them.
@@ -50,10 +54,6 @@ def parse_rational(value: Any, where: str) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"{where}: bad rational {shown} ({exc})") from None
     raise FormatError(f"{where}: expected a rational, got {type(value).__name__}")
-
-
-def format_rational(value: Fraction) -> int | str:
-    return int(value) if value.denominator == 1 else str(value)
 
 
 def _expect_mapping(data: Any, where: str) -> Mapping:
@@ -101,14 +101,6 @@ def form_from_dict(data: Any) -> FiveForm:
     return FiveForm(rank, out)
 
 
-def form_to_dict(form: FiveForm) -> dict:
-    coeffs = {
-        "".join(str(a) for a in key): format_poly(form.coeffs[key], COORD_NAMES)
-        for key in sorted(form.coeffs)
-    }
-    return {"rank": form.rank, "coeffs": coeffs}
-
-
 def bound_pairs(data: Sequence, where: str) -> tuple[tuple[Fraction, Fraction], ...]:
     """Rational [a, b] bound pairs, one per box parameter."""
     box = []
@@ -147,15 +139,6 @@ def surface_from_dict(data: Any) -> ParamSurface:
         raise FormatError(f"surface: {exc}") from None
 
 
-def surface_to_dict(V: ParamSurface) -> dict:
-    names = param_names(V.dim)
-    return {
-        "dim": V.dim,
-        "map": [format_poly(p, names) for p in V.map],
-        "box": [[format_rational(a), format_rational(b)] for a, b in V.box],
-    }
-
-
 # The largest field count N of a Lagrangian file, checked before the 5N
 # variable names are built.  `fvx el` grows faster than N^2 (2 CPUs, CPython
 # 3.11): N fields x0 x1 with one p{l}_0^2 term each took 3.5-4.6 s at the cap
@@ -179,12 +162,6 @@ def lagrangian_from_dict(data: Any) -> LagrangianSpec:
     return LagrangianSpec(n_fields, density)
 
 
-def lagrangian_to_dict(L: LagrangianSpec) -> dict:
-    from fvx.lagrange import lagrangian_names
-
-    return {"N": L.n_fields, "density": format_poly(L.density, lagrangian_names(L.n_fields))}
-
-
 def fields_from_list(data: Any) -> FieldSet:
     from fvx.lagrange import FieldSet
 
@@ -195,10 +172,6 @@ def fields_from_list(data: Any) -> FieldSet:
         return FieldSet(polys)
     except ValueError as exc:
         raise FormatError(f"fields: {exc}") from None
-
-
-def fields_to_list(phi: FieldSet) -> list[str]:
-    return [format_poly(p, COORD_NAMES) for p in phi.fields]
 
 
 def metric_from_dict(data: Any) -> MetricConfig:
@@ -382,14 +355,3 @@ def load_fields(path: str) -> FieldSet:
 
 def load_metric(path: str) -> MetricConfig:
     return _wrap(path, metric_from_dict, load_json(path))
-
-
-def form_to_text(form: FiveForm) -> str:
-    """Human-readable component listing, one sorted key per line."""
-    lines = [f"rank {form.rank}"]
-    if form.is_zero:
-        lines.append("(zero)")
-    for key in sorted(form.coeffs):
-        label = "".join(str(a) for a in key) or "scalar"
-        lines.append(f"{label}: {format_poly(form.coeffs[key], COORD_NAMES)}")
-    return "\n".join(lines)

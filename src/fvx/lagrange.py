@@ -27,7 +27,7 @@ from fractions import Fraction
 from fvx.calculus import bd, bdstar, d4
 from fvx.forms_core import FiveForm, FourForm, e_part, permutation_sign, z_part
 from fvx.integration import ParamSurface, five_flux
-from fvx.polyfield import Poly, Record
+from fvx.polyfield import COORD_NAMES, Poly, Record, format_poly
 
 P_LABELS = (0, 1, 2, 3, 5)
 
@@ -72,6 +72,16 @@ class FieldSet(Record):
 
     def __len__(self) -> int:
         return len(self.fields)
+
+
+def lagrangian_to_dict(L: LagrangianSpec) -> dict:
+    """The JSON view that ``io.lagrangian_from_dict`` reads back."""
+    return {"N": L.n_fields, "density": format_poly(L.density, lagrangian_names(L.n_fields))}
+
+
+def fields_to_list(phi: FieldSet) -> list[str]:
+    """The JSON list that ``io.fields_from_list`` reads back."""
+    return [format_poly(p, COORD_NAMES) for p in phi.fields]
 
 
 def jet_maps(L: LagrangianSpec, phi: FieldSet) -> list[Poly]:

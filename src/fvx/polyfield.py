@@ -518,6 +518,11 @@ def format_poly(p: Poly, names: Sequence[str] | None = None) -> str:
     return " ".join(chunks)
 
 
+def format_rational(value: Fraction) -> int | str:
+    """A JSON integer for a whole number, else the text "p/q"."""
+    return int(value) if value.denominator == 1 else str(value)
+
+
 _DIGITS = frozenset("0123456789")  # str.isdigit also accepts "٣" and "²"
 
 

@@ -22,11 +22,11 @@ import itertools
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
 from fvx import forms_core as fc
-from fvx import io as fio
 from fvx.forms_core import FIVE_AXES, FiveForm, MultiVector
 from fvx.polyfield import _BITS, COORD_NAMES, Poly, Record, _unpack, default_names, format_poly
 
@@ -199,23 +199,25 @@ def rand_fields(rng: random.Random, n_fields: int, max_degree: int) -> FieldSet:
 
 
 # The records of integration and lagrange that instances hold, told by class
-# name (an isinstance test would load those layers in every run): each one's
-# io JSON view, its polys in shrink order, and its rebuild from a replacement list.
+# name (an isinstance test would load those layers in every run): the name of
+# its JSON printer in the record's own module, its polys in shrink order, and
+# its rebuild from a replacement list.
 _RECORDS = {
-    "ParamSurface": (fio.surface_to_dict, lambda s: s.map, lambda s, polys: type(s)(s.dim, tuple(polys), s.box)),
-    "LagrangianSpec": (fio.lagrangian_to_dict, lambda s: [s.density], lambda s, polys: type(s)(s.n_fields, polys[0])),
-    "FieldSet": (fio.fields_to_list, lambda s: s.fields, lambda s, polys: type(s)(tuple(polys))),
+    "ParamSurface": ("surface_to_dict", lambda s: s.map, lambda s, polys: type(s)(s.dim, tuple(polys), s.box)),
+    "LagrangianSpec": ("lagrangian_to_dict", lambda s: [s.density], lambda s, polys: type(s)(s.n_fields, polys[0])),
+    "FieldSet": ("fields_to_list", lambda s: s.fields, lambda s, polys: type(s)(tuple(polys))),
 }
 
 
 def _serialize(value) -> str:
     if isinstance(value, fc._Alternating):
-        return json.dumps(fio.form_to_dict(value), sort_keys=True)
+        return json.dumps(fc.form_to_dict(value), sort_keys=True)
     if isinstance(value, Poly):
         names = COORD_NAMES if value.nvars == 4 else default_names(value.nvars)
         return format_poly(value, names)
     if type(value).__name__ in _RECORDS:
-        return json.dumps(_RECORDS[type(value).__name__][0](value), sort_keys=True)
+        printer = getattr(sys.modules[type(value).__module__], _RECORDS[type(value).__name__][0])
+        return json.dumps(printer(value), sort_keys=True)
     if isinstance(value, Fraction):
         return str(value)
     return repr(value)

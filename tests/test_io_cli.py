@@ -21,14 +21,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fvx
+from fvx import forms_core as fc
 from fvx import integration as ig
 from fvx import io as fio
+from fvx import lagrange as lg
 from fvx import mutations as mu
 from fvx import suites as su
 from fvx.cli import main
 from fvx.forms_core import FiveForm
 from fvx.metric_dual import MetricConfig
-from fvx.polyfield import COORD_NAMES, Poly, parse_poly
+from fvx.polyfield import COORD_NAMES, Poly, format_rational, parse_poly
 
 from children import run_python
 
@@ -76,8 +78,8 @@ def test_any_text_rational_loads_or_raises_format_error(text):
 
 
 def test_format_rational_prefers_plain_int():
-    assert fio.format_rational(Fraction(4)) == 4
-    assert fio.format_rational(Fraction(1, 3)) == "1/3"
+    assert format_rational(Fraction(4)) == 4
+    assert format_rational(Fraction(1, 3)) == "1/3"
 
 
 # -- form files --------------------------------------------------------------
@@ -88,24 +90,24 @@ def test_form_roundtrip():
     form = fio.form_from_dict(data)
     assert form.rank == 2
     assert form.coeff((0, 1)) == parse_poly("3/2 x0^2 x1 - x3", ("x0", "x1", "x2", "x3"))
-    assert fio.form_to_dict(form) == data
+    assert fc.form_to_dict(form) == data
     # Counterexamples print drawn forms through form_to_dict; read them back.
     rng = random.Random("roundtrip:form")
     for rank in range(6):
         for _ in range(50):
             drawn = su.rand_form(rng, rank, 3)
-            assert fio.form_from_dict(json.loads(json.dumps(fio.form_to_dict(drawn)))) == drawn
+            assert fio.form_from_dict(json.loads(json.dumps(fc.form_to_dict(drawn)))) == drawn
 
 
 def test_scalar_form_uses_empty_key():
     form = fio.form_from_dict({"rank": 0, "coeffs": {"": "5"}})
     assert form.coeff(()) == parse_poly("5", ("x0", "x1", "x2", "x3"))
-    assert fio.form_to_dict(form) == {"rank": 0, "coeffs": {"": "5"}}
+    assert fc.form_to_dict(form) == {"rank": 0, "coeffs": {"": "5"}}
 
 
 def test_form_zero_coefficients_are_dropped_on_write():
     form = fio.form_from_dict({"rank": 1, "coeffs": {"0": "0", "5": "1"}})
-    assert fio.form_to_dict(form) == {"rank": 1, "coeffs": {"5": "1"}}
+    assert fc.form_to_dict(form) == {"rank": 1, "coeffs": {"5": "1"}}
 
 
 def test_form_key_validation():
@@ -146,9 +148,9 @@ def test_form_rank_and_field_validation():
 
 def test_form_to_text_lists_components_in_order():
     form = fio.form_from_dict({"rank": 2, "coeffs": {"15": "x0", "01": "1"}})
-    assert fio.form_to_text(form) == "rank 2\n01: 1\n15: x0"
+    assert fc.form_to_text(form) == "rank 2\n01: 1\n15: x0"
     zero = FiveForm.zero(3)
-    assert fio.form_to_text(zero) == "rank 3\n(zero)"
+    assert fc.form_to_text(zero) == "rank 3\n(zero)"
 
 
 # -- surface files -----------------------------------------------------------
@@ -159,14 +161,14 @@ def test_surface_roundtrip():
     V = fio.surface_from_dict(data)
     assert V.dim == 2
     assert V.box[1] == (Fraction(-1, 2), Fraction(1, 2))
-    back = fio.surface_to_dict(V)
+    back = ig.surface_to_dict(V)
     assert back["dim"] == 2
     assert fio.surface_from_dict(back) == V
     rng = random.Random("roundtrip:surface")
     for dim in range(1, 5):
         for _ in range(75):
             drawn = su.rand_surface(rng, dim, 3)
-            data = json.loads(json.dumps(fio.surface_to_dict(drawn)))
+            data = json.loads(json.dumps(ig.surface_to_dict(drawn)))
             assert fio.surface_from_dict(data) == drawn
 
 
@@ -188,12 +190,12 @@ def test_lagrangian_roundtrip():
     data = {"N": 2, "density": "1/2 p0_5^2 - p0_5 p1_5"}
     L = fio.lagrangian_from_dict(data)
     assert L.n_fields == 2
-    assert fio.lagrangian_from_dict(fio.lagrangian_to_dict(L)) == L
+    assert fio.lagrangian_from_dict(lg.lagrangian_to_dict(L)) == L
     rng = random.Random("roundtrip:lagrangian")
     for n_fields in (1, 2):
         for _ in range(150):
             drawn = su.rand_lagrangian(rng, n_fields, 3)
-            data = json.loads(json.dumps(fio.lagrangian_to_dict(drawn)))
+            data = json.loads(json.dumps(lg.lagrangian_to_dict(drawn)))
             assert fio.lagrangian_from_dict(data) == drawn
     with pytest.raises(fio.FormatError, match="positive integer"):
         fio.lagrangian_from_dict({"N": 0, "density": "0"})
@@ -204,12 +206,12 @@ def test_lagrangian_roundtrip():
 
 def test_fields_roundtrip():
     phi = fio.fields_from_list(["x0 x1", "x2^2"])
-    assert fio.fields_to_list(phi) == ["x0 x1", "x2^2"]
+    assert lg.fields_to_list(phi) == ["x0 x1", "x2^2"]
     rng = random.Random("roundtrip:fields")
     for n_fields in (1, 2):
         for _ in range(150):
             drawn = su.rand_fields(rng, n_fields, 3)
-            assert fio.fields_from_list(json.loads(json.dumps(fio.fields_to_list(drawn)))) == drawn
+            assert fio.fields_from_list(json.loads(json.dumps(lg.fields_to_list(drawn)))) == drawn
     with pytest.raises(fio.FormatError, match="expected a list"):
         fio.fields_from_list({"0": "x0"})
 
@@ -1028,8 +1030,6 @@ def test_el_rejects_non_solution(capsys):
 
 
 def test_el_builds_no_forms_beyond_its_report(monkeypatch, capsys):
-    from fvx import lagrange as lg
-
     lag, fields = DEMO / "free_scalar.lag", DEMO / "not_solution.json"
     built = {"J_form": 0, "K_form": 0, "Lambda_form": 0}
     for name in built:
@@ -1273,11 +1273,14 @@ def test_the_installed_script_is_the_process_entry():
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
-    "argv", [["bd", "--form", str(DEMO / "const1.form")], ["check", "--seed", "0"]], ids=["bd", "check"]
+    "argv",
+    [["bd", "--form", str(DEMO / "const1.form")], ["check", "--seed", "0"], ["--help"], ["check", "--help"]],
+    ids=["bd", "check", "help", "check-help"],
 )
 def test_a_failed_write_to_stdout_exits_two(argv, unbuffered):
     # An empty PYTHONUNBUFFERED leaves stdout block-buffered, so the write
-    # fails at the flush; set, it fails at the first print.
+    # fails at the flush; set, it fails at the first print.  The help text
+    # leaves main as a SystemExit(0) and goes through the same flush.
     with open("/dev/full", "w") as full:
         result = run_python("-m", "fvx.cli", *argv, stdout=full, env={"PYTHONUNBUFFERED": unbuffered})
     assert (result.returncode, result.stderr) == (2, "fvx: stdout: No space left on device\n")
@@ -1285,13 +1288,16 @@ def test_a_failed_write_to_stdout_exits_two(argv, unbuffered):
 
 # Each command imports only the layers it runs: a fresh process without cached
 # bytecode compiles every module it imports, which is most of a short command.
-# CORE is what every command loads. `check` loads the modules of its selected
-# suites and the layers they call, whether the run fails or not, and mutations
-# only under --mutate.
+# CORE is what every command loads; `import fvx.cli` loads nothing more. The
+# commands that read a file add io, the file readers; `check` reads none but
+# its --config, and prints its counterexamples through printers that live
+# with the values. `check` loads the modules of its selected suites and the
+# layers they call, whether the run fails or not, and mutations only under
+# --mutate.
 # No command loads dataclasses or inspect: the records of fvx derive from
 # polyfield.Record, since importing dataclasses (with inspect, ast and dis) and
 # generating the methods of eleven records cost a child 14-20 ms.
-CORE = {"fvx", "fvx.cli", "fvx.io", "fvx.polyfield", "fvx.forms_core"}
+CORE = {"fvx", "fvx.cli", "fvx.polyfield", "fvx.forms_core"}
 LOADED = """
 import contextlib, io, sys
 from fvx.cli import main
@@ -1315,16 +1321,16 @@ SUITE_LAYERS = {
 @pytest.mark.parametrize(
     "argv, layers",
     [
-        (("bd", "--form", "const1.form"), {"calculus"}),
-        (("bdstar", "--form", "mixed.form"), {"calculus"}),
-        (("d", "--form", "radial.form"), {"calculus"}),
-        (("dual", "--form", "j.form", "--config", "lorentz.cfg"), {"calculus", "metric_dual"}),
-        (("integrate", "--form", "mixed.form", "--surface", "square.surf"), {"calculus", "integration"}),
-        (("stokes", "--form", "shear.form", "--surface", "square.surf"), {"calculus", "integration"}),
-        (("flux", "--form", "mixed.form", "--surface", "square.surf"), {"calculus", "integration"}),
+        (("bd", "--form", "const1.form"), {"io", "calculus"}),
+        (("bdstar", "--form", "mixed.form"), {"io", "calculus"}),
+        (("d", "--form", "radial.form"), {"io", "calculus"}),
+        (("dual", "--form", "j.form", "--config", "lorentz.cfg"), {"io", "metric_dual"}),
+        (("integrate", "--form", "mixed.form", "--surface", "square.surf"), {"io", "calculus", "integration"}),
+        (("stokes", "--form", "shear.form", "--surface", "square.surf"), {"io", "calculus", "integration"}),
+        (("flux", "--form", "mixed.form", "--surface", "square.surf"), {"io", "calculus", "integration"}),
         (
             ("el", "--lagrangian", "free_scalar.lag", "--fields", "wave_solution.json"),
-            {"calculus", "integration", "lagrange"},
+            {"io", "calculus", "integration", "lagrange"},
         ),
     ]
     + [
@@ -1342,6 +1348,11 @@ SUITE_LAYERS = {
             ("check", "--trials", "1"),
             set().union(*SUITE_LAYERS.values()) | {"suites"} | {f"suites.{suite}" for suite in SUITE_LAYERS},
         ),
+        # Only a metric file makes `check` read a file.
+        (
+            ("check", "--config", "lorentz.cfg", "--suite", "duality", "--trials", "1"),
+            {"io", "suites", "suites.duality", "metric_dual"},
+        ),
     ],
 )
 def test_each_command_loads_only_the_layers_it_runs(argv, layers):
@@ -1350,6 +1361,14 @@ def test_each_command_loads_only_the_layers_it_runs(argv, layers):
     fvx_modules, stdlib_modules = result.stdout.split("\n")[:2]
     assert set(fvx_modules.split()) == CORE | {f"fvx.{layer}" for layer in layers}
     assert stdlib_modules == ""
+
+
+def test_importing_the_cli_loads_only_the_core():
+    # What the benchmark's setup_s times: the import alone, no command.
+    code = "import sys, fvx.cli; print(' '.join(sorted(n for n in sys.modules if n.split('.')[0] == 'fvx')))"
+    result = run_python("-c", code)
+    assert result.returncode == 0, result.stderr
+    assert set(result.stdout.split()) == CORE
 
 
 def test_every_public_name_resolves():
