@@ -1,8 +1,8 @@
 """Command-line driver: evaluate operators on files, run identity suites.
 
-Exit codes: 0 when everything asked for holds, 1 when a check or suite
-fails, 2 for unusable input (parse errors, rank/dimension mismatches) and
-for a failed write to stdout.
+Exit codes: 0 when everything asked for holds and after ``--help``, 1 when
+a check or suite fails, 2 after a usage error, for unusable input (parse
+errors, rank/dimension mismatches) and for a failed write to stdout.
 
 ``run()`` is the process entry, of the ``fvx`` script and of ``python -m
 fvx.cli``: it calls ``main()``, flushes stdout and exits with main's code.
@@ -12,12 +12,12 @@ library callers run it in process.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import gc
 import json
 import os
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from fvx import forms_core as fc
@@ -34,62 +34,104 @@ if TYPE_CHECKING:
 # The imports bind modules, never names, so that a patch of an operator is seen.
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse's parser, except that a failed write of the help text raises
-    its ``OSError`` (argparse drops it), so that ``run()`` reports it."""
+# Each command: its help text, its handler's name (looked up when it runs, so
+# that a patch is seen) and its options, each a kind (int, str, list when
+# repeatable, or a tuple of the accepted values), a default (... when
+# required) and a help text.
+_FORM = {"--form": (str, ..., "form JSON file")}
+_CONFIG = {"--config": (str, None, "metric cfg JSON file")}
+_OUT = {"--out": (str, None, "also write the result as JSON here")}
+_SURFACE = {"--surface": (str, ..., "surface JSON file")}
+COMMANDS = {
+    "check": ("run seeded randomized identity suites", "cmd_check", {
+        "--suite": (list, None, "suite to run (repeatable; default: all)"),
+        "--seed": (int, 0, "seed of the draws"),
+        "--trials": (int, 25, "instances per identity"),
+        "--max-degree": (int, 3, "polynomial degree cap"),
+        **_CONFIG,
+        "--format": (("text", "jsonl"), "text", "report format"),
+        "--mutate": (str, None, "corrupt one operator sign before running (must fail)"),
+        "--out": (str, None, "write the report here instead of stdout"),
+    }),
+    "d": ("plain exterior derivative (label-5-free forms)", "cmd_operator", _FORM | _OUT),
+    "bd": ("five-vector exterior derivative", "cmd_operator", _FORM | _OUT),
+    "bdstar": ("reflected five-vector exterior derivative", "cmd_operator", _FORM | _OUT),
+    "dual": ("alternating-tensor dual", "cmd_operator", _FORM | _CONFIG | _OUT),
+    "integrate": ("integrate a form over a surface", "cmd_integral", _FORM | _SURFACE),
+    "stokes": ("boundary term against interior derivative", "cmd_integral", _FORM | _SURFACE),
+    "flux": ("five-vector flux, both routes", "cmd_integral", _FORM | _SURFACE),
+    "el": ("Euler-Lagrange report for fields", "cmd_el", {
+        "--lagrangian": (str, ..., "Lagrangian JSON file"),
+        "--fields": (str, ..., "fields JSON file"),
+        "--box": (str, None, "probe box JSON ([[a,b],...] inline or a file)"),
+    }),
+}
 
-    def print_help(self, file=None) -> None:
-        (file or sys.stdout).write(self.format_help())
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command of ``argv``, its handler's name (``print_help`` if ``-h``
+    or ``--help`` is anywhere) and one attribute per option (``max_degree``).
+    A value is ``--name=value`` or the next token (``--seed -2``); the last
+    of a repeated option wins, and no prefix of a name is taken.  A usage
+    error raises ``ValueError`` naming the offending token."""
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    if "-h" in argv or "--help" in argv:
+        return SimpleNamespace(handler="print_help", command=command)
+    if command is None:
+        raise _usage_error(None, f"unknown command {argv[0]!r}" if argv else "missing command")
+    _, handler, options = COMMANDS[command]
+    values = {name: default for name, (_, default, _) in options.items()}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        if name not in options:
+            raise _usage_error(command, f"unrecognized argument {token!r}")
+        kind, value = options[name][0], value if eq else next(tokens, None)
+        if value is None:
+            raise _usage_error(command, f"{name} needs a value")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise _usage_error(command, f"{name}: invalid int value {value!r}") from None
+        elif kind is list:
+            value = [*(values[name] or ()), value]
+        elif kind is not str and value not in kind:
+            raise _usage_error(command, f"{name}: {value!r} is not one of {', '.join(kind)}")
+        values[name] = value
+    missing = [name for name, value in values.items() if value is ...]
+    if missing:
+        raise _usage_error(command, f"missing {', '.join(missing)}")
+    return SimpleNamespace(command=command, handler=handler, **{n[2:].replace("-", "_"): v for n, v in values.items()})
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="fvx",
-        description="Exact exterior calculus on five-vector forms over a flat patch.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _usage_error(command: str | None, problem: str) -> ValueError:
+    return ValueError(f"{command + ': ' if command else ''}{problem}\n{_usage(command)}")
 
-    check = sub.add_parser("check", help="run seeded randomized identity suites")
-    check.add_argument("--suite", action="append", help="suite to run (repeatable; default: all)")
-    check.add_argument("--seed", type=int, default=0)
-    check.add_argument("--trials", type=int, default=25, help="instances per identity")
-    check.add_argument("--max-degree", type=int, default=3, help="polynomial degree cap")
-    check.add_argument("--config", help="metric cfg JSON file")
-    check.add_argument("--format", choices=("text", "jsonl"), default="text")
-    check.add_argument("--mutate", help="corrupt one operator sign before running (must fail)")
-    check.add_argument("--out", help="write the report here instead of stdout")
-    check.set_defaults(handler=cmd_check)
 
-    for name, text in (
-        ("d", "plain exterior derivative (label-5-free forms)"),
-        ("bd", "five-vector exterior derivative"),
-        ("bdstar", "reflected five-vector exterior derivative"),
-        ("dual", "alternating-tensor dual"),
-    ):
-        op = sub.add_parser(name, help=text)
-        op.add_argument("--form", required=True, help="form JSON file")
-        if name == "dual":
-            op.add_argument("--config", help="metric cfg JSON file")
-        op.add_argument("--out", help="also write the result as JSON here")
-        op.set_defaults(handler=cmd_operator, operator=name)
+def _spelled(name: str, kind) -> str:
+    return f"{name} {'{' + ','.join(kind) + '}' if type(kind) is tuple else name[2:].upper().replace('-', '_')}"
 
-    for name, text in (
-        ("integrate", "integrate a form over a surface"),
-        ("stokes", "boundary term against interior derivative"),
-        ("flux", "five-vector flux, both routes"),
-    ):
-        op = sub.add_parser(name, help=text)
-        op.add_argument("--form", required=True)
-        op.add_argument("--surface", required=True)
-        op.set_defaults(handler=cmd_integral)
 
-    el = sub.add_parser("el", help="Euler-Lagrange report for fields")
-    el.add_argument("--lagrangian", required=True)
-    el.add_argument("--fields", required=True)
-    el.add_argument("--box", help="probe box JSON ([[a,b],...] inline or a file)")
-    el.set_defaults(handler=cmd_el)
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: fvx {{{','.join(COMMANDS)}}} ..."
+    words = (_spelled(n, k) if d is ... else f"[{_spelled(n, k)}]" for n, (k, d, _) in COMMANDS[command][2].items())
+    return " ".join(("usage: fvx", command, *words))
 
-    return parser
+
+def print_help(args: SimpleNamespace) -> int:
+    """Print the usage line, then the commands of fvx or the options of ``args.command``."""
+    if args.command is None:
+        head, title = "Exact exterior calculus on five-vector forms over a flat patch.", "commands (each takes --help)"
+        rows = [(name, text) for name, (text, _, _) in COMMANDS.items()]
+    else:
+        head, _, options = COMMANDS[args.command]
+        title, rows = "options", [("-h, --help", "show this help and exit")]
+        rows += [(_spelled(n, k), t if d in (None, ...) else f"{t} (default: {d})") for n, (k, d, t) in options.items()]
+    width = max(len(left) for left, _ in rows)
+    print(f"{_usage(args.command)}\n\n{head}\n\n{title}:", *(f"  {a:<{width}}  {b}" for a, b in rows), sep="\n")
+    return 0
 
 
 @contextlib.contextmanager
@@ -107,11 +149,11 @@ def _output(path: str | None, default=None):
         raise ValueError(f"{path}: {exc.strerror or exc}") from None
 
 
-def cmd_operator(args: argparse.Namespace) -> int:
+def cmd_operator(args: SimpleNamespace) -> int:
     from fvx import io as fio
 
     form = fio.load_form(args.form)
-    if args.operator == "dual":
+    if args.command == "dual":
         from fvx import metric_dual as md
 
         metric = fio.load_metric(args.config) if args.config else md.DEFAULT_CFG
@@ -119,11 +161,11 @@ def cmd_operator(args: argparse.Namespace) -> int:
     else:
         from fvx import calculus as ca
 
-        if args.operator == "d":
+        if args.command == "d":
             if form.rank > 4 or not fc.e_part(form).is_zero:
                 raise fio.FormatError(f"{args.form}: d takes forms of rank at most 4 without label-5 components")
             result = fc.lift(ca.d4(fc.project(form)))
-        elif args.operator == "bd":
+        elif args.command == "bd":
             result = ca.bd(form)
         else:
             result = ca.bdstar(form)
@@ -135,20 +177,12 @@ def cmd_operator(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_pullback(args: argparse.Namespace) -> tuple[fc.FiveForm, ParamSurface]:
-    """The form and surface of an integral command, within the budgets of
-    ``io.check_integral``."""
+def cmd_integral(args: SimpleNamespace) -> int:
+    from fvx import integration as ig
     from fvx import io as fio
 
     form, V = fio.load_form(args.form), fio.load_surface(args.surface)
-    fio.check_integral(form, V, args.form, args.surface, args.command)
-    return form, V
-
-
-def cmd_integral(args: argparse.Namespace) -> int:
-    from fvx import integration as ig
-
-    form, V = _load_pullback(args)
+    fio.check_integral(form, V, args.form, args.surface, args.command)  # the budgets, before any work
     try:
         if args.command == "integrate":
             print(ig.integrate(form, V))
@@ -181,7 +215,7 @@ def _probe_box(arg: str) -> ParamSurface:
     return ig.ParamSurface(4, maps, fio.bound_pairs(data, "box"))
 
 
-def cmd_el(args: argparse.Namespace) -> int:
+def cmd_el(args: SimpleNamespace) -> int:
     from fvx import io as fio
     from fvx import lagrange as lg
 
@@ -207,7 +241,7 @@ def cmd_el(args: argparse.Namespace) -> int:
     return 0 if report.is_solution else 1
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: SimpleNamespace) -> int:
     from fvx import suites as su
 
     metric = None
@@ -233,11 +267,10 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.handler(args)
-    except (ValueError, KeyError) as exc:  # io.FormatError is a ValueError
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        return globals()[args.handler](args)
+    except (ValueError, KeyError) as exc:  # a usage error and io.FormatError are ValueErrors
         print(f"fvx: {exc}", file=sys.stderr)
         return 2
 
@@ -253,10 +286,7 @@ def run() -> None:
     and ``atexit`` handlers still run.
     """
     try:
-        try:
-            code = main()
-        except SystemExit as exc:  # --help, or a usage error
-            code = 0 if exc.code is None else exc.code
+        code = main()
         sys.stdout.flush()
     except OSError as exc:
         print(f"fvx: stdout: {exc.strerror or exc}", file=sys.stderr)

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import functools
 import gc
 import importlib
 import io
@@ -27,7 +28,7 @@ from fvx import io as fio
 from fvx import lagrange as lg
 from fvx import mutations as mu
 from fvx import suites as su
-from fvx.cli import main
+from fvx.cli import COMMANDS, main, parse_args
 from fvx.forms_core import FiveForm
 from fvx.metric_dual import MetricConfig
 from fvx.polyfield import COORD_NAMES, Poly, format_rational, parse_poly
@@ -1135,6 +1136,83 @@ def test_el_rejects_malformed_box_pairs(capsys, box, message):
     assert capsys.readouterr().err.startswith(message)
 
 
+# -- command line: usage and help ----------------------------------------------------
+
+# Each usage error, and the first line it prints: the problem, after the
+# command when there is one, naming the offending token.
+USAGE_ERRORS = {
+    "none": ([], "missing command"),
+    "unknown-command": (["nope"], "unknown command 'nope'"),
+    "missing-option": (["bd"], "bd: missing --form"),
+    "missing-value": (["bd", "--form"], "bd: --form needs a value"),
+    "not-an-int": (["check", "--seed", "x"], "check: --seed: invalid int value 'x'"),
+    "not-a-choice": (["check", "--format", "xml"], "check: --format: 'xml' is not one of text, jsonl"),
+    "unknown-option": (["bd", "--form", "F", "--bogus", "1"], "bd: unrecognized argument '--bogus'"),
+    "abbreviation": (["bd", "--fo", "F"], "bd: unrecognized argument '--fo'"),
+    "positional": (["bd", "--form", "F", "extra"], "bd: unrecognized argument 'extra'"),
+}
+
+
+@pytest.mark.parametrize("argv, problem", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+def test_a_usage_error_exits_two_naming_the_token(capsys, argv, problem):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    first, usage = err.splitlines()
+    assert first == f"fvx: {problem}"
+    assert usage.startswith(f"usage: fvx {argv[0]} " if argv and argv[0] in COMMANDS else "usage: fvx {check,d,")
+
+
+# The values each command's handler reads, for the forms of argv the demo,
+# the tests, the scripts and the benchmark use.
+PARSED = {
+    "defaults": (
+        ["check"],
+        {"suite": None, "seed": 0, "trials": 25, "max_degree": 3, "config": None, "format": "text", "mutate": None},
+    ),
+    "negative-seed": (["check", "--seed", "-2"], {"seed": -2}),
+    "negative-seed-inline": (["check", "--seed=-2"], {"seed": -2}),
+    "repeated-suite": (
+        ["check", "--suite", "flux", "--suite=duality", "--format", "jsonl"],
+        {"suite": ["flux", "duality"], "format": "jsonl"},
+    ),
+    "last-wins": (["check", "--trials", "3", "--trials=4", "--max-degree", "2"], {"trials": 4, "max_degree": 2}),
+    "operator": (["dual", "--form", "j.form", "--config", "c.cfg"], {"handler": "cmd_operator", "config": "c.cfg", "out": None}),
+    "integral": (["flux", "--surface", "s.surf", "--form", "f.form"], {"handler": "cmd_integral", "form": "f.form"}),
+    "el": (["el", "--lagrangian", "l.lag", "--fields", "f.json", "--box", "[[0,1]]"], {"handler": "cmd_el", "box": "[[0,1]]"}),
+}
+
+
+@pytest.mark.parametrize("argv, values", PARSED.values(), ids=PARSED)
+def test_each_form_of_an_option_parses_to_its_value(argv, values):
+    args = vars(parse_args(argv))
+    assert {name: args[name] for name in values} == values
+    assert args["command"] == argv[0]
+
+
+def test_help_lists_every_command_and_exits_zero(capsys):
+    for argv in (["--help"], ["-h"]):
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.startswith("usage: fvx {check,d,bd,")
+        rows = [line.split(None, 1) for line in out.splitlines() if line.startswith("  ")]
+        assert rows == [[name, text] for name, (text, _, _) in COMMANDS.items()]
+    assert list(COMMANDS) == ["check", "d", "bd", "bdstar", "dual", "integrate", "stokes", "flux", "el"]
+
+
+def test_command_help_lists_every_option_and_exits_zero(capsys):
+    options = ["--suite", "--seed", "--trials", "--max-degree", "--config", "--format", "--mutate", "--out"]
+    assert list(COMMANDS["check"][2]) == options
+    for flag in ("--help", "-h"):
+        assert main(["check", "--seed", "3", flag]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.startswith("usage: fvx check [--suite SUITE] [--seed SEED] ")
+        rows = [line.split() for line in out.splitlines() if line.startswith("  --")]
+        assert [row[0] for row in rows] == options
+        for row, (_, _, text) in zip(rows, COMMANDS["check"][2].values()):
+            assert " ".join(row[2:]).startswith(text)
+
+
 # -- command line: fuzzed demo payloads ---------------------------------------------
 
 # The eight commands that read files, each with the demo files it reads.
@@ -1233,6 +1311,8 @@ ENTRY_ARGV = {
     "passing": (0, ["check", "--format", "jsonl", "--seed", "0"]),
     "failing": (1, ["check", "--format", "jsonl", "--seed", "0", "--mutate", "bd-sign", "--suite", "calculus"]),
     "refused": (2, ["integrate", "--form", str(DEMO / "shear.form"), "--surface", str(DEMO / "cube4.surf")]),
+    "usage-error": (2, ["bd", "--fo", str(DEMO / "const1.form")]),
+    "help": (0, ["check", "--help"]),
 }
 
 
@@ -1280,7 +1360,7 @@ def test_the_installed_script_is_the_process_entry():
 def test_a_failed_write_to_stdout_exits_two(argv, unbuffered):
     # An empty PYTHONUNBUFFERED leaves stdout block-buffered, so the write
     # fails at the flush; set, it fails at the first print.  The help text
-    # leaves main as a SystemExit(0) and goes through the same flush.
+    # is printed by main, like any command's output.
     with open("/dev/full", "w") as full:
         result = run_python("-m", "fvx.cli", *argv, stdout=full, env={"PYTHONUNBUFFERED": unbuffered})
     assert (result.returncode, result.stderr) == (2, "fvx: stdout: No space left on device\n")
@@ -1296,16 +1376,38 @@ def test_a_failed_write_to_stdout_exits_two(argv, unbuffered):
 # --mutate.
 # No command loads dataclasses or inspect: the records of fvx derive from
 # polyfield.Record, since importing dataclasses (with inspect, ast and dis) and
-# generating the methods of eleven records cost a child 14-20 ms.
+# generating the methods of eleven records cost a child 14-20 ms. Nor does any
+# command, or `import fvx.cli`, load argparse, gettext or locale (argparse's
+# imports, and its first translated string's, about 4.7 ms of a child): fvx.cli
+# parses argv itself. What a bare interpreter already holds (the `site` of some
+# installs imports more) does not count.
 CORE = {"fvx", "fvx.cli", "fvx.polyfield", "fvx.forms_core"}
+UNLOADED = ("dataclasses", "inspect", "argparse", "gettext", "locale")
+LISTED = f"""
+print(" ".join(sorted(name for name in sys.modules if name.split(".")[0] == "fvx")))
+print(" ".join(name for name in {UNLOADED!r} if name in sys.modules))
+"""
 LOADED = """
 import contextlib, io, sys
 from fvx.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     main(sys.argv[1:])
-print(" ".join(sorted(name for name in sys.modules if name.split(".")[0] == "fvx")))
-print(" ".join(name for name in ("dataclasses", "inspect") if name in sys.modules))
-"""
+""" + LISTED
+
+
+@functools.cache
+def bare_modules() -> frozenset[str]:
+    """The modules of a child that runs nothing, `site`'s imports included."""
+    return frozenset(run_python("-c", "import sys; print(' '.join(sys.modules))").stdout.split())
+
+
+def assert_loads(result, fvx_modules: set[str]) -> None:
+    assert result.returncode == 0, result.stderr
+    fvx_line, unloaded_line = result.stdout.split("\n")[:2]
+    assert set(fvx_line.split()) == fvx_modules
+    assert set(unloaded_line.split()) <= bare_modules()
+
+
 # The layers each suite's module calls.
 SUITE_LAYERS = {
     "algebra": set(),
@@ -1356,19 +1458,12 @@ SUITE_LAYERS = {
     ],
 )
 def test_each_command_loads_only_the_layers_it_runs(argv, layers):
-    result = run_python("-c", LOADED, *argv, cwd=DEMO)
-    assert result.returncode == 0, result.stderr
-    fvx_modules, stdlib_modules = result.stdout.split("\n")[:2]
-    assert set(fvx_modules.split()) == CORE | {f"fvx.{layer}" for layer in layers}
-    assert stdlib_modules == ""
+    assert_loads(run_python("-c", LOADED, *argv, cwd=DEMO), CORE | {f"fvx.{layer}" for layer in layers})
 
 
 def test_importing_the_cli_loads_only_the_core():
     # What the benchmark's setup_s times: the import alone, no command.
-    code = "import sys, fvx.cli; print(' '.join(sorted(n for n in sys.modules if n.split('.')[0] == 'fvx')))"
-    result = run_python("-c", code)
-    assert result.returncode == 0, result.stderr
-    assert set(result.stdout.split()) == CORE
+    assert_loads(run_python("-c", "import sys, fvx.cli" + LISTED), CORE)
 
 
 def test_every_public_name_resolves():

@@ -90,7 +90,6 @@ KEPT_MEMBERS = {
     "reference for boundary_flux",
     "Poly.evaluate": "the tests' reference for compose, * and +",
     "MetricConfig.varpi": "the one computation with sigma, which the config format carries",
-    "_Parser.print_help": "argparse's --help action calls it",
 }
 
 
@@ -99,7 +98,7 @@ class _Receivers(ast.NodeVisitor):
     be: ``None`` when unknown (any class with the member matches), else the
     family of a class named directly (``Poly.zero``, ``ig.ParamSurface``), of
     ``self``/``cls`` in a method, or of a parameter's annotation; a parameter
-    annotated with no fvx class (``args: argparse.Namespace``) matches none."""
+    annotated with no fvx class (``args: SimpleNamespace``) matches none."""
 
     def __init__(self, family):
         self.family, self.scope, self.owner, self.functions = family, {}, None, []
