@@ -71,9 +71,9 @@ COMMANDS = {
 def parse_args(argv: list[str]) -> SimpleNamespace:
     """The command of ``argv``, its handler's name (``print_help`` if ``-h``
     or ``--help`` is anywhere) and one attribute per option (``max_degree``).
-    A value is ``--name=value`` or the next token (``--seed -2``); the last
-    of a repeated option wins, and no prefix of a name is taken.  A usage
-    error raises ``ValueError`` naming the offending token."""
+    A value is ``--name=value`` or the next token (``--seed -2``) and is
+    never empty; the last of a repeated option wins, and no prefix of a name
+    is taken.  A usage error raises ``ValueError`` naming the offending token."""
     command = argv[0] if argv and argv[0] in COMMANDS else None
     if "-h" in argv or "--help" in argv:
         return SimpleNamespace(handler="print_help", command=command)
@@ -87,7 +87,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
         if name not in options:
             raise _usage_error(command, f"unrecognized argument {token!r}")
         kind, value = options[name][0], value if eq else next(tokens, None)
-        if value is None:
+        if not value:
             raise _usage_error(command, f"{name} needs a value")
         if kind is int:
             try:
@@ -207,12 +207,15 @@ def _probe_box(arg: str) -> ParamSurface:
     from fvx import integration as ig
     from fvx import io as fio
 
+    def surface(data) -> ParamSurface:
+        if not isinstance(data, list) or len(data) != 4:
+            raise fio.FormatError("box: expected four [a, b] pairs")
+        maps = tuple(Poly.variable(k, 4) for k in range(4))
+        return ig.ParamSurface(4, maps, fio.bound_pairs(data, "box"))
+
+    # Inline JSON's errors start with "box", a file's with its path.
     text = arg.strip()
-    data = fio.parse_json(text, "box") if text.startswith("[") else fio.load_json(arg)
-    if not isinstance(data, list) or len(data) != 4:
-        raise fio.FormatError("box: expected four [a, b] pairs")
-    maps = tuple(Poly.variable(k, 4) for k in range(4))
-    return ig.ParamSurface(4, maps, fio.bound_pairs(data, "box"))
+    return surface(fio.parse_json(text, "box")) if text.startswith("[") else fio._wrap(arg, surface, fio.load_json(arg))
 
 
 def cmd_el(args: SimpleNamespace) -> int:

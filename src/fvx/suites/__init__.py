@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
 from fvx import forms_core as fc
 from fvx.forms_core import FIVE_AXES, FiveForm, MultiVector
-from fvx.polyfield import _BITS, COORD_NAMES, Poly, Record, _unpack, default_names, format_poly
+from fvx.polyfield import _BITS, Poly, Record, _unpack, default_names, format_poly
 
 if TYPE_CHECKING:
     from fvx.integration import ParamSurface
@@ -213,8 +213,7 @@ def _serialize(value) -> str:
     if isinstance(value, fc._Alternating):
         return json.dumps(fc.form_to_dict(value), sort_keys=True)
     if isinstance(value, Poly):
-        names = COORD_NAMES if value.nvars == 4 else default_names(value.nvars)
-        return format_poly(value, names)
+        return format_poly(value, default_names(value.nvars))
     if type(value).__name__ in _RECORDS:
         printer = getattr(sys.modules[type(value).__module__], _RECORDS[type(value).__name__][0])
         return json.dumps(printer(value), sort_keys=True)

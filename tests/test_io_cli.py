@@ -244,6 +244,40 @@ def test_load_json_reports_path_and_position(tmp_path):
         fio.load_json(str(bad))
 
 
+def test_input_at_the_cap_loads_and_one_byte_over_exits_two(tmp_path, capsys):
+    # Spaces pad each file to its size; they are JSON whitespace.
+    cap = fio.MAX_INPUT_BYTES
+    assert cap == 1 << 20
+    form, box = json.dumps({"rank": 0, "coeffs": {"": "x0"}}), "[[0, 1], [0, 1], [0, 1], [0, 1]]"
+    at, over, box_over = tmp_path / "at.form", tmp_path / "over.form", tmp_path / "over.box"
+    at.write_text(form.ljust(cap))
+    over.write_text(form.ljust(cap + 1))
+    box_over.write_text(box.ljust(cap + 1))
+    assert main(["bd", "--form", str(at)]) == 0
+    assert capsys.readouterr().out == "rank 1\n0: 1\n5: x0\n"
+    assert main(["bd", "--form", str(over)]) == 2
+    assert capsys.readouterr().err == f"fvx: {over}: above 1048576 bytes\n"
+    el = ["el", "--lagrangian", str(DEMO / "free_scalar.lag"), "--fields", str(DEMO / "wave_solution.json")]
+    assert main([*el, "--box", str(box_over)]) == 2
+    assert capsys.readouterr().err == f"fvx: {box_over}: above 1048576 bytes\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+@pytest.mark.parametrize("option", ["--form", "--box"])
+def test_endless_input_exits_two_in_bounded_memory(option):
+    # The child alone gets 512 MiB of address space, so that a reader without
+    # the cap ends in a MemoryError there instead of filling this machine.
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    el = ["el", "--lagrangian", str(DEMO / "free_scalar.lag"), "--fields", str(DEMO / "wave_solution.json")]
+    argv = ["bd", "--form"] if option == "--form" else [*el, "--box"]
+    result = run_python("-m", "fvx.cli", *argv, "/dev/zero", preexec_fn=limit)
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", "fvx: /dev/zero: above 1048576 bytes\n")
+
+
 def test_load_form_prefixes_path_on_content_errors(tmp_path):
     path = tmp_path / "x.form"
     path.write_text(json.dumps({"rank": 1, "coeffs": {"4": "1"}}))
@@ -1113,6 +1147,7 @@ def test_el_refuses_a_dense_jet_pullback_before_any_work(tmp_path):
 @pytest.mark.parametrize(
     "box, message",
     [
+        ("[[0, 1], [0, 1], [0, 1]]", "fvx: box: expected four [a, b] pairs"),
         ("[1, 2, 3, 4]", "fvx: box: box[0] must be a pair"),
         ("[[0], [0], [0], [0]]", "fvx: box: box[0] must be a pair"),
         ("[[0, 1], [0, 1], [0, 1], [0, 1]", "fvx: box: Expecting ','"),
@@ -1136,6 +1171,22 @@ def test_el_rejects_malformed_box_pairs(capsys, box, message):
     assert capsys.readouterr().err.startswith(message)
 
 
+# A box file's errors start with its path, as every other file's do.
+BOX_FILE_ERRORS = {
+    "short": ("[[0, 1], [0, 1], [0, 1]]", "box: expected four [a, b] pairs"),
+    "pair": ("[[0, 1], [1, 1], [0, 1], [0, 1]]", "box: box[1] must satisfy a < b, got [1, 1]"),
+}
+
+
+@pytest.mark.parametrize("box, problem", BOX_FILE_ERRORS.values(), ids=BOX_FILE_ERRORS)
+def test_a_box_file_error_starts_with_its_path(tmp_path, capsys, box, problem):
+    path = tmp_path / "b.json"
+    path.write_text(box)
+    el = ["el", "--lagrangian", str(DEMO / "free_scalar.lag"), "--fields", str(DEMO / "wave_solution.json")]
+    assert main([*el, "--box", str(path)]) == 2
+    assert capsys.readouterr().err == f"fvx: {path}: {problem}\n"
+
+
 # -- command line: usage and help ----------------------------------------------------
 
 # Each usage error, and the first line it prints: the problem, after the
@@ -1145,6 +1196,10 @@ USAGE_ERRORS = {
     "unknown-command": (["nope"], "unknown command 'nope'"),
     "missing-option": (["bd"], "bd: missing --form"),
     "missing-value": (["bd", "--form"], "bd: --form needs a value"),
+    "empty-value": (["bd", "--form="], "bd: --form needs a value"),
+    "empty-next-value": (["bd", "--form", ""], "bd: --form needs a value"),
+    "empty-out": (["bd", "--form", str(DEMO / "const1.form"), "--out="], "bd: --out needs a value"),
+    "empty-config": (["dual", "--form", str(DEMO / "j.form"), "--config="], "dual: --config needs a value"),
     "not-an-int": (["check", "--seed", "x"], "check: --seed: invalid int value 'x'"),
     "not-a-choice": (["check", "--format", "xml"], "check: --format: 'xml' is not one of text, jsonl"),
     "unknown-option": (["bd", "--form", "F", "--bogus", "1"], "bd: unrecognized argument '--bogus'"),

@@ -462,6 +462,31 @@ def test_parse_rejects_bad_power():
         parse_poly("x0^", COORD_NAMES)
 
 
+# The exact message of each scanner error, after leading whitespace of the
+# kinds str.isspace accepts.  Only ASCII digits make a coefficient; a name
+# starts at a letter and runs on through letters, numerals and "_".
+SCANNER_ERRORS = {
+    "malformed-rational": ("  x0 + 3/", "malformed rational at position 7: '3/'"),
+    "malformed-after-separator": ("\x1c3/ x0", "malformed rational at position 1: '3/'"),
+    "zero-denominator": ("x0 + 1/00", "zero denominator in '1/00'"),
+    "superscript-exponent": (" x0^²", "unexpected character '²' at position 4"),
+    "superscript-name": ("x0 + ²x1", "unexpected character '²' at position 5"),
+    "vulgar-fraction": ("\t½ x0", "unexpected character '½' at position 1"),
+    "arabic-indic-digit": ("\u00a0 ٣ x0", "unexpected character '٣' at position 2"),
+    "underscore": ("  _x0", "unexpected character '_' at position 2"),
+    "slash": (" x0 /2", "unexpected character '/' at position 4"),
+    "numeral-inside-a-name": ("x0 + x²", "unknown variable 'x²'"),
+    "rational-exponent": ("x0^2/3", "'^' after 'x0' needs an integer exponent"),
+}
+
+
+@pytest.mark.parametrize("text, message", SCANNER_ERRORS.values(), ids=SCANNER_ERRORS)
+def test_each_scanner_error_keeps_its_text_and_position(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_poly(text, COORD_NAMES)
+    assert str(info.value) == message
+
+
 def test_format_zero():
     assert format_poly(Poly.zero(4), COORD_NAMES) == "0"
 
