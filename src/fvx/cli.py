@@ -21,7 +21,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from fvx import forms_core as fc
-from fvx.polyfield import COORD_NAMES, Poly, format_poly
+from fvx.polyfield import COORD_NAMES, format_poly
 
 if TYPE_CHECKING:
     from fvx.integration import ParamSurface
@@ -204,18 +204,11 @@ def _print_sides(labels: tuple[str, str], lhs, rhs) -> int:
 
 
 def _probe_box(arg: str) -> ParamSurface:
-    from fvx import integration as ig
     from fvx import io as fio
-
-    def surface(data) -> ParamSurface:
-        if not isinstance(data, list) or len(data) != 4:
-            raise fio.FormatError("box: expected four [a, b] pairs")
-        maps = tuple(Poly.variable(k, 4) for k in range(4))
-        return ig.ParamSurface(4, maps, fio.bound_pairs(data, "box"))
 
     # Inline JSON's errors start with "box", a file's with its path.
     text = arg.strip()
-    return surface(fio.parse_json(text, "box")) if text.startswith("[") else fio._wrap(arg, surface, fio.load_json(arg))
+    return fio.box_from_list(fio.parse_json(text, "box")) if text.startswith("[") else fio.load_box(arg)
 
 
 def cmd_el(args: SimpleNamespace) -> int:

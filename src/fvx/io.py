@@ -348,12 +348,26 @@ def _wrap(path: str, fn, data: Any):
         raise FormatError(f"{path}: {exc}") from None
 
 
+def box_from_list(data: Any) -> ParamSurface:
+    """The identity map of four coordinates over four [a, b] bound pairs."""
+    from fvx.integration import ParamSurface
+
+    if not isinstance(data, list) or len(data) != 4:
+        raise FormatError("box: expected four [a, b] pairs")
+    maps = tuple(Poly.variable(k, 4) for k in range(4))
+    return ParamSurface(4, maps, bound_pairs(data, "box"))
+
+
 def load_form(path: str) -> FiveForm:
     return _wrap(path, form_from_dict, load_json(path))
 
 
 def load_surface(path: str) -> ParamSurface:
     return _wrap(path, surface_from_dict, load_json(path))
+
+
+def load_box(path: str) -> ParamSurface:
+    return _wrap(path, box_from_list, load_json(path))
 
 
 def load_lagrangian(path: str) -> LagrangianSpec:

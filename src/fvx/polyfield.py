@@ -524,10 +524,10 @@ def format_rational(value: Fraction) -> int | str:
     return int(value) if value.denominator == 1 else str(value)
 
 
-# One match per token, after any whitespace: a coefficient ("3" or "3/2"), a
-# name, an operator or a refused character; "[^\W\d_]" also admits "²" and "½",
-# refused below.  A string: re compiles it at first use, not at import.
-_TOKEN = r"\s*(?:([0-9]+(?:/[0-9]*)?)|([^\W\d_]\w*)|([-+*^])|(\S))"
+# One match per token: a coefficient ("3" or "3/2"), a name, an operator or a
+# refused character ("[^\W\d_]" also admits "²" and "½", refused below).  None
+# matches whitespace, so finditer steps over it; re compiles it at first use.
+_TOKEN = r"([0-9]+(?:/[0-9]*)?)|([^\W\d_]\w*)|([-+*^])|(\S)"
 
 
 def _tokenize(text: str) -> Iterator[str]:

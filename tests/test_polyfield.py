@@ -412,6 +412,15 @@ def test_parse_is_linear_in_the_number_of_terms():
     assert p == Poly(4, {(k, 0, 0, 0): 1 for k in range(1, n)})
 
 
+def test_parse_is_linear_in_trailing_whitespace():
+    # A token pattern that began with "\s*" took 6 s for this text: each
+    # search position took the whole tail of whitespace and then gave it back.
+    start = time.perf_counter()
+    p = parse_poly("x0" + " \t\n" * 3_400, COORD_NAMES)
+    assert time.perf_counter() - start < 1
+    assert p == Poly.variable(0, 4)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.booleans(), rationals, exponents(4, 3)), min_size=1, max_size=8))
 def test_parse_equals_the_term_by_term_sum(terms):
