@@ -18,13 +18,9 @@ import json
 import os
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
 
 from fvx import forms_core as fc
 from fvx.polyfield import COORD_NAMES, format_poly
-
-if TYPE_CHECKING:
-    from fvx.integration import ParamSurface
 
 # Each command imports the layers it runs, io, calculus, integration, lagrange,
 # metric_dual, suites and mutations, inside its handler, so that `fvx bd` loads
@@ -183,16 +179,14 @@ def cmd_integral(args: SimpleNamespace) -> int:
 
     form, V = fio.load_form(args.form), fio.load_surface(args.surface)
     fio.check_integral(form, V, args.form, args.surface, args.command)  # the budgets, before any work
-    try:
+    # A rank mismatch or an exponent overflow names no file of its own.
+    with fio.named(f"{args.form} on {args.surface}"):
         if args.command == "integrate":
             print(ig.integrate(form, V))
             return 0
         if args.command == "stokes":
             return _print_sides(("boundary", "interior"), *ig.stokes_sides(form, V))
         return _print_sides(("boundary+interior", "derivative route"), *ig.flux_sides(form, V))
-    except ValueError as exc:
-        # A rank mismatch or an exponent overflow names no file of its own.
-        raise ValueError(f"{args.form} on {args.surface}: {exc}") from None
 
 
 def _print_sides(labels: tuple[str, str], lhs, rhs) -> int:
@@ -201,14 +195,6 @@ def _print_sides(labels: tuple[str, str], lhs, rhs) -> int:
     print(f"{labels[1]}: {rhs}")
     print("EQUAL" if lhs == rhs else "DIFFER")
     return 0 if lhs == rhs else 1
-
-
-def _probe_box(arg: str) -> ParamSurface:
-    from fvx import io as fio
-
-    # Inline JSON's errors start with "box", a file's with its path.
-    text = arg.strip()
-    return fio.box_from_list(fio.parse_json(text, "box")) if text.startswith("[") else fio.load_box(arg)
 
 
 def cmd_el(args: SimpleNamespace) -> int:
@@ -220,20 +206,22 @@ def cmd_el(args: SimpleNamespace) -> int:
     if len(phi) != L.n_fields:
         raise fio.FormatError(f"{args.fields}: {len(phi)} fields, but {args.lagrangian} has N = {L.n_fields}")
     fio.check_pullback(L.density, lg.jet_maps(L, phi), 4, f"{args.lagrangian}: density")
-    box = None if args.box is None else _probe_box(args.box)
-    try:
+    box = None if args.box is None else fio.load_box(args.box)
+    # An exponent overflow or a number too long to print names no file; print only a whole report.
+    lines = []
+    with fio.named(f"{args.lagrangian} on {args.fields}"):
         report = lg.el_report(L, phi, box)
-    except ValueError as exc:  # an exponent overflow names no file
-        raise ValueError(f"{args.lagrangian} on {args.fields}: {exc}") from None
-    for ell in range(L.n_fields):
-        current = lg.check_51(report.j_forms[ell], report.k_forms[ell])
-        closed = lg.check_55(report.lambda_forms[ell])
-        print(f"field {ell}:")
-        print(f"  residual: {format_poly(report.residuals[ell], COORD_NAMES)}")
-        print(f"  current/source match: {'yes' if current else 'no'}")
-        print(f"  closed-form check: {'yes' if closed else 'no'}")
-        print(f"  probe flux: {report.flux_values[ell]}")
-    print("solution" if report.is_solution else "not a solution")
+        for ell in range(L.n_fields):
+            current = lg.check_51(report.j_forms[ell], report.k_forms[ell])
+            closed = lg.check_55(report.lambda_forms[ell])
+            lines += [
+                f"field {ell}:",
+                f"  residual: {format_poly(report.residuals[ell], COORD_NAMES)}",
+                f"  current/source match: {'yes' if current else 'no'}",
+                f"  closed-form check: {'yes' if closed else 'no'}",
+                f"  probe flux: {report.flux_values[ell]}",
+            ]
+    print(*lines, "solution" if report.is_solution else "not a solution", sep="\n")
     return 0 if report.is_solution else 1
 
 

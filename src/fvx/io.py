@@ -13,12 +13,13 @@ so that ``fvx check`` without ``--config`` never loads this module.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
 import re
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Collection, Mapping, Sequence
 
 from fvx.forms_core import FIVE_AXES, FiveForm
 from fvx.polyfield import COORD_NAMES, Poly, param_names, parse_poly
@@ -33,6 +34,16 @@ if TYPE_CHECKING:
 
 class FormatError(ValueError):
     """A structured-text payload that does not match its schema."""
+
+
+@contextlib.contextmanager
+def named(where: str):
+    """Re-raise any ValueError of the block as a FormatError that starts with
+    ``where``: the one place that names the input a fault was found in."""
+    try:
+        yield
+    except ValueError as exc:
+        raise FormatError(f"{where}: {exc}") from None
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
@@ -56,19 +67,21 @@ def parse_rational(value: Any, where: str) -> Fraction:
     raise FormatError(f"{where}: expected a rational, got {type(value).__name__}")
 
 
-def _expect_mapping(data: Any, where: str) -> Mapping:
+def _expect_mapping(data: Any, where: str, fields: Collection[str] | None = None) -> Mapping:
+    """``data`` if it is an object whose keys all come from ``fields`` (any keys when None)."""
     if not isinstance(data, Mapping):
         raise FormatError(f"{where}: expected an object, got {type(data).__name__}")
+    unknown = set(data).difference(fields) if fields is not None else ()
+    if unknown:
+        raise FormatError(f"{where}: unknown fields {sorted(unknown)}")
     return data
 
 
 def _parse_poly(text: Any, names: Sequence[str], where: str) -> Poly:
     if not isinstance(text, str):
         raise FormatError(f"{where}: expected a polynomial string")
-    try:
+    with named(where):
         return parse_poly(text, names)
-    except ValueError as exc:
-        raise FormatError(f"{where}: {exc}") from None
 
 
 def _parse_key(key: str, rank: int) -> tuple[int, ...]:
@@ -86,10 +99,7 @@ def _parse_key(key: str, rank: int) -> tuple[int, ...]:
 
 
 def form_from_dict(data: Any) -> FiveForm:
-    data = _expect_mapping(data, "form")
-    unknown = set(data) - {"rank", "coeffs"}
-    if unknown:
-        raise FormatError(f"form: unknown fields {sorted(unknown)}")
+    data = _expect_mapping(data, "form", ("rank", "coeffs"))
     rank = data.get("rank")
     if not isinstance(rank, int) or isinstance(rank, bool) or not 0 <= rank <= 5:
         raise FormatError("form: rank must be an integer between 0 and 5")
@@ -117,10 +127,7 @@ def bound_pairs(data: Sequence, where: str) -> tuple[tuple[Fraction, Fraction], 
 def surface_from_dict(data: Any) -> ParamSurface:
     from fvx.integration import ParamSurface
 
-    data = _expect_mapping(data, "surface")
-    unknown = set(data) - {"dim", "map", "box"}
-    if unknown:
-        raise FormatError(f"surface: unknown fields {sorted(unknown)}")
+    data = _expect_mapping(data, "surface", ("dim", "map", "box"))
     dim = data.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or not 0 <= dim <= 4:
         raise FormatError("surface: dim must be an integer between 0 and 4")
@@ -132,11 +139,7 @@ def surface_from_dict(data: Any) -> ParamSurface:
     box_data = data.get("box", [])
     if not isinstance(box_data, Sequence) or isinstance(box_data, str) or len(box_data) != dim:
         raise FormatError(f"surface: box must list {dim} bound pairs")
-    box = bound_pairs(box_data, "surface")
-    try:
-        return ParamSurface(dim, polys, box)
-    except ValueError as exc:
-        raise FormatError(f"surface: {exc}") from None
+    return ParamSurface(dim, polys, bound_pairs(box_data, "surface"))
 
 
 # The largest field count N of a Lagrangian file, checked before the 5N
@@ -149,10 +152,7 @@ MAX_FIELDS = 100
 def lagrangian_from_dict(data: Any) -> LagrangianSpec:
     from fvx.lagrange import LagrangianSpec, lagrangian_names
 
-    data = _expect_mapping(data, "lagrangian")
-    unknown = set(data) - {"N", "density"}
-    if unknown:
-        raise FormatError(f"lagrangian: unknown fields {sorted(unknown)}")
+    data = _expect_mapping(data, "lagrangian", ("N", "density"))
     n_fields = data.get("N")
     if not isinstance(n_fields, int) or isinstance(n_fields, bool) or n_fields < 1:
         raise FormatError("lagrangian: N must be a positive integer")
@@ -168,19 +168,14 @@ def fields_from_list(data: Any) -> FieldSet:
     if not isinstance(data, Sequence) or isinstance(data, str):
         raise FormatError("fields: expected a list of coordinate polynomials")
     polys = tuple(_parse_poly(entry, COORD_NAMES, f"fields[{k}]") for k, entry in enumerate(data))
-    try:
+    with named("fields"):
         return FieldSet(polys)
-    except ValueError as exc:
-        raise FormatError(f"fields: {exc}") from None
 
 
 def metric_from_dict(data: Any) -> MetricConfig:
     from fvx.metric_dual import MetricConfig
 
-    data = _expect_mapping(data, "cfg")
-    unknown = set(data) - {"g", "xi", "sigma", "eta"}
-    if unknown:
-        raise FormatError(f"cfg: unknown fields {sorted(unknown)}")
+    data = _expect_mapping(data, "cfg", ("g", "xi", "sigma", "eta"))
     kwargs: dict[str, Any] = {}
     if "g" in data:
         g = data["g"]
@@ -195,14 +190,9 @@ def metric_from_dict(data: Any) -> MetricConfig:
     if "sigma" in data:
         kwargs["sigma"] = parse_rational(data["sigma"], "sigma")
     if "eta" in data:
-        eta = data["eta"]
-        if not isinstance(eta, int) or isinstance(eta, bool):
-            raise FormatError("cfg: eta must be +1 or -1")
-        kwargs["eta"] = eta
-    try:
+        kwargs["eta"] = data["eta"]
+    with named("cfg"):
         return MetricConfig(**kwargs)
-    except ValueError as exc:
-        raise FormatError(f"cfg: {exc}") from None
 
 
 # The budgets of an integral command, checked before any work (exit 2).  An
@@ -311,12 +301,11 @@ def check_integral(form: FiveForm, V: ParamSurface, form_path: str, surface_path
 def parse_json(text: str, where: str) -> Any:
     """The JSON value of ``text``; any fault is a FormatError that starts with
     ``where`` (a syntax error names its line and column)."""
-    try:
-        return json.loads(text)
-    except ValueError as exc:  # also an integer literal over the digit limit
-        raise FormatError(f"{where}: {exc}") from None
-    except RecursionError:
-        raise FormatError(f"{where}: JSON nested too deeply") from None
+    with named(where):  # also an integer literal over the digit limit
+        try:
+            return json.loads(text)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
 
 
 # The largest input file, in bytes.  Reading stops one byte past it, so that
@@ -328,24 +317,23 @@ MAX_INPUT_BYTES = 1 << 20
 
 def load_json(path: str) -> Any:
     """The JSON value of the UTF-8 file at ``path``, of at most MAX_INPUT_BYTES."""
-    try:
-        with open(path, "rb") as handle:
-            data = handle.read(MAX_INPUT_BYTES + 1)
+    with named(path):  # also a NUL in the path and bytes that do not decode
+        try:
+            with open(path, "rb") as handle:
+                data = handle.read(MAX_INPUT_BYTES + 1)
+        except OSError as exc:
+            raise ValueError(exc.strerror or exc) from None
         if len(data) > MAX_INPUT_BYTES:
-            raise OSError(f"above {MAX_INPUT_BYTES} bytes")  # reported as a read error
+            raise ValueError(f"above {MAX_INPUT_BYTES} bytes")
         text = data.decode()
-    except OSError as exc:
-        raise FormatError(f"{path}: {exc.strerror or exc}") from None
-    except ValueError as exc:  # a NUL in the path, bytes that do not decode
-        raise FormatError(f"{path}: {exc}") from None
     return parse_json(text, path)
 
 
-def _wrap(path: str, fn, data: Any):
-    try:
+def _load(path: str, fn):
+    """``fn`` of the JSON value of the file at ``path``, its faults named by the path."""
+    data = load_json(path)
+    with named(path):
         return fn(data)
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from None
 
 
 def box_from_list(data: Any) -> ParamSurface:
@@ -359,24 +347,27 @@ def box_from_list(data: Any) -> ParamSurface:
 
 
 def load_form(path: str) -> FiveForm:
-    return _wrap(path, form_from_dict, load_json(path))
+    return _load(path, form_from_dict)
 
 
 def load_surface(path: str) -> ParamSurface:
-    return _wrap(path, surface_from_dict, load_json(path))
+    return _load(path, surface_from_dict)
 
 
-def load_box(path: str) -> ParamSurface:
-    return _wrap(path, box_from_list, load_json(path))
+def load_box(arg: str) -> ParamSurface:
+    """The probe box of ``fvx el --box``: inline JSON when the text starts
+    with ``[`` (its errors start with ``box``), else the file at ``arg``."""
+    text = arg.strip()
+    return box_from_list(parse_json(text, "box")) if text.startswith("[") else _load(arg, box_from_list)
 
 
 def load_lagrangian(path: str) -> LagrangianSpec:
-    return _wrap(path, lagrangian_from_dict, load_json(path))
+    return _load(path, lagrangian_from_dict)
 
 
 def load_fields(path: str) -> FieldSet:
-    return _wrap(path, fields_from_list, load_json(path))
+    return _load(path, fields_from_list)
 
 
 def load_metric(path: str) -> MetricConfig:
-    return _wrap(path, metric_from_dict, load_json(path))
+    return _load(path, metric_from_dict)

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import functools
 import gc
+import hashlib
 import importlib
 import io
 import itertools
@@ -601,6 +602,17 @@ def test_missing_file_exits_two(capsys):
             {"rank": 2, "coeffs": {"01": "x0^20000 x0^20000"}},
             "coeffs['01']: exponent 40000 above 32767",
         ),
+        (["dual", "--form", str(DEMO / "j.form"), "--config"], "x.cfg", {"eta": True}, "cfg: eta must be +1 or -1"),
+        (["dual", "--form", str(DEMO / "j.form"), "--config"], "x.cfg", {"eta": 2}, "cfg: eta must be +1 or -1"),
+        (["dual", "--form", str(DEMO / "j.form"), "--config"], "x.cfg", {"xi": 0}, "cfg: xi must be nonzero"),
+        (["dual", "--form", str(DEMO / "j.form"), "--config"], "x.cfg", {"sigma": -1}, "cfg: sigma must be positive"),
+        (["el", "--lagrangian", str(DEMO / "free_scalar.lag"), "--fields"], "x.json", [], "fields: need at least one field"),
+        (
+            ["el", "--fields", str(DEMO / "wave_solution.json"), "--lagrangian"],
+            "x.lag",
+            {"N": 1, "density": "p0_0", "x": 1},
+            "lagrangian: unknown fields ['x']",
+        ),
     ],
     ids=[
         "arabic-indic-key",
@@ -613,6 +625,12 @@ def test_missing_file_exits_two(capsys):
         "fractional-sign",
         "huge-exponent",
         "exponent-sum",
+        "boolean-eta",
+        "eta-two",
+        "zero-xi",
+        "negative-sigma",
+        "no-fields",
+        "unknown-lagrangian-key",
     ],
 )
 def test_bad_entry_exits_two_naming_file_and_entry(tmp_path, capsys, argv, name, payload, message):
@@ -918,6 +936,19 @@ def test_exponent_overflow_names_both_files(tmp_path, command):
     result = run_python("-m", "fvx.cli", command, *args)
     assert result.returncode == 2
     assert result.stderr == f"fvx: {args[1]} on {args[3]}: exponent overflow: a product has an exponent above 32767\n"
+
+
+def test_el_prints_no_report_line_before_a_number_too_long_to_print(tmp_path, capsys):
+    # A small Lagrangian within every budget, whose residual at the field
+    # 9 x0 + 9 x1 has a coefficient of about 9^4600: more digits than an int
+    # may be printed with.
+    lagrangian, fields = tmp_path / "x.lag", tmp_path / "x.json"
+    lagrangian.write_text(json.dumps({"N": 1, "density": "p0_0^4600 p0_5"}))
+    fields.write_text(json.dumps(["9 x0 + 9 x1"]))
+    assert main(["el", "--lagrangian", str(lagrangian), "--fields", str(fields)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"fvx: {lagrangian} on {fields}: Exceeds the limit")
 
 
 def test_a_factor_above_its_budget_keeps_its_message(tmp_path):
@@ -1349,6 +1380,85 @@ def test_fuzzed_demo_payload_exits_cleanly(run):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert err.getvalue().startswith("fvx: ")
+
+
+# The fuzz atoms, and a boolean, zero, two, a float, an empty string and an
+# empty object: the values each reader's type and range checks tell apart.
+GOLDEN_ATOMS = (*FUZZ_ATOMS, True, 0, 2, 1.5, "", {})
+
+# Each way an input file can fail to be read, by its file name: the bytes to
+# write, or None for a path that is not a readable file.
+UNREADABLE = {
+    "missing": None,
+    "directory": None,
+    "nul\0in-path": None,
+    "invalid-utf8": b'{"rank": 0, "coeffs": {"": "\xff"}}',
+    "over-cap": b" " * (fio.MAX_INPUT_BYTES + 1),
+    "nested": b"[" * 5000,
+    "syntax": b'{"rank": 0,}',
+    "long-integer": b'{"rank": 1' + b"0" * 5000 + b"}",
+}
+
+# Inline --box arguments of `fvx el`, the last one valid.
+INLINE_BOXES = (
+    "[[0, 1]]",
+    "[" * 5000,
+    " [[0, 1], [0, 1], [0, 1], [1, 0]]",
+    "[[0, 1], [0, 1], [0, 1], [0, true]]",
+    "[]]",
+    "[[0, 1], [0, 1], [0, 1], [0, 1]]",
+)
+
+
+def error_runs(tmp: Path):
+    """The argv of every run that ``error_digest`` pins: each JSON value of
+    each demo payload of FILE_COMMANDS replaced by each atom, each UNREADABLE
+    file in place of each input file (and of an el probe box), and each
+    INLINE_BOXES argument."""
+    for command, files in FILE_COMMANDS:
+        argv = [command, *itertools.chain.from_iterable((name, str(DEMO / demo)) for name, demo in files.items())]
+        for option, demo in files.items():
+            at = argv.index(option) + 1
+            data = json.loads((DEMO / demo).read_text())
+            for k, (path, atom) in enumerate(itertools.product(_json_paths(data), GOLDEN_ATOMS)):
+                fuzzed = tmp / f"{command}{option}{k}"
+                fuzzed.write_text(json.dumps(_with_value(data, path, atom)))
+                yield [*argv[:at], str(fuzzed), *argv[at + 1 :]]
+            for name in UNREADABLE:
+                yield [*argv[:at], str(tmp / name), *argv[at + 1 :]]
+        if command == "el":
+            for name in UNREADABLE:
+                yield [*argv, "--box", str(tmp / name)]
+            yield from ([*argv, "--box", box] for box in INLINE_BOXES)
+
+
+def error_digest() -> str:
+    """The sha256 of the argv, exit code, stdout and stderr of every
+    ``error_runs`` run, with the demo and temporary directories replaced by
+    fixed tokens."""
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name)
+        for file, content in UNREADABLE.items():
+            if content is not None:
+                (tmp / file).write_bytes(content)
+        (tmp / "directory").mkdir()
+        for argv in error_runs(tmp):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            text = repr((" ".join(argv), code, out.getvalue(), err.getvalue()))
+            digest.update(text.replace(str(tmp), "<tmp>").replace(str(DEMO), "<demo>").encode())
+    return digest.hexdigest()
+
+
+# Pins every exit code and message of the runs above, so that a change to how
+# bad input is named shows here; print(error_digest()) after a deliberate one.
+ERROR_DIGEST = "5578c19ba276989ca3e04ee6faccfd5c8969586a566c1ed035503e511f073a0e"
+
+
+def test_every_input_error_is_unchanged():
+    assert error_digest() == ERROR_DIGEST
 
 
 # -- module execution ----------------------------------------------------------------

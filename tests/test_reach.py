@@ -27,6 +27,10 @@ Immutability has one mechanism, ``polyfield.Record``: every class that
 declares ``__slots__`` derives from it, no other class defines
 ``__setattr__`` or ``__delattr__``, and no module takes a slot's own
 ``__set__`` to store past them.
+
+One place names the input a fault was found in, ``io.named``: no other
+``except`` handler of ``src/fvx`` re-raises a caught ValueError or
+FormatError as an f-string that ends in ``: {exc}``.
 """
 
 import ast
@@ -265,6 +269,64 @@ def test_every_import_is_used():
     sources = [*(ROOT / "src" / "fvx").rglob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
     for path in sorted(sources):
         assert unused_imports(ast.parse(path.read_text())) == [], path.relative_to(ROOT)
+
+
+def _names_input(handler: ast.ExceptHandler) -> bool:
+    """Whether ``handler`` catches ValueError or FormatError as a name and
+    raises an f-string that ends in ``: {name}``."""
+    caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    if handler.name is None or not any(getattr(t, "id", getattr(t, "attr", None)) in ("ValueError", "FormatError") for t in caught):
+        return False
+    for node in ast.walk(handler):
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
+            text = node.exc.args[0]
+            if isinstance(text, ast.JoinedStr) and ast.unparse(text)[:-1].endswith(f": {{{handler.name}}}"):
+                return True
+    return False
+
+
+def hand_named_errors(trees: dict[str, ast.Module]) -> list[str]:
+    """Each ``except`` handler of the modules (keyed by their path under
+    ``src/fvx``) that prefixes a location to a caught ValueError by hand,
+    outside ``io.named``, the one place that does it."""
+    found = []
+    for path, tree in trees.items():
+        named = [fn for fn in tree.body if path == "io.py" and getattr(fn, "name", None) == "named"]
+        exempt = {id(node) for fn in named for node in ast.walk(fn)}
+        handlers = (node for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler) and id(node) not in exempt)
+        found += [f"{path}: line {handler.lineno}" for handler in handlers if _names_input(handler)]
+    return found
+
+
+def test_hand_named_errors_are_found():
+    source = (
+        "def named(where):\n"
+        "    try:\n"
+        "        yield\n"
+        "    except ValueError as exc:\n"
+        "        raise FormatError(f'{where}: {exc}') from None\n"
+        "def load(path):\n"
+        "    try:\n"
+        "        return read(path)\n"
+        "    except (OSError, ValueError) as exc:\n"
+        "        raise FormatError(f'{path}: {exc}') from None\n"
+        "    except fio.FormatError as err:\n"
+        "        raise ValueError(f'{path} on box: {err}')\n"
+        "    except ValueError as exc:\n"
+        "        raise FormatError(f'{path}: bad rational ({exc})')\n"
+        "    except OSError as exc:\n"
+        "        raise ValueError(f'{path}: {exc}')\n"
+        "    except ValueError:\n"
+        "        raise ValueError(f'{path}: unreadable')\n"
+    )
+    trees = {"io.py": ast.parse(source), "cli.py": ast.parse(source)}
+    assert hand_named_errors(trees) == ["io.py: line 9", "io.py: line 11", "cli.py: line 4", "cli.py: line 9", "cli.py: line 11"]
+
+
+def test_only_io_named_names_the_input_of_an_error():
+    package = ROOT / "src" / "fvx"
+    trees = {path.relative_to(package).as_posix(): ast.parse(path.read_text()) for path in sorted(package.rglob("*.py"))}
+    assert hand_named_errors(trees) == []
 
 
 _HOOKS = ("__setattr__", "__delattr__")
