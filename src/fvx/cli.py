@@ -165,11 +165,14 @@ def cmd_operator(args: SimpleNamespace) -> int:
             result = ca.bd(form)
         else:
             result = ca.bdstar(form)
+    # A number too long to print names no file; open --out only for a whole result.
+    with fio.named(args.form):
+        text, data = fc.form_to_text(result), fc.form_to_dict(result)
     with _output(args.out) as handle:
         if handle is not None:
-            json.dump(fc.form_to_dict(result), handle, sort_keys=True, indent=2)
+            json.dump(data, handle, sort_keys=True, indent=2)
             handle.write("\n")
-    print(fc.form_to_text(result))
+    print(text)
     return 0
 
 
@@ -179,22 +182,18 @@ def cmd_integral(args: SimpleNamespace) -> int:
 
     form, V = fio.load_form(args.form), fio.load_surface(args.surface)
     fio.check_integral(form, V, args.form, args.surface, args.command)  # the budgets, before any work
-    # A rank mismatch or an exponent overflow names no file of its own.
+    # A rank mismatch, an exponent overflow or a number too long to print names no file of its own.
     with fio.named(f"{args.form} on {args.surface}"):
         if args.command == "integrate":
-            print(ig.integrate(form, V))
-            return 0
-        if args.command == "stokes":
-            return _print_sides(("boundary", "interior"), *ig.stokes_sides(form, V))
-        return _print_sides(("boundary+interior", "derivative route"), *ig.flux_sides(form, V))
-
-
-def _print_sides(labels: tuple[str, str], lhs, rhs) -> int:
-    """Print both sides under their labels, then EQUAL or DIFFER; exit 0 when they agree."""
-    print(f"{labels[0]}: {lhs}")
-    print(f"{labels[1]}: {rhs}")
-    print("EQUAL" if lhs == rhs else "DIFFER")
-    return 0 if lhs == rhs else 1
+            holds, text = True, str(ig.integrate(form, V))
+        else:
+            stokes = args.command == "stokes"
+            lhs, rhs = (ig.stokes_sides if stokes else ig.flux_sides)(form, V)
+            left, right = ("boundary", "interior") if stokes else ("boundary+interior", "derivative route")
+            holds = lhs == rhs
+            text = f"{left}: {lhs}\n{right}: {rhs}\n{'EQUAL' if holds else 'DIFFER'}"
+    print(text)
+    return 0 if holds else 1
 
 
 def cmd_el(args: SimpleNamespace) -> int:

@@ -36,6 +36,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cache, reduce
+from itertools import groupby
 from math import gcd, lcm
 from operator import or_
 from typing import Iterator, Mapping, Sequence
@@ -478,45 +479,23 @@ def default_names(nvars: int) -> tuple[str, ...]:
     return tuple(f"v{k}" for k in range(nvars))
 
 
-def _monomial_text(expo: Exponent, names: Sequence[str]) -> str:
-    parts = []
-    for name, power in zip(names, expo):
-        if power == 1:
-            parts.append(name)
-        elif power > 1:
-            parts.append(f"{name}^{power}")
-    return " ".join(parts)
-
-
-def _term_key(expo: Exponent) -> tuple:
-    return (-sum(expo), tuple(-e for e in expo))
-
-
 def format_poly(p: Poly, names: Sequence[str] | None = None) -> str:
-    """Canonical text for a polynomial; parse_poly inverts it exactly."""
+    """Canonical text for a polynomial; parse_poly inverts it exactly.  Each
+    term, highest degree first, is a "+ body" or "- body" chunk; the head
+    then drops "+ " or closes up "- " to "-", and no terms read "0"."""
     if names is None:
         names = default_names(p.nvars)
     if len(names) < p.nvars:
         raise ValueError("not enough variable names")
-    if p.is_zero:
-        return "0"
-    terms = p.terms
-    chunks: list[str] = []
-    for expo in sorted(terms, key=_term_key):
-        coeff = terms[expo]
-        monomial = _monomial_text(expo, names)
+    chunks = []
+    for expo, coeff in sorted(p.terms.items(), key=lambda term: (sum(term[0]), term[0]), reverse=True):
         magnitude = abs(coeff)
-        if monomial and magnitude == 1:
-            body = monomial
-        elif monomial:
-            body = f"{magnitude} {monomial}"
-        else:
-            body = str(magnitude)
-        if not chunks:
-            chunks.append(body if coeff > 0 else f"-{body}")
-        else:
-            chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(chunks)
+        factors = [name if power == 1 else f"{name}^{power}" for name, power in zip(names, expo) if power]
+        if magnitude != 1 or not factors:
+            factors.insert(0, str(magnitude))
+        chunks.append(f"{'-' if coeff < 0 else '+'} {' '.join(factors)}")
+    text = " ".join(chunks)
+    return text[2:] if text[:1] == "+" else text[:1] + text[2:] or "0"
 
 
 def format_rational(value: Fraction) -> int | str:
@@ -546,55 +525,48 @@ def _tokenize(text: str) -> Iterator[str]:
 
 
 def parse_poly(text: str, names: Sequence[str]) -> Poly:
-    """Parse the signed-sum-of-products grammar into a canonical Poly."""
+    """Parse the signed-sum-of-products grammar into a canonical Poly.
+
+    The whole text is tokenized first, so a scanner error wins.  Then each
+    run of signs signs the next term and each run of factors is one term; a
+    "^" raises the variable just before it to the run's next token.
+    """
     nvars = len(names)
     axis_of = {name: i for i, name in enumerate(names)}
     tokens = list(_tokenize(text))
-    # Coefficients summed per exponent tuple; a zero sum keeps its key, so
-    # Poly(...) still checks every exponent the text names.
-    terms: dict[Exponent, Fraction] = {}
-    pos = 0
-
     if not tokens:
         raise ValueError("empty polynomial text")
-
-    while pos < len(tokens):
-        sign = Fraction(1)
-        while pos < len(tokens) and tokens[pos] in "+-":
-            if tokens[pos] == "-":
-                sign = -sign
-            pos += 1
-        if pos >= len(tokens):
-            raise ValueError("dangling sign at end of polynomial")
-        coeff = sign
-        expo = [0] * nvars
-        saw_factor = False
-        while pos < len(tokens) and tokens[pos] not in "+-":
-            token = tokens[pos]
-            if token == "*":
-                pos += 1
+    # Coefficients summed per exponent tuple; a zero sum keeps its key, so
+    # Poly(...) still checks every exponent the text names.
+    terms: dict[Exponent, RationalLike] = {}
+    sign = 1  # only the first term can have no sign run before it
+    for is_sign, run in groupby(tokens, "+-".__contains__):
+        run = list(run)
+        if is_sign:
+            sign = (-1) ** run.count("-")
+            continue
+        if run.count("*") == len(run):
+            raise ValueError("term with no factors")
+        coeff, expo, axis = sign, [0] * nvars, None
+        factors = iter(run)
+        for token in factors:
+            if token[0].isalpha():
+                axis = axis_of.get(token)
+                if axis is None:
+                    raise ValueError(f"unknown variable {token!r}")
+                expo[axis] += 1
                 continue
             if token == "^":
-                raise ValueError("'^' with no preceding variable")
-            if token[0].isdigit():
+                if axis is None:
+                    raise ValueError("'^' with no preceding variable")
+                power = next(factors, "")
+                if not power.isdigit():  # the scanner's only digit runs are ASCII
+                    raise ValueError(f"'^' after {names[axis]!r} needs an integer exponent")
+                expo[axis] += int(power) - 1  # the name itself counted 1
+            elif token != "*":
                 coeff *= Fraction(token)
-                pos += 1
-                saw_factor = True
-                continue
-            axis = axis_of.get(token)
-            if axis is None:
-                raise ValueError(f"unknown variable {token!r}")
-            pos += 1
-            power = 1
-            if pos < len(tokens) and tokens[pos] == "^":
-                pos += 1
-                if pos >= len(tokens) or not (tokens[pos].isascii() and tokens[pos].isdigit()):
-                    raise ValueError(f"'^' after {token!r} needs an integer exponent")
-                power = int(tokens[pos])
-                pos += 1
-            expo[axis] += power
-            saw_factor = True
-        if not saw_factor:
-            raise ValueError("term with no factors")
+            axis = None
         terms[tuple(expo)] = terms.get(tuple(expo), 0) + coeff
+    if is_sign:
+        raise ValueError("dangling sign at end of polynomial")
     return Poly(nvars, terms)

@@ -951,6 +951,35 @@ def test_el_prints_no_report_line_before_a_number_too_long_to_print(tmp_path, ca
     assert err.startswith(f"fvx: {lagrangian} on {fields}: Exceeds the limit")
 
 
+NINES = "9" * 4299  # the longest integer that may be read back from text
+
+# Each operator command with a form whose result has a coefficient of more
+# than 4,300 digits, and the cfg of `dual`.
+TOO_LONG_TO_PRINT = {
+    "d": ({"rank": 1, "coeffs": {"0": f"{NINES} x1^30000"}}, None),
+    "bd": ({"rank": 0, "coeffs": {"": f"{NINES} x0^30000"}}, None),
+    "bdstar": ({"rank": 0, "coeffs": {"": f"{NINES} x0^30000"}}, None),
+    "dual": ({"rank": 0, "coeffs": {"": NINES}}, {"xi": 10000}),
+}
+
+
+@pytest.mark.parametrize("command", TOO_LONG_TO_PRINT)
+def test_operator_result_too_long_to_print_names_the_form_and_keeps_out(command, tmp_path, capsys):
+    form_data, cfg_data = TOO_LONG_TO_PRINT[command]
+    form, out = tmp_path / "x.form", tmp_path / "out.json"
+    form.write_text(json.dumps(form_data))
+    out.write_text("kept\n")
+    argv = [command, "--form", str(form), "--out", str(out)]
+    if cfg_data is not None:
+        (tmp_path / "x.cfg").write_text(json.dumps(cfg_data))
+        argv += ["--config", str(tmp_path / "x.cfg")]
+    assert main(argv) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert stderr.startswith(f"fvx: {form}: Exceeds the limit")
+    assert out.read_text() == "kept\n"
+
+
 def test_a_factor_above_its_budget_keeps_its_message(tmp_path):
     # x0^4 pulls back to C(24, 4) = 10,626 terms, which is refused as a
     # pullback before its product with the minor is counted.

@@ -1,6 +1,8 @@
 """Ring axioms, formal calculus, and text round-trips for exact polynomials."""
 
+import hashlib
 import itertools
+import random
 import time
 from fractions import Fraction
 from math import gcd
@@ -498,6 +500,74 @@ def test_each_scanner_error_keeps_its_text_and_position(text, message):
 
 def test_format_zero():
     assert format_poly(Poly.zero(4), COORD_NAMES) == "0"
+
+
+# -- grammar digests -----------------------------------------------------------
+#
+# Every parse outcome and every formatted text of two seeded corpora, so that
+# a rewrite of the parser or the formatter shows any change of result, of
+# message or of which message wins.  To print them after a deliberate change:
+#     PYTHONPATH=src:tests python -c "import test_polyfield as t; print(t.parse_digest(), t.format_digest())"
+
+PARSE_PIECES = (
+    "0", "07", "3/2", "5/", "4/0", "+", "-", "*", "^", " ", "\t", "\n",
+    "x0", "x1", "x2", "x3", "p0_5", "y", "²", "½", "é", "٣", "_", "x0^", "^2",
+)
+PARSE_NAME_SETS = (COORD_NAMES, (), ("y", "x1"), ("p0_5", "é", "x0", "x0"))
+
+
+FORMAT_POWERS = (0, 0, 1, 2, 3, 12)
+FORMAT_COEFFS = tuple(Fraction(p, q) for p in range(-12, 13) for q in range(1, 5))
+
+
+def _outcome(fn, *args) -> str:
+    try:
+        return repr(fn(*args))
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _parsed(text: str, names) -> tuple:
+    p = parse_poly(text, names)
+    return p.nvars, p.den, sorted(p.num.items())
+
+
+def parse_digest(count: int = 20_000, seed: int = 40) -> str:
+    """sha256 over ``count`` texts of 0-12 PARSE_PIECES each, parsed under
+    every name set: the Poly's ``(nvars, den, sorted num)`` or the error."""
+    rng, digest = random.Random(seed), hashlib.sha256()
+    for _ in range(count):
+        text = "".join(rng.choices(PARSE_PIECES, k=rng.randint(0, 12)))
+        for names in PARSE_NAME_SETS:
+            digest.update(f"{text!r} {names} {_outcome(_parsed, text, names)}\n".encode())
+    return digest.hexdigest()
+
+
+def format_digest(count: int = 20_000, seed: int = 40) -> str:
+    """sha256 over ``count`` Polys of 0-10 variables, 0-6 terms of degree
+    0-3 per variable (sometimes 12) and coefficients p/q with |p| <= 12,
+    q <= 4, formatted with the default names and with the explicit
+    ``n0, n1, ...`` (one name short of ``nvars`` in one draw of eight)."""
+    rng, digest = random.Random(seed), hashlib.sha256()
+    for _ in range(count):
+        nvars = rng.randint(0, 10)
+        terms = {tuple(rng.choices(FORMAT_POWERS, k=nvars)): rng.choice(FORMAT_COEFFS) for _ in range(rng.randint(0, 6))}
+        p = Poly(nvars, terms)
+        names = [f"n{k}" for k in range(nvars - (rng.random() < 0.125))]
+        digest.update(f"{_outcome(format_poly, p)} | {_outcome(format_poly, p, names)}\n".encode())
+    return digest.hexdigest()
+
+
+PARSE_DIGEST = "ea2bf40f045914ea1658a784ccfc33ef32e40777f79c28747c2a46d982c4aec5"
+FORMAT_DIGEST = "d84a4e33d5df4a02f0729e09ed7a54ac2c509da9e69289d97dbe83095738f0e7"
+
+
+def test_parse_outcomes_are_unchanged():
+    assert parse_digest() == PARSE_DIGEST
+
+
+def test_format_texts_are_unchanged():
+    assert format_digest() == FORMAT_DIGEST
 
 
 def test_as_fraction_requires_constant():

@@ -31,6 +31,9 @@ declares ``__slots__`` derives from it, no other class defines
 One place names the input a fault was found in, ``io.named``: no other
 ``except`` handler of ``src/fvx`` re-raises a caught ValueError or
 FormatError as an f-string that ends in ``: {exc}``.
+
+No function of ``fvx/cli.py`` calls ``print`` more than once, so a command
+builds its whole text before any of it is printed.
 """
 
 import ast
@@ -327,6 +330,41 @@ def test_only_io_named_names_the_input_of_an_error():
     package = ROOT / "src" / "fvx"
     trees = {path.relative_to(package).as_posix(): ast.parse(path.read_text()) for path in sorted(package.rglob("*.py"))}
     assert hand_named_errors(trees) == []
+
+
+def repeated_prints(tree: ast.Module) -> list[str]:
+    """Each function that calls ``print`` more than once, with its count: a
+    command builds its whole text first, so that a fault while building it
+    leaves no half-printed output."""
+    found = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            count = sum(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print" for node in ast.walk(fn))
+            found += [f"{fn.name}: {count}"] if count > 1 else []
+    return found
+
+
+def test_repeated_prints_are_found():
+    source = (
+        "def sides(lhs, rhs):\n"
+        "    print(lhs)\n"
+        "    print(rhs)\n"
+        "    print('EQUAL' if lhs == rhs else 'DIFFER')\n"
+        "def once(lines):\n"
+        "    print(*lines, sep='\\n')\n"
+        "def branches(ok):\n"
+        "    if ok:\n"
+        "        print('yes')\n"
+        "    else:\n"
+        "        print('no', file=sys.stderr)\n"
+        "def none():\n"
+        "    return pprint(1)\n"
+    )
+    assert repeated_prints(ast.parse(source)) == ["sides: 3", "branches: 2"]
+
+
+def test_each_cli_function_prints_once():
+    assert repeated_prints(ast.parse((ROOT / "src" / "fvx" / "cli.py").read_text())) == []
 
 
 _HOOKS = ("__setattr__", "__delattr__")
